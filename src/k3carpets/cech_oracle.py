@@ -18,11 +18,16 @@ the sum over all m in a large box.
 
 That complex depends on m only through the pattern of ray inequalities m
 satisfies, so each fan has at most 2^(#rays) distinct per-degree
-complexes; their ranks are computed once by exact Gaussian elimination
-and the box sweep just counts characters per pattern (an order-independent
-sum, safe to parallelize over m).  The box is swept again with a larger
-bound and the run fails loudly if the totals moved, turning the heuristic
-box size into a certified answer.
+complexes; their ranks are computed once by exact Gaussian elimination,
+and the box only has to be counted per pattern.  Every ray of these fans
+has x-component in {-1, 0, 1}, so along a row m2 = y the pattern changes
+at cuts that are affine in y.  The box splits into a few y-slabs between
+the rows where two cuts cross or an x-independent ray changes sign;
+inside a slab each pattern's count per row is affine in y, so a slab's
+total is an arithmetic series read off its first and last rows.  The
+work has a bound set by the rays, not by the size of the box.  The box is
+counted again with a larger bound and the run fails loudly if the totals
+moved, turning the heuristic box size into a certified answer.
 
 Everything here is integer/rational arithmetic; no formula is shared with
 `line_cohomology`.
@@ -218,12 +223,16 @@ def _pattern_cohomology(
     return tuple(hs)
 
 
-def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVector:
-    """Contribution of the character m to the cohomology of O(T)."""
+def _check_coeff_count(fan: ToricFan, t: ToricDivisor) -> None:
     if len(t.coeffs) != len(fan.rays):
         raise ValueError(
             f"divisor has {len(t.coeffs)} coefficients for a fan with {len(fan.rays)} rays"
         )
+
+
+def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVector:
+    """Contribution of the character m to the cohomology of O(T)."""
+    _check_coeff_count(fan, t)
     bits = tuple(
         u[0] * m[0] + u[1] * m[1] >= -a for u, a in zip(fan.rays, t.coeffs)
     )
@@ -231,45 +240,108 @@ def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVecto
     return CohVector(hs[0], hs[1], hs[2] if len(hs) > 2 else 0)
 
 
-def _pattern_counts(fan: ToricFan, t: ToricDivisor, box: int) -> dict[tuple[bool, ...], int]:
-    """Count characters in the box |m1|,|m2| <= box per inequality pattern.
+def _row_segments(
+    fan: ToricFan, t: ToricDivisor, box: int, y: int
+) -> list[tuple[tuple[bool, ...], int]]:
+    """The row m2 = y of the box, left to right, as (pattern, length) runs.
 
     For fixed m2 each ray inequality is constant or a half-line in m1, so
     the m1-axis splits into at most a handful of constant-pattern segments
-    whose lengths are counted directly; the per-character loop never runs.
+    whose lengths are counted directly.  Ray x-components are in {-1, 0, 1}.
     """
-    counts: dict[tuple[bool, ...], int] = {}
     nrays = len(fan.rays)
-    for y in range(-box, box + 1):
-        fixed: list[tuple[int, bool]] = []  # (ray, satisfied) for x-independent rays
-        lower: list[tuple[int, int]] = []  # (ray, threshold): satisfied iff x >= thr
-        upper: list[tuple[int, int]] = []  # (ray, threshold): satisfied iff x <= thr
-        cuts = {-box, box + 1}
-        for rho, ((ux, uy), a) in enumerate(zip(fan.rays, t.coeffs)):
-            c = uy * y + a  # inequality: ux*x + c >= 0
-            if ux == 0:
-                fixed.append((rho, c >= 0))
-            elif ux > 0:
-                thr = -(c // ux)  # ceil(-c / ux)
-                lower.append((rho, thr))
-                if -box < thr <= box:
-                    cuts.add(thr)
-            else:
-                thr = c // (-ux)  # floor(c / -ux)
-                upper.append((rho, thr))
-                if -box <= thr < box:
-                    cuts.add(thr + 1)
-        edges = sorted(cuts)
-        for start, stop in zip(edges, edges[1:]):
-            bits = [False] * nrays
-            for rho, sat in fixed:
-                bits[rho] = sat
-            for rho, thr in lower:
-                bits[rho] = start >= thr
-            for rho, thr in upper:
-                bits[rho] = start <= thr
-            key = tuple(bits)
-            counts[key] = counts.get(key, 0) + (stop - start)
+    fixed: list[tuple[int, bool]] = []  # (ray, satisfied) for x-independent rays
+    lower: list[tuple[int, int]] = []  # (ray, threshold): satisfied iff x >= thr
+    upper: list[tuple[int, int]] = []  # (ray, threshold): satisfied iff x <= thr
+    cuts = {-box, box + 1}
+    for rho, ((ux, uy), a) in enumerate(zip(fan.rays, t.coeffs)):
+        c = uy * y + a  # inequality: ux*x + c >= 0
+        if ux == 0:
+            fixed.append((rho, c >= 0))
+        elif ux > 0:
+            lower.append((rho, -c))
+            if -box < -c <= box:
+                cuts.add(-c)
+        else:
+            upper.append((rho, c))
+            if -box <= c < box:
+                cuts.add(c + 1)
+    edges = sorted(cuts)
+    segments = []
+    for start, stop in zip(edges, edges[1:]):
+        bits = [False] * nrays
+        for rho, sat in fixed:
+            bits[rho] = sat
+        for rho, thr in lower:
+            bits[rho] = start >= thr
+        for rho, thr in upper:
+            bits[rho] = start <= thr
+        segments.append((tuple(bits), stop - start))
+    return segments
+
+
+def _slab_edges(fan: ToricFan, t: ToricDivisor, box: int) -> list[int]:
+    """Sorted row indices that start a slab, followed by box + 1.
+
+    With ray x-components in {-1, 0, 1}, every x-cut of a row is an affine
+    function of y with integer coefficients (a ray's threshold, or a box
+    edge as a constant), and every x-independent ray is satisfied or not
+    according to the sign of one.  Between two consecutive edges no two
+    cuts change their order (equal stays equal) and no such sign changes,
+    so every row of a slab has the same (pattern, length) sequence with
+    lengths affine in y.
+    """
+    cuts = [(0, -box), (0, box + 1)]  # (slope, intercept) in y
+    signs = []
+    for (ux, uy), a in zip(fan.rays, t.coeffs):
+        if ux == 0:
+            signs.append((uy, a))
+        elif ux > 0:
+            cuts.append((-uy, -a))  # threshold -(uy*y + a)
+        else:
+            cuts.append((uy, a + 1))  # cut just past the threshold uy*y + a
+    signs += [(s1 - s2, b1 - b2) for (s1, b1), (s2, b2) in combinations(cuts, 2)]
+    edges = {-box, box + 1}
+    for slope, intercept in signs:
+        if slope < 0:
+            slope, intercept = -slope, -intercept
+        if slope:
+            # the sign of slope*y + intercept changes around y = -intercept/slope:
+            # a new slab starts at its ceiling and right after its floor
+            edges.add(-(intercept // slope))
+            edges.add(-intercept // slope + 1)
+    return sorted(y for y in edges if -box <= y <= box + 1)
+
+
+def _pattern_counts(fan: ToricFan, t: ToricDivisor, box: int) -> dict[tuple[bool, ...], int]:
+    """Count characters in the box |m1|,|m2| <= box per inequality pattern.
+
+    The box is cut into the y-slabs of `_slab_edges`.  A slab's rows share
+    one (pattern, length) sequence whose lengths are affine in y, so only
+    its first and last rows are segmented and each pattern gets the
+    arithmetic series (len_first + len_last) * rows / 2.  The number of
+    slabs has a bound set by the rays, not by the box.  Needs every ray's
+    x-component in {-1, 0, 1}, as on P^2 and F_e.
+    """
+    for u in fan.rays:
+        if u[0] not in (-1, 0, 1):
+            raise ValueError(
+                f"ray {u} has x-component {u[0]}; the oracle's box count needs "
+                "every ray's x-component in {-1, 0, 1}"
+            )
+    _check_coeff_count(fan, t)
+    counts: dict[tuple[bool, ...], int] = {}
+    edges = _slab_edges(fan, t, box)
+    for first, stop in zip(edges, edges[1:]):
+        rows = stop - first
+        head = _row_segments(fan, t, box, first)
+        tail = head if rows == 1 else _row_segments(fan, t, box, stop - 1)
+        if [bits for bits, _ in head] != [bits for bits, _ in tail]:
+            raise ArithmeticError(
+                f"rows {first} and {stop - 1} of one slab differ: {head} vs {tail}"
+            )
+        for (bits, l0), (_, l1) in zip(head, tail):
+            counts[bits] = counts.get(bits, 0) + (l0 + l1) * rows // 2
     return counts
 
 

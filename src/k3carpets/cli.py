@@ -204,6 +204,14 @@ def cmd_coh(tokens: list[str], out) -> int:
     surface = _parse_surface(*args.take_positional("surface"))
     divisor = _parse_divisor(surface, *args.take_positional("divisor"))
     args.done()
+    box = None
+    if "--box" in args.options:
+        tok, pos = args.options["--box"]
+        if "--oracle" not in args.flags:
+            raise UsageError(f"argument {pos - 1}: --box only applies together with --oracle")
+        box = _parse_int(tok, "box bound", pos)
+        if box < 0:
+            raise UsageError(f"argument {pos}: box bound must be >= 0, got {box}")
     vec = line_cohomology.coh(surface, divisor)
     doc = {
         "command": "coh",
@@ -212,10 +220,6 @@ def cmd_coh(tokens: list[str], out) -> int:
     }
     disagree = False
     if "--oracle" in args.flags:
-        box = None
-        if "--box" in args.options:
-            tok, pos = args.options["--box"]
-            box = _parse_int(tok, "box bound", pos)
         oracle = cech_oracle.coh_oracle(surface, divisor, box=box)
         doc["results"].update(
             {

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3carpets import cech_oracle as co
 from k3carpets.cech_oracle import (
@@ -26,6 +30,18 @@ def test_fan_validation():
     fan = hirzebruch_fan(3)
     assert fan.rays == ((1, 0), (0, 1), (-1, 3), (0, -1))
     assert p2_fan().rays == ((1, 0), (0, 1), (-1, -1))
+
+
+def test_oracle_refuses_ray_with_wide_x_component():
+    # smooth and complete, but the ray (2, 1) breaks the slab count's premise
+    fan = ToricFan(
+        ((1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)),
+        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)),
+    )
+    with pytest.raises(ValueError, match=r"ray \(2, 1\)"):
+        coh_oracle(P2, P2.divisor(1), fan=fan)
+    with pytest.raises(ValueError, match="coefficients"):
+        coh_oracle(P2, P2.divisor(1), fan=hirzebruch_fan(1))
 
 
 def test_divisor_translation():
@@ -182,3 +198,56 @@ def test_degree_three_cohomology_always_vanishes():
             seen.add(bits)
             graded_piece(fan, t, (x, y))  # raises if any rank beyond degree 2 shows up
     assert len(seen) > 4
+
+
+def _per_character_counts(fan, t, box):
+    """Patterns of every character of the box, straight from the rays."""
+    return Counter(
+        tuple(u[0] * x + u[1] * y >= -a for u, a in zip(fan.rays, t.coeffs))
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+    )
+
+
+@st.composite
+def _fan_and_divisor(draw):
+    e = draw(st.one_of(st.none(), st.integers(0, 8)))
+    if e is None:
+        surface, fan = P2, p2_fan()
+    else:
+        surface, fan = hirzebruch(e), hirzebruch_fan(e, draw(st.booleans()))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(fan.rays), max_size=len(fan.rays)))
+    return surface, fan, ToricDivisor(tuple(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fan_and_divisor())
+def test_slab_counts_match_per_character_count(case):
+    surface, fan, t = case
+    for box in [*range(13), co.default_box(surface, t)]:
+        assert co._pattern_counts(fan, t, box) == _per_character_counts(fan, t, box), box
+
+
+def test_row_evaluations_do_not_depend_on_box(monkeypatch):
+    # a slanted cut can cross a box edge just inside or just outside the
+    # default box, so that count may differ from the huge-box one by a
+    # single-row slab; both stay under one bound set by the rays
+    rows = []
+    segments = co._row_segments
+
+    def counted(fan, t, box, y):
+        rows.append(y)
+        return segments(fan, t, box, y)
+
+    monkeypatch.setattr(co, "_row_segments", counted)
+    f1, f3, f8 = hirzebruch(1), hirzebruch(3), hirzebruch(8)
+    cases = [(P2, P2.divisor(7)), (P2, P2.divisor(-12)), (f1, f1.divisor(3, -2)),
+             (f3, f3.divisor(-4, 9)), (f3, f3.divisor(2, -5)), (f8, f8.divisor(-3, -30))]
+    for surface, d in cases:
+        fan, t = fan_for(surface), divisor_to_toric(surface, d)
+        per_box = []
+        for box in (co.default_box(surface, t), 10**6, 10**9, 10**12):
+            rows.clear()
+            co._pattern_counts(fan, t, box)
+            per_box.append(len(rows))
+        assert max(per_box) <= 20 and per_box[1] == per_box[2] == per_box[3], (d, per_box)

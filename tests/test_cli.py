@@ -69,6 +69,22 @@ def test_box_override_surfaces_truncation(capsys):
     assert "not stable" in err and "(0, 97, 0)" in err and "(0, 109, 0)" in err
 
 
+def test_box_usage_errors(capsys):
+    assert cli.main(["coh", "P2", "3", "--oracle", "--box", "-1"]) == 1
+    assert "argument 5" in capsys.readouterr().err
+    assert cli.main(["coh", "P2", "3", "--oracle", "--box", "abc"]) == 1
+    assert "argument 5" in capsys.readouterr().err
+    assert cli.main(["coh", "F2", "1,1", "--box", "5"]) == 1
+    assert "--oracle" in capsys.readouterr().err
+
+
+def test_oracle_at_huge_box():
+    code, text = run("coh", "P2", "100000000000", "--oracle")
+    assert code == 0
+    assert "oracle_h0 : 5000000000150000000001" in text
+    assert "verdict   : AGREE" in text
+
+
 def test_carpet_command():
     code, text = run("carpet", "F1", "2,4")
     assert code == 0
