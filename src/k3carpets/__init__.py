@@ -5,6 +5,7 @@ from .carpets import (
     DoubleCoverReport,
     EmbeddingData,
     HilbertReport,
+    InvalidGeometryError,
     abstract_carpet_dim,
     carpet_report,
     double_cover_k3_check,
@@ -32,7 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CarpetReport", "CohInterval", "CohVector", "DivisorClass",
     "DoubleCoverReport", "EmbeddingData", "HilbertReport", "InconsistencyError",
-    "LesInstance", "SurfaceMismatchError", "SurfaceModel", "TruncationError",
+    "InvalidGeometryError", "LesInstance", "SurfaceMismatchError", "SurfaceModel",
+    "TruncationError",
     "abstract_carpet_dim", "canonical_class", "carpet_report", "chain", "coh",
     "coh_oracle", "coh_p1", "double_cover_k3_check", "embedded_carpet_h0",
     "hirzebruch", "hilbert_report", "intersect", "is_base_point_free",

@@ -11,6 +11,7 @@ the affected claims fail.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -52,7 +53,34 @@ def _mismatch_claim(claim_id: str, subject: str, checked: int, mismatches: list)
     return _claim(claim_id, subject, computed, f"{checked}/{checked} agree")
 
 
-def _oracle_grid():
+def fe_polarizations():
+    """The F_e grid: a*C0 + b*f with b = a*e + db.  Yields (surface, divisor)."""
+    for e in CARPET_E_RANGE:
+        s = surfaces.hirzebruch(e)
+        for a in CARPET_A_RANGE:
+            for off in CARPET_B_OFFSETS:
+                yield s, s.divisor(a, a * e + off)
+
+
+def fe_embeddings():
+    """The F_e grid embedded by the complete series, and by that series
+    followed by `extra` more ambient dimensions.  Yields (embedding, extra)."""
+    for s, d in fe_polarizations():
+        for extra in CARPET_EXTRAS:
+            yield EmbeddingData.complete_series(s, d, extra), extra
+
+
+def plane_embeddings():
+    """The d-uple planes, with the same extras.  Yields (embedding, extra)."""
+    p2 = surfaces.projective_plane()
+    for deg in P2_D_RANGE:
+        for extra in CARPET_EXTRAS:
+            yield EmbeddingData.complete_series(p2, p2.divisor(deg), extra), extra
+
+
+def oracle_grid():
+    """Every bundle the closed forms are compared on: a box of classes on
+    F_0..F_5 and a range of degrees on P^2.  Yields (surface, divisor)."""
     for e in ORACLE_E_RANGE:
         s = surfaces.hirzebruch(e)
         for a in range(-ORACLE_AB_SPAN, ORACLE_AB_SPAN + 1):
@@ -121,22 +149,18 @@ def cohomology_claims() -> list[Claim]:
 
     mismatches = []
     checked = 0
-    for e in CARPET_E_RANGE:
-        s = surfaces.hirzebruch(e)
-        for a in CARPET_A_RANGE:
-            for off in CARPET_B_OFFSETS:
-                b = a * e + off
-                d = s.divisor(a, b)
-                checked += 1
-                got = line_cohomology.coh(s, d).as_tuple()
-                want = ((a + 1) * (2 * b + 2 - a * e) // 2, 0, 0)
-                if got != want:
-                    mismatches.append((str(s), (a, b), got, want))
-                checked += 1
-                got = line_cohomology.coh(s, d + surfaces.canonical_class(s)).h0
-                want_adj = (a - 1) * (2 * b - 2 - a * e) // 2
-                if got != want_adj:
-                    mismatches.append((str(s), (a, b), "adjoint", got, want_adj))
+    for s, d in fe_polarizations():
+        (a, b), e = d.coeffs, s.e
+        checked += 1
+        got = line_cohomology.coh(s, d).as_tuple()
+        want = ((a + 1) * (2 * b + 2 - a * e) // 2, 0, 0)
+        if got != want:
+            mismatches.append((str(s), (a, b), got, want))
+        checked += 1
+        got = line_cohomology.coh(s, d + surfaces.canonical_class(s)).h0
+        want_adj = (a - 1) * (2 * b - 2 - a * e) // 2
+        if got != want_adj:
+            mismatches.append((str(s), (a, b), "adjoint", got, want_adj))
     out.append(_mismatch_claim("very-ample-section-counts",
                                "closed-form h0 for very ample classes and their adjoints",
                                checked, mismatches))
@@ -148,7 +172,7 @@ def cohomology_claims() -> list[Claim]:
 def oracle_claims() -> list[Claim]:
     agree, duality, rr = [], [], []
     checked = 0
-    for s, d in _oracle_grid():
+    for s, d in oracle_grid():
         checked += 1
         closed = line_cohomology.coh(s, d)
         k = surfaces.canonical_class(s)
@@ -187,41 +211,32 @@ def carpet_claims() -> list[Claim]:
 
     mismatches = []
     checked = 0
-    for e in CARPET_E_RANGE:
-        s = surfaces.hirzebruch(e)
-        for a in CARPET_A_RANGE:
-            for off in CARPET_B_OFFSETS:
-                b = a * e + off
-                d = s.divisor(a, b)
-                for extra in CARPET_EXTRAS:
-                    emb = EmbeddingData.complete_series(s, d, extra)
-                    np1 = emb.n_plus_1
-                    checked += 1
-                    got = carpets.embedded_carpet_h0(emb)
-                    want = np1 * (a - 1) * (2 * b - 2 - a * e) // 2 + 1
-                    if got != want:
-                        mismatches.append((str(s), (a, b), np1, got, want))
-                    if extra == 0:
-                        checked += 1
-                        quartic = (a * a - 1) * ((2 * b - a * e) ** 2 - 4) // 4 + 1
-                        if got != quartic:
-                            mismatches.append((str(s), (a, b), "complete", got, quartic))
+    for emb, extra in fe_embeddings():
+        s, np1 = emb.surface, emb.n_plus_1
+        (a, b), e = emb.polarization.coeffs, s.e
+        checked += 1
+        got = carpets.embedded_carpet_h0(emb)
+        want = np1 * (a - 1) * (2 * b - 2 - a * e) // 2 + 1
+        if got != want:
+            mismatches.append((str(s), (a, b), np1, got, want))
+        if extra == 0:
+            checked += 1
+            quartic = (a * a - 1) * ((2 * b - a * e) ** 2 - 4) // 4 + 1
+            if got != quartic:
+                mismatches.append((str(s), (a, b), "complete", got, quartic))
     out.append(_mismatch_claim("embedded-family-linear-form",
                                "embedded carpet h0 matches the linear and quartic closed forms",
                                checked, mismatches))
 
     mismatches = []
     checked = 0
-    for deg in P2_D_RANGE:
-        d = p2.divisor(deg)
-        for extra in CARPET_EXTRAS:
-            emb = EmbeddingData.complete_series(p2, d, extra)
-            np1 = emb.n_plus_1
-            checked += 1
-            got = carpets.embedded_carpet_h0(emb)
-            want = np1 * (deg - 1) * (deg - 2) // 2
-            if got != want or (got == 0) != (deg <= 2):
-                mismatches.append((deg, np1, got, want))
+    for emb, _ in plane_embeddings():
+        deg, np1 = emb.polarization.degree, emb.n_plus_1
+        checked += 1
+        got = carpets.embedded_carpet_h0(emb)
+        want = np1 * (deg - 1) * (deg - 2) // 2
+        if got != want or (got == 0) != (deg <= 2):
+            mismatches.append((deg, np1, got, want))
     out.append(_mismatch_claim("embedded-family-plane",
                                "embedded carpet h0 on d-uple planes; zero exactly for d <= 2",
                                checked, mismatches))
@@ -237,35 +252,19 @@ def carpet_claims() -> list[Claim]:
 
 def hilbert_claims() -> list[Claim]:
     out = []
-    p2 = surfaces.projective_plane()
     chi_bad, verdict_bad = [], []
     checked = 0
-    for e in CARPET_E_RANGE:
-        s = surfaces.hirzebruch(e)
-        for a in CARPET_A_RANGE:
-            for off in CARPET_B_OFFSETS:
-                d = s.divisor(a, a * e + off)
-                for extra in CARPET_EXTRAS:
-                    emb = EmbeddingData.complete_series(s, d, extra)
-                    checked += 1
-                    rep = carpets.hilbert_report(emb)
-                    np1 = rep.hilbert_ambient_n + 1
-                    if rep.chi_normal_carpet != np1 * np1 + 18:
-                        chi_bad.append((str(s), d.coeffs, rep.chi_normal_carpet))
-                    if rep.smooth != (e <= 2):
-                        verdict_bad.append((str(s), d.coeffs, rep.smooth))
-    for deg in P2_D_RANGE:
-        if deg <= 2:
-            continue
-        for extra in CARPET_EXTRAS:
-            emb = EmbeddingData.complete_series(p2, p2.divisor(deg), extra)
-            checked += 1
-            rep = carpets.hilbert_report(emb)
-            np1 = rep.hilbert_ambient_n + 1
-            if rep.chi_normal_carpet != np1 * np1 + 18:
-                chi_bad.append(("P2", deg, rep.chi_normal_carpet))
-            if not rep.smooth:
-                verdict_bad.append(("P2", deg, rep.smooth))
+    for emb, _ in itertools.chain(fe_embeddings(), plane_embeddings()):
+        s, d = emb.surface, emb.polarization
+        if s.is_plane and d.degree <= 2:
+            continue  # the Veronese and the plane carry no embedded carpet
+        checked += 1
+        rep = carpets.hilbert_report(emb)
+        np1 = rep.hilbert_ambient_n + 1
+        if rep.chi_normal_carpet != np1 * np1 + 18:
+            chi_bad.append((str(s), d.coeffs, rep.chi_normal_carpet))
+        if rep.smooth != (s.is_plane or s.e <= 2):
+            verdict_bad.append((str(s), d.coeffs, rep.smooth))
     out.append(_mismatch_claim("hilbert-tangent-chi",
                                "chi of the carpet normal bundle equals (N+1)^2 + 18",
                                checked, chi_bad))

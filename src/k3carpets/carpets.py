@@ -25,6 +25,10 @@ from .exact_seq import CohInterval, InconsistencyError, LesInstance, chain, prop
 from .line_cohomology import CohVector
 
 
+class InvalidGeometryError(ValueError):
+    """The input describes no embedding, or no embedded carpet, to report on."""
+
+
 @dataclass(frozen=True)
 class EmbeddingData:
     """An embedding of S into P^N by a very ample class, N+1 >= h^0."""
@@ -36,12 +40,12 @@ class EmbeddingData:
     def __post_init__(self):
         surfaces._check_on(self.surface, self.polarization)
         if not surfaces.is_very_ample(self.surface, self.polarization):
-            raise ValueError(
+            raise InvalidGeometryError(
                 f"polarization {self.polarization} on {self.surface} is not very ample"
             )
         h0 = lc.coh(self.surface, self.polarization).h0
         if self.ambient_n + 1 < h0:
-            raise ValueError(
+            raise InvalidGeometryError(
                 f"ambient dimension N = {self.ambient_n} too small: "
                 f"N + 1 must be >= h0 = {h0}"
             )
@@ -263,17 +267,17 @@ def _hilbert_chain(
     polarization: surfaces.DivisorClass,
     n_plus_1: int,
     normal_twist: CohVector,
+    kinv: CohVector,
+    k2inv: CohVector,
 ) -> dict[str, CohInterval]:
     """The sequences tying the carpet normal bundle to line-bundle endpoints.
 
     H denotes the sheaf Hom(I_carpet/I_S^2, O_S); Nc the normal bundle of
-    the embedded carpet, restricted to S and twisted by O resp. K.
+    the embedded carpet, restricted to S and twisted by O resp. K; `kinv`
+    and `k2inv` are the cohomology of K^-1 and K^-2.
     """
-    k = surfaces.canonical_class(surface)
     exact = CohInterval.from_vector
-    o_iv = exact(lc.coh(surface, 0 * k))
-    kinv_iv = exact(lc.coh(surface, -1 * k))
-    k2inv_iv = exact(lc.coh(surface, -2 * k))
+    o_iv = exact(lc.coh(surface, 0 * surfaces.canonical_class(surface)))
     l_sum = exact(lc.coh(surface, polarization).scaled(n_plus_1))
 
     seqs = [
@@ -286,7 +290,7 @@ def _hilbert_chain(
             names=("T_S", "T_amb", "N_S"), label="normal-bundle",
         ),
         LesInstance(
-            kinv_iv, CohInterval.unknown(), CohInterval.unknown(),
+            exact(kinv), CohInterval.unknown(), CohInterval.unknown(),
             names=("K_inv", "N_S", "H"), label="conormal-quotient",
         ),
         LesInstance(
@@ -294,11 +298,11 @@ def _hilbert_chain(
             names=("O", "N⊗K", "H⊗K"), label="conormal-quotient-twist",
         ),
         LesInstance(
-            CohInterval.unknown(), CohInterval.unknown(), k2inv_iv,
+            CohInterval.unknown(), CohInterval.unknown(), exact(k2inv),
             names=("H", "Nc_O", "K_inv2"), label="carpet-normal-restriction",
         ),
         LesInstance(
-            CohInterval.unknown(), CohInterval.unknown(), kinv_iv,
+            CohInterval.unknown(), CohInterval.unknown(), exact(kinv),
             names=("H⊗K", "Nc_K", "K_inv"), label="carpet-normal-restriction-twist",
         ),
         LesInstance(
@@ -349,15 +353,14 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     n_plus_1 = lc.coh(surface, pol).h0 + lc.coh(surface, pol + k).h0
     normal_twist, used_splitting = _normal_twist_cohomology(surface, pol, n_plus_1)
     if normal_twist.h0 == 0:
-        raise ValueError(
+        raise InvalidGeometryError(
             f"no embedded carpet exists for {pol} on {surface} "
             "(the twisted normal bundle has no sections)"
         )
 
-    table = _hilbert_chain(surface, pol, n_plus_1, normal_twist)
-
     kinv = lc.coh(surface, -1 * k)
     k2inv = lc.coh(surface, -2 * k)
+    table = _hilbert_chain(surface, pol, n_plus_1, normal_twist, kinv, k2inv)
 
     n_s = table["N_S"]
     if not n_s.is_forced_all():

@@ -373,15 +373,13 @@ def coh_oracle(
     surface: surfaces.SurfaceModel,
     divisor: surfaces.DivisorClass,
     box: int | None = None,
-    fan: ToricFan | None = None,
 ) -> CohVector:
     """Ground-truth (h0, h1, h2) by summing graded pieces over a box.
 
     Runs the sweep at the box bound and again at bound + 3; raises
     TruncationError when the totals differ.
     """
-    if fan is None:
-        fan = fan_for(surface)
+    fan = fan_for(surface)
     t = divisor_to_toric(surface, divisor)
     if box is None:
         box = default_box(surface, t)

@@ -7,7 +7,8 @@ quartically; consumers should not need big-integer JSON), and RFC-4180
 CSV.  Identical inputs produce byte-identical output unless --timestamp
 is passed.
 
-Exit codes: 0 success / all checks pass, 1 usage error, 2 computation
+Exit codes: 0 success / all checks pass, 1 usage error or invalid
+geometry (no such embedding, no embedded carpet), 2 computation
 inconsistency (oracle disagreement, truncation, infeasible constraints),
 3 verification failure.
 """
@@ -22,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import battery, carpets, cech_oracle, line_cohomology, surfaces
-from .carpets import EmbeddingData
+from .carpets import EmbeddingData, InvalidGeometryError
 from .cech_oracle import TruncationError
 from .exact_seq import InconsistencyError, UnboundedRankError
 
@@ -433,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return COMMANDS[command](rest, out)
-    except UsageError as err:
+    except (UsageError, InvalidGeometryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except (TruncationError, InconsistencyError, UnboundedRankError, ArithmeticError, ValueError) as err:

@@ -16,12 +16,14 @@ characteristics per term), `propagate` computes the exact minimum and
 maximum of every dimension over all nonnegative rank assignments, by
 enumeration of the rank chain with forward pruning.  Bounds that collapse
 (lo == hi) are forced; anything wider is honest partial knowledge.
-`chain` runs several sequences that share named terms to a fixed point.
+`chain` runs several sequences that share named terms to a common fixed
+point with a worklist: a sequence is propagated again only when one of its
+terms narrowed since its last run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_NODES = 2_000_000
 
@@ -136,12 +138,6 @@ class LesInstance:
     names: tuple[str, str, str] = ("A", "B", "C")
     label: str = ""
 
-    def term(self, name: str) -> CohInterval:
-        for n, iv in zip(self.names, (self.a, self.b, self.c)):
-            if n == name:
-                return iv
-        raise KeyError(name)
-
 
 def _term_bounds(seq: LesInstance):
     """Bounds for t_0..t_8 in long-exact-sequence order (H0A, H0B, H0C, ...)."""
@@ -187,6 +183,12 @@ def _diagnose(seq: LesInstance) -> str:
     return "no nonnegative rank assignment fits the given bounds"
 
 
+def _infeasible(seq: LesInstance) -> InconsistencyError:
+    return InconsistencyError(
+        (f"sequence {seq.label!r}: " if seq.label else "") + _diagnose(seq)
+    )
+
+
 def propagate(seq: LesInstance) -> LesInstance:
     """Tighten every dimension of a long exact sequence to its exact range.
 
@@ -200,14 +202,7 @@ def propagate(seq: LesInstance) -> LesInstance:
     hi = list(hi)
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     if all(c is not None for c in chis) and chis[0] + chis[2] != chis[1]:
-        raise InconsistencyError(
-            (f"sequence {seq.label!r}: " if seq.label else "") + _diagnose(seq)
-        )
-
-    def _fail():
-        raise InconsistencyError(
-            (f"sequence {seq.label!r}: " if seq.label else "") + _diagnose(seq)
-        )
+        raise _infeasible(seq)
 
     # Tighten ranks and dimensions to arc consistency before enumerating
     # (sound: discarded values admit no completion, so min/max survive).
@@ -235,7 +230,7 @@ def propagate(seq: LesInstance) -> LesInstance:
                 r_max[k] = new_max
                 changed = True
             if r_max[k] is not None and r_min[k] > r_max[k]:
-                _fail()
+                raise _infeasible(seq)
         for k in range(9):
             if r_max[k] is not None and r_max[k + 1] is not None:
                 cap = r_max[k] + r_max[k + 1]
@@ -247,7 +242,7 @@ def propagate(seq: LesInstance) -> LesInstance:
                 lo[k] = floor
                 changed = True
             if hi[k] is not None and lo[k] > hi[k]:
-                _fail()
+                raise _infeasible(seq)
         for term in range(3):
             c = chis[term]
             if c is None:
@@ -273,7 +268,7 @@ def propagate(seq: LesInstance) -> LesInstance:
                     hi[target] = up
                     changed = True
                 if hi[target] is not None and lo[target] > hi[target]:
-                    _fail()
+                    raise _infeasible(seq)
         if not changed:
             break
     for k in range(1, 9):
@@ -328,9 +323,7 @@ def propagate(seq: LesInstance) -> LesInstance:
     walk(0)
 
     if t_min[0] is None:
-        raise InconsistencyError(
-            (f"sequence {seq.label!r}: " if seq.label else "") + _diagnose(seq)
-        )
+        raise _infeasible(seq)
 
     def interval(term: int, chi_in: int | None) -> CohInterval:
         lo_t = (t_min[term], t_min[term + 3], t_min[term + 6])
@@ -349,62 +342,53 @@ def propagate(seq: LesInstance) -> LesInstance:
     )
 
 
-@dataclass
-class _TermTable:
-    terms: dict[str, CohInterval] = field(default_factory=dict)
-
-    def meet(self, name: str, iv: CohInterval) -> bool:
-        if name not in self.terms:
-            self.terms[name] = iv
-            return True
-        merged = self.terms[name].meet(iv, what=f"term {name!r}")
-        changed = merged != self.terms[name]
-        self.terms[name] = merged
-        return changed
-
-
 def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
-    """Propagate several sequences sharing named terms to a fixed point.
+    """Propagate several sequences sharing named terms to a common fixed point.
 
-    Returns the final knowledge per term name.  Terminates because bounds
-    only tighten over nonnegative integers; inconsistencies are reported
-    with the label of the offending sequence.
+    Returns the final knowledge per term name.  A worklist (AC-3; Mackworth
+    1977, "Consistency in networks of relations"): every sequence is
+    propagated once, and again only when one of its terms narrowed since
+    its last run.  No round cap is needed: `propagate` either raises or
+    returns finite bounds, so every term that changes is bounded from then
+    on and can only narrow a finite number of times.  A sequence whose
+    ranks are unbounded is retried when a term of it narrows, and its
+    `UnboundedRankError` is raised if it is still stuck at the end;
+    inconsistencies are reported with the label of the offending sequence.
     """
-    table = _TermTable()
-    for seq in seqs:
-        for name, iv in zip(seq.names, (seq.a, seq.b, seq.c)):
+    table: dict[str, CohInterval] = {}
+
+    def meet(seq: LesInstance, name: str, iv: CohInterval) -> None:
+        if name in table:
             try:
-                table.meet(name, iv)
+                iv = table[name].meet(iv, what=f"term {name!r}")
             except InconsistencyError as err:
                 raise InconsistencyError(f"sequence {seq.label!r}: {err}") from None
+        table[name] = iv
 
-    for _ in range(200):
-        changed = False
-        stuck: UnboundedRankError | None = None
-        for seq in seqs:
-            current = LesInstance(
-                table.terms[seq.names[0]],
-                table.terms[seq.names[1]],
-                table.terms[seq.names[2]],
-                seq.names,
-                seq.label,
-            )
-            try:
-                tightened = propagate(current)
-            except UnboundedRankError as err:
-                # other sequences may still pin this one's terms; retry later
-                stuck = err
-                continue
-            for name, iv in zip(seq.names, (tightened.a, tightened.b, tightened.c)):
-                try:
-                    if table.meet(name, iv):
-                        changed = True
-                except InconsistencyError as err:
-                    raise InconsistencyError(
-                        f"sequence {seq.label!r}: {err}"
-                    ) from None
-        if not changed:
-            if stuck is not None:
-                raise stuck
-            return dict(table.terms)
-    raise RuntimeError("sequence chain failed to reach a fixed point")
+    for seq in seqs:
+        for name, iv in zip(seq.names, (seq.a, seq.b, seq.c)):
+            meet(seq, name, iv)
+
+    queue = list(range(len(seqs)))
+    last: dict[int, tuple[CohInterval, ...]] = {}  # terms after each last run
+    stuck: dict[int, UnboundedRankError] = {}
+    while queue:
+        i = queue.pop(0)
+        seq = seqs[i]
+        current = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label)
+        try:
+            current = propagate(current)
+        except UnboundedRankError as err:
+            stuck[i] = err
+        else:
+            stuck.pop(i, None)
+            for name, iv in zip(seq.names, (current.a, current.b, current.c)):
+                meet(seq, name, iv)
+        last[i] = (current.a, current.b, current.c)
+        queue.extend(
+            j for j, other in enumerate(seqs)
+            if j not in queue and tuple(table[n] for n in other.names) != last[j]
+        )
+    if stuck:
+        raise stuck[max(stuck)]
+    return table

@@ -1,4 +1,8 @@
-"""Tiny run of the benchmark's oracle workload, so its gate runs with the suite."""
+"""Tiny runs of two benchmark workloads, so their gates run with the suite.
+
+The sweep smoke run is checked against its golden stdout digest, which
+covers the Hilbert chain's result on every row.
+"""
 
 import json
 import subprocess
@@ -8,10 +12,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_oracle_workload_smoke():
+def _smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "oracle-large"],
+        [sys.executable, "perfbench/run.py", "--smoke", "--workload", workload],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_oracle_workload_smoke():
+    _smoke("oracle-large")
+
+
+def test_sweep_workload_smoke():
+    _smoke("sweep")

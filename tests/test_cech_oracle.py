@@ -39,9 +39,9 @@ def test_oracle_refuses_ray_with_wide_x_component():
         ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)),
     )
     with pytest.raises(ValueError, match=r"ray \(2, 1\)"):
-        coh_oracle(P2, P2.divisor(1), fan=fan)
+        co._box_totals(fan, ToricDivisor((1, 0, 0, 0, 0)), 5)
     with pytest.raises(ValueError, match="coefficients"):
-        coh_oracle(P2, P2.divisor(1), fan=hirzebruch_fan(1))
+        co._box_totals(hirzebruch_fan(1), divisor_to_toric(P2, P2.divisor(1)), 5)
 
 
 def test_divisor_translation():
@@ -151,8 +151,9 @@ def test_section_ray_orientation_is_immaterial():
         down = hirzebruch_fan(e, negative_section_up=False)
         for a in (-3, 0, 1, 2):
             for b in (-3, 0, 2):
-                d = s.divisor(a, b)
-                assert coh_oracle(s, d, fan=up) == coh_oracle(s, d, fan=down)
+                t = divisor_to_toric(s, s.divisor(a, b))
+                for box in (co.default_box(s, t), co.default_box(s, t) + 3):
+                    assert co._box_totals(up, t, box) == co._box_totals(down, t, box)
 
 
 def test_h0_equals_polytope_point_count():

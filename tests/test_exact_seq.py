@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3carpets.exact_seq import (
     CohInterval,
@@ -239,3 +241,46 @@ def test_chain_inconsistency_names_sequence():
     with pytest.raises(InconsistencyError) as err:
         chain(seqs)
     assert "first" in str(err.value) or "second" in str(err.value)
+
+
+NAMES = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def _small_chains(draw):
+    """2-4 sequences over five term names; each endpoint is either the
+    exact cohomology of that name's line bundle or unknown."""
+    surface = draw(st.sampled_from((hirzebruch(0), hirzebruch(3), P2)))
+    coeffs = st.lists(st.integers(-4, 4), min_size=surface.picard_rank,
+                      max_size=surface.picard_rank)
+    truth = {n: CohInterval.from_vector(coh(surface, surface.divisor(*draw(coeffs))))
+             for n in NAMES}
+
+    def end(name):
+        return truth[name] if draw(st.booleans()) else CohInterval.unknown()
+
+    seqs = []
+    for i in range(draw(st.integers(2, 4))):
+        names = tuple(draw(st.permutations(NAMES))[:3])
+        seqs.append(LesInstance(end(names[0]), CohInterval.unknown(), end(names[2]),
+                                names, label=f"seq{i}"))
+    return seqs
+
+
+def _outcome(seqs):
+    try:
+        return chain(seqs)
+    except (InconsistencyError, UnboundedRankError) as err:
+        return type(err)
+
+
+@settings(deadline=None)
+@given(_small_chains())
+def test_chain_is_an_order_independent_fixed_point(seqs):
+    outcome = _outcome(seqs)
+    assert _outcome(seqs[::-1]) == outcome
+    if isinstance(outcome, dict):
+        for seq in seqs:
+            terms = tuple(outcome[n] for n in seq.names)
+            again = propagate(LesInstance(*terms, seq.names, seq.label))
+            assert (again.a, again.b, again.c) == terms
