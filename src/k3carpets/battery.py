@@ -309,7 +309,6 @@ def _random_divisor(rng: random.Random, s: surfaces.SurfaceModel) -> surfaces.Di
 
 def exact_seq_claims() -> list[Claim]:
     out = []
-    f_any = surfaces.hirzebruch(4)
     one = CohInterval.exact(0, 1, 0)
     forced = propagate(LesInstance(one, CohInterval.unknown(), one)).b
     out.append(_claim("les-middle-forcing",

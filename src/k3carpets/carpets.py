@@ -199,7 +199,8 @@ def embedded_carpet_h0(embedding: EmbeddingData) -> int:
     return vec.h0
 
 
-def carpet_report(embedding: EmbeddingData) -> CarpetReport:
+def carpet_report(embedding: EmbeddingData, abstract_dim: int | None = None) -> CarpetReport:
+    """`abstract_dim`, if given, is the surface's `abstract_carpet_dim`."""
     surface = embedding.surface
     vec, used_splitting = _normal_twist_cohomology(
         surface, embedding.polarization, embedding.n_plus_1
@@ -207,7 +208,7 @@ def carpet_report(embedding: EmbeddingData) -> CarpetReport:
     minimal_degree = (not surface.is_plane) and embedding.polarization.a == 1
     report = CarpetReport(
         embedding=embedding,
-        abstract_family_dim=abstract_carpet_dim(surface),
+        abstract_family_dim=abstract_carpet_dim(surface) if abstract_dim is None else abstract_dim,
         embedded_h0=vec.h0,
         embedded_moduli_dim=vec.h0 - 1,
         exists_embedded=vec.h0 > 0,

@@ -309,31 +309,47 @@ SWEEP_COLUMNS = [
 ]
 
 
+_ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+
+
+def _surface_facts(s: surfaces.SurfaceModel) -> tuple:
+    """abstract_carpet_dim and double_cover_k3_check of s, each a value or an error."""
+    facts = []
+    for compute in (carpets.abstract_carpet_dim, carpets.double_cover_k3_check):
+        try:
+            facts.append(compute(s))
+        except _ROW_ERRORS as err:
+            facts.append(err)
+    return tuple(facts)
+
+
+def _known(fact):
+    """A per-surface result; its error becomes the error of the row using it."""
+    if isinstance(fact, Exception):
+        raise fact
+    return fact
+
+
 def _sweep_row(task: tuple) -> dict:
-    kind, e, a, b, d, extra = task
-    row: dict = {"surface": kind if kind == "P2" else f"F{e}", "e": e, "a": a, "b": b, "d": d}
+    s, a, b, d, extra, abstract_dim, cover = task
+    row: dict = {"surface": str(s), "e": None if s.is_plane else s.e, "a": a, "b": b, "d": d}
     try:
-        if kind == "P2":
-            s = surfaces.projective_plane()
-            div = s.divisor(d)
-        else:
-            s = surfaces.hirzebruch(e)
-            div = s.divisor(a, b)
+        div = s.divisor(d) if s.is_plane else s.divisor(a, b)
         emb = EmbeddingData.complete_series(s, div, extra)
         row["n_plus_1"] = emb.n_plus_1
         row["h0"] = line_cohomology.coh(s, div).h0
-        rep = carpets.carpet_report(emb)
+        rep = carpets.carpet_report(emb, abstract_dim=_known(abstract_dim))
         row.update(
             embedded_h0=rep.embedded_h0,
             moduli_dim=rep.embedded_moduli_dim,
             exists=rep.exists_embedded,
             abstract_dim=rep.abstract_family_dim,
         )
-        row["k3_cover"] = carpets.double_cover_k3_check(s).is_k3_cover
+        row["k3_cover"] = _known(cover).is_k3_cover
         hil = carpets.hilbert_report(emb)
         row["smooth"] = hil.smooth
         row["h1_carpet_lo"], row["h1_carpet_hi"] = hil.h1_normal_carpet
-    except (ValueError, RuntimeError, ArithmeticError) as err:
+    except _ROW_ERRORS as err:
         row["error"] = str(err)
     return row
 
@@ -352,6 +368,9 @@ def cmd_sweep(tokens: list[str], out) -> int:
         return default
 
     e_range = get_range("--e", range(0))
+    if e_range.start < 0:
+        pos = args.options["--e"][1]
+        raise UsageError(f"argument {pos}: Hirzebruch parameter must be >= 0, got {e_range.start}")
     a_range = get_range("--a", range(1, 2))
     db_range = get_range("--db", range(1, 2))
     d_range = get_range("--d", range(0))
@@ -361,17 +380,21 @@ def cmd_sweep(tokens: list[str], out) -> int:
         tok, pos = args.options["--jobs"]
         jobs = _parse_int(tok, "worker count", pos)
         if jobs < 1:
-            raise UsageError("--jobs must be >= 1")
+            raise UsageError(f"argument {pos}: --jobs must be >= 1, got {jobs}")
 
     tasks = []
     for e in e_range:
+        s = surfaces.hirzebruch(e)
         for a in a_range:
             for db in db_range:
                 for extra in extra_range:
-                    tasks.append(("F", e, a, a * e + db, None, extra))
+                    tasks.append((s, a, a * e + db, None, extra))
     for d in d_range:
         for extra in extra_range:
-            tasks.append(("P2", None, None, None, d, extra))
+            tasks.append((surfaces.projective_plane(), None, None, d, extra))
+    # once per sweep, not cached in a module: each sweep sees the modules as they are
+    facts = {s: _surface_facts(s) for s in dict.fromkeys(task[0] for task in tasks)}
+    tasks = [task + facts[task[0]] for task in tasks]
 
     if jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

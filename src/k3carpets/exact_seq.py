@@ -13,9 +13,14 @@ exactness is equivalent to
 and this rank model is the single source of truth here.  Given per-degree
 integer bounds on the nine dimensions (plus optional exact Euler
 characteristics per term), `propagate` computes the exact minimum and
-maximum of every dimension over all nonnegative rank assignments, by
-enumeration of the rank chain with forward pruning.  Bounds that collapse
-(lo == hi) are forced; anything wider is honest partial knowledge.
+maximum of every dimension over all nonnegative rank assignments: arc
+consistency bounds the ranks, then a forward/backward DP over the rank
+chain whose state is r_k and the running Euler characteristics of A and
+C.  The work is polynomial in the bounds: at most 9 (R + 1)^2 X^2 DP edges
+for R the largest rank bound and X <= 3 H + 1 the values a running Euler
+characteristic can take, H the largest dimension bound.  Bounds that
+collapse (lo == hi) are forced; anything wider is honest partial
+knowledge.
 `chain` runs several sequences that share named terms to a common fixed
 point with a worklist: a sequence is propagated again only when one of its
 terms narrowed since its last run.
@@ -25,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_NODES = 2_000_000
-
 _DEGREE_NAMES = ("h0", "h1", "h2")
+
+# Change in the running chi of terms A and C per unit of t_k = h^(k // 3)(term k % 3).
+_CHI_STEPS = ((1, 0), (0, 0), (0, 1), (-1, 0), (0, 0), (0, -1), (1, 0), (0, 0), (0, 1))
 
 
 class InconsistencyError(ValueError):
@@ -60,13 +66,10 @@ class CohInterval:
     def __post_init__(self):
         for lo_i, hi_i in zip(self.lo, self.hi):
             _check_bound(lo_i, hi_i)
-        if self.chi is not None and all(h is not None for h in self.hi):
-            if self.is_forced_all():
-                pinned = self.lo[0] - self.lo[1] + self.lo[2]
-                if pinned != self.chi:
-                    raise ValueError(
-                        f"chi = {self.chi} contradicts pinned dimensions {self.lo}"
-                    )
+        if self.chi is not None and self.is_forced_all():
+            pinned = self.lo[0] - self.lo[1] + self.lo[2]
+            if pinned != self.chi:
+                raise ValueError(f"chi = {self.chi} contradicts pinned dimensions {self.lo}")
 
     @classmethod
     def exact(cls, h0: int, h1: int, h2: int) -> "CohInterval":
@@ -163,23 +166,19 @@ def _diagnose(seq: LesInstance) -> str:
     # exists and the first offending term names the violation.
     for k in range(9):
         best = 0
-        unbounded = False
         for j in range(k, -1, -1):
-            if (k - j) % 2 == 0:
-                if hi[j] is None:
-                    unbounded = True
-                    break
-                best += hi[j]
-            else:
+            if (k - j) % 2:
                 best -= lo[j]
-        if unbounded:
-            continue
-        if best < 0:
-            term = seq.names[k % 3]
-            return (
-                f"exactness at {_DEGREE_NAMES[k // 3]}({term}): the incoming rank "
-                f"would have to be negative ({best})"
-            )
+            elif hi[j] is None:
+                break  # unbounded
+            else:
+                best += hi[j]
+        else:
+            if best < 0:
+                return (
+                    f"exactness at {_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}): the "
+                    f"incoming rank would have to be negative ({best})"
+                )
     return "no nonnegative rank assignment fits the given bounds"
 
 
@@ -189,25 +188,15 @@ def _infeasible(seq: LesInstance) -> InconsistencyError:
     )
 
 
-def propagate(seq: LesInstance) -> LesInstance:
-    """Tighten every dimension of a long exact sequence to its exact range.
-
-    Enumerates all rank chains r_1..r_8 compatible with the bounds and chi
-    constraints; each dimension's returned range is the exact min/max over
-    the feasible set, and a term whose Euler characteristic is constant
-    over that set gets its chi pinned.
-    """
+def _rank_bounds(seq: LesInstance):
+    """Arc-consistent bounds (lo, hi, r_min, r_max) on the nine dimensions
+    and the ranks r_0..r_9, every rank bounded; sound, since a discarded
+    value admits no completion.  r_k sits in t_{k-1} = r_{k-1} + r_k and
+    t_k = r_k + r_{k+1}; a chi constraint ties one term's degrees together."""
     lo, hi = _term_bounds(seq)
-    lo = list(lo)
-    hi = list(hi)
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     if all(c is not None for c in chis) and chis[0] + chis[2] != chis[1]:
         raise _infeasible(seq)
-
-    # Tighten ranks and dimensions to arc consistency before enumerating
-    # (sound: discarded values admit no completion, so min/max survive).
-    # r_k sits in t_{k-1} = r_{k-1} + r_k and t_k = r_k + r_{k+1}; a chi
-    # constraint ties the three degrees of one term together.
     r_min = [0] * 10
     r_max: list[int | None] = [None] * 10
     r_max[0] = r_max[9] = 0
@@ -277,69 +266,55 @@ def propagate(seq: LesInstance) -> LesInstance:
                 f"terms {_DEGREE_NAMES[(k - 1) // 3]}({seq.names[(k - 1) % 3]}) and "
                 f"{_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}) are both unbounded"
             )
+    return lo, hi, r_min, r_max
 
-    t_min = [None] * 9
-    t_max = [None] * 9
-    chi_seen: list[set[int]] = [set(), set(), set()]
-    nodes = 0
-    ranks = [0] * 10  # r_0..r_9, ends pinned to 0
 
-    def record():
-        ts = [ranks[k] + ranks[k + 1] for k in range(9)]
-        for term in range(3):
-            want = chis[term]
-            value = ts[term] - ts[term + 3] + ts[term + 6]
-            if want is not None and value != want:
-                return
-        for k, t in enumerate(ts):
-            if t_min[k] is None or t < t_min[k]:
-                t_min[k] = t
-            if t_max[k] is None or t > t_max[k]:
-                t_max[k] = t
-        for term in range(3):
-            chi_seen[term].add(ts[term] - ts[term + 3] + ts[term + 6])
+def propagate(seq: LesInstance) -> LesInstance:
+    """Tighten every dimension of a long exact sequence to its exact range.
 
-    def walk(k: int):
-        # choosing r_{k+1}; t_k = r_k + r_{k+1} must land in [lo_k, hi_k]
-        nonlocal nodes
-        nodes += 1
-        if nodes > MAX_NODES:
-            raise UnboundedRankError(
-                f"rank enumeration exceeded {MAX_NODES} nodes"
-                + (f" in sequence {seq.label!r}" if seq.label else "")
-            )
-        if k == 8:
-            if lo[8] <= ranks[8] and (hi[8] is None or ranks[8] <= hi[8]):
-                record()
-            return
-        r_k = ranks[k]
-        start = max(r_min[k + 1], lo[k] - r_k)
-        stop = r_max[k + 1] if hi[k] is None else min(hi[k] - r_k, r_max[k + 1])
-        for r in range(start, stop + 1):
-            ranks[k + 1] = r
-            walk(k + 1)
-        ranks[k + 1] = 0
+    Each dimension's returned range is the exact min/max over all rank
+    chains r_1..r_8 compatible with the bounds and chi constraints, and a
+    term whose Euler characteristic is constant over them gets its chi
+    pinned.  Arc consistency alone is exact on the path of constraints
+    t_k = r_k + r_{k+1} (Freuder 1982, "A sufficient condition for
+    backtrack-free search"), but chi ties ranks far apart on it; so a
+    forward/backward DP over r_0..r_9 carries the running chi of terms A
+    and C in its state (chi_B = chi_A + chi_C holds identically).
+    """
+    lo, hi, r_min, r_max = _rank_bounds(seq)
+    chis = (seq.a.chi, seq.b.chi, seq.c.chi)
 
-    walk(0)
-
-    if t_min[0] is None:
+    # Forward: steps[k] maps each state (r_{k+1}, chi_A, chi_C so far) to
+    # the states it is reached from; t_k = r_k + r_{k+1}.
+    layer = [(0, 0, 0)]
+    steps = []
+    for k, (da, dc) in enumerate(_CHI_STEPS):
+        reached: dict[tuple[int, int, int], list] = {}
+        for state in layer:
+            r, xa, xc = state
+            top = r_max[k + 1] if hi[k] is None else min(hi[k] - r, r_max[k + 1])
+            for r_next in range(max(r_min[k + 1], lo[k] - r), top + 1):
+                t = r + r_next
+                reached.setdefault((r_next, xa + da * t, xc + dc * t), []).append(state)
+        steps.append(reached)
+        layer = reached
+    # End filter (r_9 = 0 already), then backward over the surviving edges.
+    alive = [(r, xa, xc) for r, xa, xc in layer
+             if chis[0] in (None, xa) and chis[1] in (None, xa + xc) and chis[2] in (None, xc)]
+    if not alive:
         raise _infeasible(seq)
+    chi_seen = ({s[1] for s in alive}, {s[1] + s[2] for s in alive}, {s[2] for s in alive})
+    t_min, t_max = [0] * 9, [0] * 9
+    for k in range(8, -1, -1):
+        ts = [src[0] + dst[0] for dst in alive for src in steps[k][dst]]
+        t_min[k], t_max[k] = min(ts), max(ts)
+        alive = {src for dst in alive for src in steps[k][dst]}
 
-    def interval(term: int, chi_in: int | None) -> CohInterval:
-        lo_t = (t_min[term], t_min[term + 3], t_min[term + 6])
-        hi_t = (t_max[term], t_max[term + 3], t_max[term + 6])
-        chi = chi_in
-        if chi is None and len(chi_seen[term]) == 1:
-            chi = next(iter(chi_seen[term]))
-        return CohInterval(lo_t, hi_t, chi)
-
-    return LesInstance(
-        interval(0, chis[0]),
-        interval(1, chis[1]),
-        interval(2, chis[2]),
-        seq.names,
-        seq.label,
-    )
+    # a fixed chi is the only value its term's chi takes on the kept states
+    terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]),
+                         min(seen) if len(seen) == 1 else None)
+             for i, seen in enumerate(chi_seen))
+    return LesInstance(*terms, seq.names, seq.label)
 
 
 def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:

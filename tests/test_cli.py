@@ -2,7 +2,10 @@ import csv
 import io
 import json
 
-from k3carpets import battery, cli, line_cohomology, surfaces
+import pytest
+
+from k3carpets import battery, carpets, cli, line_cohomology, surfaces
+from k3carpets.exact_seq import InconsistencyError
 
 
 def run(*argv):
@@ -30,6 +33,10 @@ def test_usage_errors_carry_position(capsys):
     assert "divisor" in capsys.readouterr().err
     assert cli.main(["coh", "F2", "1,2", "--format", "yaml"]) == 1
     assert "format" in capsys.readouterr().err
+    assert cli.main(["sweep", "--e", "-1..0"]) == 1
+    assert "argument 2: Hirzebruch parameter must be >= 0" in capsys.readouterr().err
+    assert cli.main(["sweep", "--e", "0..1", "--jobs", "0"]) == 1
+    assert "argument 4: --jobs must be >= 1" in capsys.readouterr().err
     assert cli.main(["frobnicate"]) == 1
 
 
@@ -181,6 +188,35 @@ def test_sweep_records_row_errors_and_continues():
     assert "no embedded carpet" in lines[2]
     assert lines[3].startswith("P2") and "SMOOTH" not in lines[3]
     assert lines[-1] == "2 rows"
+
+
+def test_sweep_computes_per_surface_results_once(monkeypatch):
+    calls = []
+    original = carpets.abstract_carpet_dim
+
+    def counted(surface):
+        calls.append(str(surface))
+        return original(surface)
+
+    monkeypatch.setattr(carpets, "abstract_carpet_dim", counted)
+    code, text = run("sweep", "--e", "1..2", "--a", "1..2", "--db", "1..3", "--d", "3..4")
+    assert code == 0 and text.strip().endswith("14 rows")
+    assert sorted(calls) == ["F1", "F2", "P2"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_per_surface_error_is_the_row_error(monkeypatch, jobs):
+    def broken(surface):
+        raise InconsistencyError(f"broken on {surface}")
+
+    monkeypatch.setattr(carpets, "abstract_carpet_dim", broken)
+    code, text = run("sweep", "--e", "2..2", "--a", "1..2", "--db", "0..1",
+                     "--format", "json", "--jobs", jobs)
+    assert code == 0
+    errors = [row["error"] for row in json.loads(text)["rows"]]
+    # F2 with b = 2a is not very ample: that row fails before the surface's cells
+    assert errors == ["polarization 1,2 on F2 is not very ample", "broken on F2",
+                      "polarization 2,4 on F2 is not very ample", "broken on F2"]
 
 
 def test_sweep_parallel_matches_sequential():

@@ -1,14 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3carpets import battery, carpets, exact_seq
 from k3carpets.exact_seq import (
     CohInterval,
     InconsistencyError,
     LesInstance,
     UnboundedRankError,
+    _infeasible,
+    _rank_bounds,
     chain,
     propagate,
 )
@@ -284,3 +288,126 @@ def test_chain_is_an_order_independent_fixed_point(seqs):
             terms = tuple(outcome[n] for n in seq.names)
             again = propagate(LesInstance(*terms, seq.names, seq.label))
             assert (again.a, again.b, again.c) == terms
+
+
+@pytest.mark.parametrize("chi", [None, 0])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_all_bounded_triples_answer_in_bounded_time(n, chi):
+    # each dimension reaches both 0 and n on some rank chain, so nothing
+    # narrows; the work is polynomial in n, not a search over rank chains
+    iv = CohInterval((0, 0, 0), (n, n, n), chi)
+    start = time.perf_counter()
+    res = propagate(LesInstance(iv, iv, iv))
+    elapsed = time.perf_counter() - start
+    for term in (res.a, res.b, res.c):
+        assert term.lo == (0, 0, 0) and term.hi == (n, n, n)
+    if n == 8:
+        assert elapsed < 1.0
+
+
+def _enumerated(seq: LesInstance) -> LesInstance:
+    """Reference for `propagate`: every rank chain r_1..r_8 inside the same
+    arc-consistent bounds, enumerated one by one (exponential in the
+    widths, so for small instances only)."""
+    lo, hi, r_min, r_max = _rank_bounds(seq)
+    chis = (seq.a.chi, seq.b.chi, seq.c.chi)
+    t_min, t_max = [None] * 9, [None] * 9
+    chi_seen: list[set[int]] = [set(), set(), set()]
+    ranks = [0] * 10
+
+    def record():
+        ts = [ranks[k] + ranks[k + 1] for k in range(9)]
+        values = [ts[term] - ts[term + 3] + ts[term + 6] for term in range(3)]
+        if any(want is not None and value != want for want, value in zip(chis, values)):
+            return
+        for k, t in enumerate(ts):
+            t_min[k] = t if t_min[k] is None else min(t_min[k], t)
+            t_max[k] = t if t_max[k] is None else max(t_max[k], t)
+        for seen, value in zip(chi_seen, values):
+            seen.add(value)
+
+    def walk(k: int):
+        # choosing r_{k+1}; t_k = r_k + r_{k+1} must land in [lo_k, hi_k]
+        if k == 8:
+            if lo[8] <= ranks[8] and (hi[8] is None or ranks[8] <= hi[8]):
+                record()
+            return
+        stop = r_max[k + 1] if hi[k] is None else min(hi[k] - ranks[k], r_max[k + 1])
+        for r in range(max(r_min[k + 1], lo[k] - ranks[k]), stop + 1):
+            ranks[k + 1] = r
+            walk(k + 1)
+        ranks[k + 1] = 0
+
+    walk(0)
+    if t_min[0] is None:
+        raise _infeasible(seq)
+    terms = []
+    for term, chi in enumerate(chis):
+        if chi is None and len(chi_seen[term]) == 1:
+            chi = next(iter(chi_seen[term]))
+        terms.append(CohInterval(tuple(t_min[term::3]), tuple(t_max[term::3]), chi))
+    return LesInstance(*terms, seq.names, seq.label)
+
+
+def _result(solve, seq):
+    """lo/hi/chi of all three terms, or the exception class and message."""
+    try:
+        res = solve(seq)
+    except (InconsistencyError, UnboundedRankError) as err:
+        return type(err), str(err)
+    return tuple((iv.lo, iv.hi, iv.chi) for iv in (res.a, res.b, res.c))
+
+
+@st.composite
+def _small_instances(draw):
+    """Bounds of width 0-3 around a rank chain with ranks <= 3, in half the
+    draws with one dimension's bounds shifted off it (often infeasible);
+    whole terms unknown; chi absent, true, off by one or random."""
+    ranks = [0] + draw(st.lists(st.integers(0, 3), min_size=8, max_size=8)) + [0]
+    point = [ranks[k] + ranks[k + 1] for k in range(9)]
+    shifted = draw(st.integers(0, 17))  # a dimension when < 9
+    lo, hi = [], []
+    for k, t in enumerate(point):
+        width = draw(st.integers(0, 3))
+        shift = draw(st.sampled_from((-1, 1))) if k == shifted else 0
+        lo.append(max(0, t - draw(st.integers(0, width)) + shift))
+        hi.append(lo[-1] + width)
+    terms = []
+    for term in range(3):
+        true_chi = point[term] - point[term + 3] + point[term + 6]
+        chi = draw(st.sampled_from((None, None, None, true_chi, true_chi, true_chi - 1,
+                                    true_chi + 1, "random")))
+        if chi == "random":
+            chi = draw(st.integers(-6, 9))
+        if draw(st.integers(0, 4)) == 0:
+            terms.append(CohInterval.unknown(chi))
+            continue
+        bounds = (tuple(lo[term::3]), tuple(hi[term::3]))
+        try:
+            terms.append(CohInterval(*bounds, chi))
+        except ValueError:  # chi contradicts pinned dimensions
+            terms.append(CohInterval(*bounds))
+    return LesInstance(*terms, label=draw(st.sampled_from(("", "small"))))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_small_instances())
+def test_propagate_matches_enumeration_on_small_instances(seq):
+    assert _result(propagate, seq) == _result(_enumerated, seq)
+
+
+def test_propagate_matches_enumeration_on_verify_paper(monkeypatch):
+    seen = {}
+    original = exact_seq.propagate
+
+    def capture(seq):
+        seen[seq] = None
+        return original(seq)
+
+    for module in (exact_seq, carpets, battery):  # every module binding the name
+        monkeypatch.setattr(module, "propagate", capture)
+    battery.run_all()
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for seq in seen:
+        assert _result(propagate, seq) == _result(_enumerated, seq), seq
