@@ -7,6 +7,10 @@ quartically; consumers should not need big-integer JSON), and RFC-4180
 CSV.  Identical inputs produce byte-identical output unless --timestamp
 is passed.
 
+A sweep computes each per-surface result once per surface and each
+Hilbert report once per polarization: the report is about the carpet
+embedded by its own complete series, so it does not depend on `--extra`.
+
 Exit codes: 0 success / all checks pass, 1 usage error or invalid
 geometry (no such embedding, no embedded carpet), 2 computation
 inconsistency (oracle disagreement, truncation, infeasible constraints),
@@ -312,46 +316,63 @@ SWEEP_COLUMNS = [
 _ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError)
 
 
+def _attempt(compute, arg):
+    """compute(arg), or the error it raised."""
+    try:
+        return compute(arg)
+    except _ROW_ERRORS as err:
+        return err
+
+
 def _surface_facts(s: surfaces.SurfaceModel) -> tuple:
     """abstract_carpet_dim and double_cover_k3_check of s, each a value or an error."""
-    facts = []
-    for compute in (carpets.abstract_carpet_dim, carpets.double_cover_k3_check):
-        try:
-            facts.append(compute(s))
-        except _ROW_ERRORS as err:
-            facts.append(err)
-    return tuple(facts)
+    return tuple(_attempt(compute, s) for compute in (carpets.abstract_carpet_dim,
+                                                      carpets.double_cover_k3_check))
 
 
 def _known(fact):
-    """A per-surface result; its error becomes the error of the row using it."""
+    """A shared result; its error becomes the error of the row using it."""
     if isinstance(fact, Exception):
         raise fact
     return fact
 
 
-def _sweep_row(task: tuple) -> dict:
-    s, a, b, d, extra, abstract_dim, cover = task
-    row: dict = {"surface": str(s), "e": None if s.is_plane else s.e, "a": a, "b": b, "d": d}
-    try:
-        div = s.divisor(d) if s.is_plane else s.divisor(a, b)
-        emb = EmbeddingData.complete_series(s, div, extra)
-        row["n_plus_1"] = emb.n_plus_1
-        row["h0"] = line_cohomology.coh(s, div).h0
-        rep = carpets.carpet_report(emb, abstract_dim=_known(abstract_dim))
-        row.update(
-            embedded_h0=rep.embedded_h0,
-            moduli_dim=rep.embedded_moduli_dim,
-            exists=rep.exists_embedded,
-            abstract_dim=rep.abstract_family_dim,
-        )
-        row["k3_cover"] = _known(cover).is_k3_cover
-        hil = carpets.hilbert_report(emb)
-        row["smooth"] = hil.smooth
-        row["h1_carpet_lo"], row["h1_carpet_hi"] = hil.h1_normal_carpet
-    except _ROW_ERRORS as err:
-        row["error"] = str(err)
-    return row
+def _sweep_rows(task: tuple) -> list[dict]:
+    """The rows of one polarization, one per extra ambient dimension.
+
+    The Hilbert report is computed once, at the first row that reaches it,
+    and reused by the later rows: it is the report of the carpet embedded by
+    its own complete series, N + 1 = h^0(L) + h^0(L + K_S), so it depends on
+    the surface and the polarization and not on the row's extra dimensions.
+    A row that fails before the Hilbert step keeps its own error.
+    """
+    s, a, b, d, extra_range, abstract_dim, cover = task
+    hilbert = None
+    rows = []
+    for extra in extra_range:
+        row: dict = {"surface": str(s), "e": None if s.is_plane else s.e, "a": a, "b": b, "d": d}
+        try:
+            div = s.divisor(d) if s.is_plane else s.divisor(a, b)
+            emb = EmbeddingData.complete_series(s, div, extra)
+            row["n_plus_1"] = emb.n_plus_1
+            row["h0"] = line_cohomology.coh(s, div).h0
+            rep = carpets.carpet_report(emb, abstract_dim=_known(abstract_dim))
+            row.update(
+                embedded_h0=rep.embedded_h0,
+                moduli_dim=rep.embedded_moduli_dim,
+                exists=rep.exists_embedded,
+                abstract_dim=rep.abstract_family_dim,
+            )
+            row["k3_cover"] = _known(cover).is_k3_cover
+            if hilbert is None:
+                hilbert = _attempt(carpets.hilbert_report, emb)
+            hil = _known(hilbert)
+            row["smooth"] = hil.smooth
+            row["h1_carpet_lo"], row["h1_carpet_hi"] = hil.h1_normal_carpet
+        except _ROW_ERRORS as err:
+            row["error"] = str(err)
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(tokens: list[str], out) -> int:
@@ -382,25 +403,27 @@ def cmd_sweep(tokens: list[str], out) -> int:
         if jobs < 1:
             raise UsageError(f"argument {pos}: --jobs must be >= 1, got {jobs}")
 
-    tasks = []
+    tasks = []  # one per polarization; each yields a row per extra dimension
     for e in e_range:
         s = surfaces.hirzebruch(e)
         for a in a_range:
             for db in db_range:
-                for extra in extra_range:
-                    tasks.append((s, a, a * e + db, None, extra))
+                tasks.append((s, a, a * e + db, None))
     for d in d_range:
-        for extra in extra_range:
-            tasks.append((surfaces.projective_plane(), None, None, d, extra))
+        tasks.append((surfaces.projective_plane(), None, None, d))
+    if not extra_range:
+        tasks = []  # no rows, so no per-surface facts and no workers
     # once per sweep, not cached in a module: each sweep sees the modules as they are
     facts = {s: _surface_facts(s) for s in dict.fromkeys(task[0] for task in tasks)}
-    tasks = [task + facts[task[0]] for task in tasks]
+    tasks = [task + (extra_range,) + facts[task[0]] for task in tasks]
 
     if jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+        # the pool forks all its workers at start, so never more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            per_task = list(pool.map(_sweep_rows, tasks))
     else:
-        rows = [_sweep_row(task) for task in tasks]
+        per_task = [_sweep_rows(task) for task in tasks]
+    rows = [row for task_rows in per_task for row in task_rows]
 
     doc = {"command": "sweep", "columns": SWEEP_COLUMNS, "rows": rows,
            "summary": f"{len(rows)} rows"}

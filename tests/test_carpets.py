@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from k3carpets import battery, cli
 from k3carpets.carpets import (
     EmbeddingData,
     abstract_carpet_dim,
@@ -191,3 +194,36 @@ def test_hilbert_requires_existing_carpet():
         hilbert_report(complete(P2, 2))
     with pytest.raises(ValueError, match="no embedded carpet"):
         hilbert_report(complete(P2, 1))
+
+
+def _without_embedding(report):
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "embedding"}
+
+
+def test_hilbert_report_does_not_depend_on_the_input_embedding():
+    # the sweep and the battery compute one report per polarization and
+    # share it between every N the polarization is embedded at
+    polarizations = list(battery.fe_polarizations())
+    polarizations += [(P2, P2.divisor(d)) for d in battery.P2_D_RANGE if d >= 3]
+    assert (hirzebruch(3), hirzebruch(3).divisor(2, 8)) in polarizations
+    assert (P2, P2.divisor(3)) in polarizations
+    for s, d in polarizations:
+        first, second = (
+            hilbert_report(EmbeddingData.complete_series(s, d, extra)) for extra in (0, 5)
+        )
+        assert second.embedding.ambient_n == first.embedding.ambient_n + 5
+        assert _without_embedding(first) == _without_embedding(second), (s, d)
+    f3 = hirzebruch(3)
+    rep = _without_embedding(hilbert_report(complete(f3, 2, 8, extra=5)))
+    assert (rep["smooth"], rep["h1_normal_carpet"]) == (False, (1, 1))
+
+
+def test_hilbert_command_does_not_depend_on_N(capsys):
+    outputs = []
+    for n in ("3", "100"):
+        assert cli.main(["hilbert", "F0", "1,1", "--N", n]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"ambient_n               : {n}" in lines
+        outputs.append([line for line in lines if not line.startswith("ambient_n ")])
+    assert outputs[0] == outputs[1]
+    assert "verdict                 : SMOOTH" in outputs[0]

@@ -219,6 +219,106 @@ def test_sweep_per_surface_error_is_the_row_error(monkeypatch, jobs):
                       "polarization 2,4 on F2 is not very ample", "broken on F2"]
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_computes_one_hilbert_report_per_polarization(monkeypatch):
+    calls = _counting(monkeypatch, carpets, "hilbert_report")
+    code, text = run("sweep", "--e", "1..2", "--a", "1..2", "--db", "1..3",
+                     "--extra", "0..3", "--d", "3..4")
+    assert code == 0 and text.strip().endswith("56 rows")
+    assert len(calls) == 14
+
+
+def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):
+    calls = _counting(monkeypatch, carpets, "hilbert_report")
+    claims = battery.hilbert_claims()
+    assert all(c.passed for c in claims)
+    assert claims[0].computed == "520/520 agree"
+    assert len(calls) == 261  # 260 grid polarizations and the F_3 (2, 8) claim
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rows_before_the_hilbert_step_keep_their_errors(jobs):
+    code, text = run("sweep", "--e", "0..0", "--a", "1..1", "--db", "1..1",
+                     "--extra", "-2..1", "--format", "json", "--jobs", jobs)
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert [row.get("error") for row in rows] == [
+        "ambient dimension N = 1 too small: N + 1 must be >= h0 = 4",
+        "ambient dimension N = 2 too small: N + 1 must be >= h0 = 4",
+        None, None,
+    ]
+    assert [row.get("smooth") for row in rows] == [None, None, True, True]
+    assert [row["n_plus_1"] for row in rows[2:]] == ["4", "5"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_hilbert_error_is_the_error_of_rows_reaching_it(monkeypatch, jobs):
+    calls = []
+
+    def broken(embedding):
+        calls.append(embedding)
+        raise InconsistencyError(f"broken on {embedding.polarization}")
+
+    monkeypatch.setattr(carpets, "hilbert_report", broken)
+    code, text = run("sweep", "--e", "2..2", "--a", "1..2", "--db", "0..1",
+                     "--extra", "-1..0", "--d", "3..3", "--format", "json", "--jobs", jobs)
+    assert code == 0
+    errors = [row["error"] for row in json.loads(text)["rows"]]
+    assert errors == [
+        "polarization 1,2 on F2 is not very ample",
+        "polarization 1,2 on F2 is not very ample",
+        "ambient dimension N = 4 too small: N + 1 must be >= h0 = 6",
+        "broken on 1,3",
+        "polarization 2,4 on F2 is not very ample",
+        "polarization 2,4 on F2 is not very ample",
+        "ambient dimension N = 10 too small: N + 1 must be >= h0 = 12",
+        "broken on 2,5",
+        "ambient dimension N = 8 too small: N + 1 must be >= h0 = 10",
+        "broken on 3",
+    ]
+    if jobs == "1":  # the pool's workers call it in their own processes
+        assert len(calls) == 3
+
+
+def test_sweep_pool_size_is_bounded_by_the_polarizations(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """An in-process stand-in for ProcessPoolExecutor that records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, text = run("sweep", "--d", "3..4", "--extra", "0..2", "--jobs", "64")
+    assert code == 0 and text.strip().endswith("6 rows")
+    code, text = run("sweep", "--e", "0..1", "--a", "1..2", "--db", "1..1", "--jobs", "3")
+    assert code == 0 and text.strip().endswith("4 rows")
+    code, text = run("sweep", "--d", "3..4", "--extra", "1..0", "--jobs", "64")
+    assert code == 0 and text.strip().endswith("0 rows")
+    assert sizes == [2, 3]
+
+
 def test_sweep_parallel_matches_sequential():
     args = ("sweep", "--e", "2..3", "--a", "1..2", "--db", "1..1")
     _, seq = run(*args)
