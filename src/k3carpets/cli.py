@@ -344,18 +344,22 @@ def _sweep_rows(task: tuple) -> list[dict]:
     and reused by the later rows: it is the report of the carpet embedded by
     its own complete series, N + 1 = h^0(L) + h^0(L + K_S), so it depends on
     the surface and the polarization and not on the row's extra dimensions.
-    A row that fails before the Hilbert step keeps its own error.
+    A row that fails before the Hilbert step keeps its own error.  h^0(L)
+    is computed once, by the first row that reaches it, and every later
+    row's embedding is built from it.
     """
     s, a, b, d, extra_range, abstract_dim, cover = task
-    hilbert = None
+    h0 = hilbert = None
     rows = []
     for extra in extra_range:
         row: dict = {"surface": str(s), "e": None if s.is_plane else s.e, "a": a, "b": b, "d": d}
         try:
             div = s.divisor(d) if s.is_plane else s.divisor(a, b)
-            emb = EmbeddingData.complete_series(s, div, extra)
+            if h0 is None:
+                h0 = line_cohomology.coh(s, div).h0
+            emb = EmbeddingData(s, div, h0 - 1 + extra)  # the complete series and `extra` more
             row["n_plus_1"] = emb.n_plus_1
-            row["h0"] = line_cohomology.coh(s, div).h0
+            row["h0"] = h0
             rep = carpets.carpet_report(emb, abstract_dim=_known(abstract_dim))
             row.update(
                 embedded_h0=rep.embedded_h0,

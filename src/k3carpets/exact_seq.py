@@ -13,11 +13,14 @@ exactness is equivalent to
 and this rank model is the single source of truth here.  Given per-degree
 integer bounds on the nine dimensions (plus optional exact Euler
 characteristics per term), `propagate` computes the exact minimum and
-maximum of every dimension over all nonnegative rank assignments: arc
-consistency bounds the ranks, then a forward/backward DP over the rank
-chain whose state is r_k and the running Euler characteristics of A and
-C.  The work is polynomial in the bounds: at most 9 (R + 1)^2 X^2 DP edges
-for R the largest rank bound and X <= 3 H + 1 the values a running Euler
+maximum of every dimension over all nonnegative rank assignments.  A
+forward and a backward sweep along the path of ranks, with caps from the
+fixed Euler characteristics, bound the ranks; then a forward/backward DP
+over the rank chain, whose state is r_k and the running Euler
+characteristics of A and C, makes the ranges exact, dropping every state
+from which a fixed Euler characteristic is out of reach.  The work is
+polynomial in the bounds: at most 9 (R + 1)^2 X^2 DP edges for R the
+largest rank bound and X <= 3 H + 1 the values a running Euler
 characteristic can take, H the largest dimension bound.  Bounds that
 collapse (lo == hi) are forced; anything wider is honest partial
 knowledge.
@@ -29,6 +32,7 @@ terms narrowed since its last run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 _DEGREE_NAMES = ("h0", "h1", "h2")
 
@@ -66,6 +70,8 @@ class CohInterval:
     def __post_init__(self):
         for lo_i, hi_i in zip(self.lo, self.hi):
             _check_bound(lo_i, hi_i)
+        if self.chi is not None and (not isinstance(self.chi, int) or isinstance(self.chi, bool)):
+            raise ValueError(f"chi must be an integer or None, got {self.chi!r}")
         if self.chi is not None and self.is_forced_all():
             pinned = self.lo[0] - self.lo[1] + self.lo[2]
             if pinned != self.chi:
@@ -143,130 +149,90 @@ class LesInstance:
 
 
 def _term_bounds(seq: LesInstance):
-    """Bounds for t_0..t_8 in long-exact-sequence order (H0A, H0B, H0C, ...)."""
+    """Bounds for t_0..t_8 in long-exact-sequence order (H0A, H0B, ...), inf if none."""
     lo, hi = [], []
     for degree in range(3):
         for iv in (seq.a, seq.b, seq.c):
             lo.append(iv.lo[degree])
-            hi.append(iv.hi[degree])
+            hi.append(inf if iv.hi[degree] is None else iv.hi[degree])
     return lo, hi
 
 
-def _diagnose(seq: LesInstance) -> str:
-    """Name a violated relation for an infeasible instance."""
-    lo, hi = _term_bounds(seq)
-    chis = (seq.a.chi, seq.b.chi, seq.c.chi)
-    if all(c is not None for c in chis) and chis[0] + chis[2] != chis[1]:
-        return (
-            f"chi additivity: chi({seq.names[1]}) = {chis[1]} but "
-            f"chi({seq.names[0]}) + chi({seq.names[2]}) = {chis[0] + chis[2]}"
-        )
-    # Exactness makes each connecting rank an alternating partial sum of the
-    # dimensions; if its maximum over the boxes is negative, no assignment
-    # exists and the first offending term names the violation.
+def _sweep(lo, hi):
+    """Exact intervals [r_lo[k], r_hi[k]] of r_0..r_9 over the rank chains
+    with lo_k <= r_k + r_{k+1} <= hi_k, chi ignored; if there is none, the
+    lists stop at the first empty interval.  On a path a forward pass (what
+    r_0..r_{k-1} leave for r_k) and a backward pass (what of it r_{k+1}..r_9
+    can finish) are exact, the image of an interval being an interval:
+    directional arc consistency (Dechter and Pearl 1987, "Network-based
+    heuristics for constraint-satisfaction problems")."""
+    r_lo, r_hi = [0], [0]
     for k in range(9):
-        best = 0
-        for j in range(k, -1, -1):
-            if (k - j) % 2:
-                best -= lo[j]
-            elif hi[j] is None:
-                break  # unbounded
-            else:
-                best += hi[j]
-        else:
-            if best < 0:
-                return (
-                    f"exactness at {_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}): the "
-                    f"incoming rank would have to be negative ({best})"
-                )
-    return "no nonnegative rank assignment fits the given bounds"
+        r_lo.append(max(0, lo[k] - r_hi[k]))
+        r_hi.append(hi[k] - r_lo[k] if k < 8 else min(0, hi[k] - r_lo[k]))
+        if r_hi[-1] < r_lo[-1]:
+            return r_lo, r_hi
+    for k in range(8, 0, -1):
+        r_lo[k] = max(r_lo[k], lo[k] - r_hi[k + 1])
+        r_hi[k] = min(r_hi[k], hi[k] - r_lo[k + 1])
+    return r_lo, r_hi
 
 
 def _infeasible(seq: LesInstance) -> InconsistencyError:
-    return InconsistencyError(
-        (f"sequence {seq.label!r}: " if seq.label else "") + _diagnose(seq)
-    )
+    """The error for an infeasible instance, naming a violated relation
+    when chi additivity or the sweep of its own bounds shows one."""
+    chis = (seq.a.chi, seq.b.chi, seq.c.chi)
+    r_hi = _sweep(*_term_bounds(seq))[1]
+    k = len(r_hi) - 2  # the term the last swept rank leaves
+    if None not in chis and chis[0] + chis[2] != chis[1]:
+        why = (f"chi additivity: chi({seq.names[1]}) = {chis[1]} but "
+               f"chi({seq.names[0]}) + chi({seq.names[2]}) = {chis[0] + chis[2]}")
+    elif r_hi[-1] < 0:
+        why = (f"exactness at {_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}): the "
+               f"incoming rank would have to be negative ({r_hi[-1]})")
+    else:
+        why = "no nonnegative rank assignment fits the given bounds"
+    return InconsistencyError((f"sequence {seq.label!r}: " if seq.label else "") + why)
 
 
 def _rank_bounds(seq: LesInstance):
-    """Arc-consistent bounds (lo, hi, r_min, r_max) on the nine dimensions
-    and the ranks r_0..r_9, every rank bounded; sound, since a discarded
-    value admits no completion.  r_k sits in t_{k-1} = r_{k-1} + r_k and
-    t_k = r_k + r_{k+1}; a chi constraint ties one term's degrees together."""
+    """Bounds (lo, hi, r_lo, r_hi) on the nine dimensions and the ranks
+    r_0..r_9 that every feasible rank chain keeps, all finite.
+
+    Repeats {sweep the ranks; let them cap the dimensions; let each fixed
+    chi cap each degree of its term from the other two} only while some
+    dimension goes from unbounded to bounded: at most 9 sweeps whatever the
+    magnitudes, since with all nine unbounded nothing bounds one.  So
+    whether a rank stays unbounded (`UnboundedRankError`) depends only on
+    which bounds are finite and which chi are fixed.  The chi caps only
+    make the ranks finite; `propagate` applies chi exactly."""
     lo, hi = _term_bounds(seq)
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
-    if all(c is not None for c in chis) and chis[0] + chis[2] != chis[1]:
+    if None not in chis and chis[0] + chis[2] != chis[1]:
         raise _infeasible(seq)
-    r_min = [0] * 10
-    r_max: list[int | None] = [None] * 10
-    r_max[0] = r_max[9] = 0
-    for _ in range(80):
-        changed = False
-        for k in range(1, 9):
-            lows = [0]
-            highs = [] if r_max[k] is None else [r_max[k]]
-            for t, partner in ((k - 1, k - 1), (k, k + 1)):
-                if r_max[partner] is not None:
-                    lows.append(lo[t] - r_max[partner])
-                if hi[t] is not None:
-                    highs.append(hi[t] - r_min[partner])
-            new_min = max(lows)
-            new_max = min(highs) if highs else None
-            if new_min > r_min[k]:
-                r_min[k] = new_min
-                changed = True
-            if new_max is not None and (r_max[k] is None or new_max < r_max[k]):
-                r_max[k] = new_max
-                changed = True
-            if r_max[k] is not None and r_min[k] > r_max[k]:
-                raise _infeasible(seq)
-        for k in range(9):
-            if r_max[k] is not None and r_max[k + 1] is not None:
-                cap = r_max[k] + r_max[k + 1]
-                if hi[k] is None or cap < hi[k]:
-                    hi[k] = cap
-                    changed = True
-            floor = r_min[k] + r_min[k + 1]
-            if floor > lo[k]:
-                lo[k] = floor
-                changed = True
-            if hi[k] is not None and lo[k] > hi[k]:
-                raise _infeasible(seq)
-        for term in range(3):
-            c = chis[term]
-            if c is None:
-                continue
-            # t_a - t_b + t_c = chi with (a, b, c) the term's three degrees
-            ta, tb, tc = term, term + 3, term + 6
-            for target, sign in ((ta, 1), (tb, -1), (tc, 1)):
-                others = [t for t in (ta, tb, tc) if t != target]
-                up = down = c if sign > 0 else -c
-                for other in others:
-                    osign = -1 if other == tb else 1
-                    coeff = osign * -sign  # move the other term across
-                    if coeff > 0:
-                        up = None if hi[other] is None or up is None else up + hi[other]
-                        down = down + lo[other] if down is not None else None
-                    else:
-                        up = None if up is None else up - lo[other]
-                        down = None if hi[other] is None or down is None else down - hi[other]
-                if down is not None and down > lo[target]:
-                    lo[target] = down
-                    changed = True
-                if up is not None and (hi[target] is None or up < hi[target]):
-                    hi[target] = up
-                    changed = True
-                if hi[target] is not None and lo[target] > hi[target]:
-                    raise _infeasible(seq)
-        if not changed:
+    while True:
+        r_lo, r_hi = _sweep(lo, hi)
+        if r_hi[-1] < r_lo[-1]:
+            raise _infeasible(seq)
+        hi = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
+        unbounded = hi.count(inf)
+        for term, chi in enumerate(chis):
+            for d in range(3 if chi is not None else 0):
+                # t_d = s_d (chi - sum of s_e t_e), s = (1, -1, 1): a degree of
+                # opposite sign counts at its top, one of equal sign at its bottom
+                hi[term + 3 * d] = min(hi[term + 3 * d], (-chi if d == 1 else chi) + sum(
+                    hi[term + 3 * e] if 1 in (d, e) else -lo[term + 3 * e]
+                    for e in range(3) if e != d))
+        if any(h < l for l, h in zip(lo, hi)):
+            raise _infeasible(seq)
+        if hi.count(inf) == unbounded:
             break
-    for k in range(1, 9):
-        if r_max[k] is None:
-            raise UnboundedRankError(
-                f"terms {_DEGREE_NAMES[(k - 1) // 3]}({seq.names[(k - 1) % 3]}) and "
-                f"{_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}) are both unbounded"
-            )
-    return lo, hi, r_min, r_max
+    if inf in r_hi:
+        k = r_hi.index(inf)
+        raise UnboundedRankError(
+            f"terms {_DEGREE_NAMES[(k - 1) // 3]}({seq.names[(k - 1) % 3]}) and "
+            f"{_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}) are both unbounded")
+    return lo, hi, r_lo, r_hi
 
 
 def propagate(seq: LesInstance) -> LesInstance:
@@ -275,34 +241,67 @@ def propagate(seq: LesInstance) -> LesInstance:
     Each dimension's returned range is the exact min/max over all rank
     chains r_1..r_8 compatible with the bounds and chi constraints, and a
     term whose Euler characteristic is constant over them gets its chi
-    pinned.  Arc consistency alone is exact on the path of constraints
-    t_k = r_k + r_{k+1} (Freuder 1982, "A sufficient condition for
-    backtrack-free search"), but chi ties ranks far apart on it; so a
+    pinned.  The sweep of `_rank_bounds` is exact on the path of
+    constraints t_k = r_k + r_{k+1} (Freuder 1982, "A sufficient condition
+    for backtrack-free search"), but chi ties ranks far apart on it.  So a
     forward/backward DP over r_0..r_9 carries the running chi of terms A
-    and C in its state (chi_B = chi_A + chi_C holds identically).
-    """
-    lo, hi, r_min, r_max = _rank_bounds(seq)
-    chis = (seq.a.chi, seq.b.chi, seq.c.chi)
+    and C (chi_B = chi_A + chi_C holds identically) and drops every state
+    from which a fixed chi is out of reach."""
+    lo, hi, r_lo, r_hi = _rank_bounds(seq)
+    # a term the input pins has its chi on every chain within the bounds;
+    # the fixed chi of the others are watched
+    ca, cb, cc = (None if iv.is_forced_all() else iv.chi for iv in (seq.a, seq.b, seq.c))
+    watched = (ca, cb, cc) != (None, None, None)
 
-    # Forward: steps[k] maps each state (r_{k+1}, chi_A, chi_C so far) to
-    # the states it is reached from; t_k = r_k + r_{k+1}.
-    layer = [(0, 0, 0)]
+    # Backward: reach[k][r] = (min, max) of what steps k..8 can still add to
+    # chi_A, then to chi_C, from r_k = r (no entry: no completion).  The
+    # completions are the integer points of a polytope with a totally
+    # unimodular matrix, so a linear min (max) over them is the LP's, convex
+    # (concave) in r, and a step's entries form an interval.  An extreme over
+    # the window of r_{k+1} that t_k allows thus sits at the overall extreme
+    # clamped into it: O(R) work a step.
+    reach: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(9)]
+    reach.append({0: (0, 0, 0, 0)})
+    for k in range(8 if watched else -1, -1, -1):
+        da, dc = _CHI_STEPS[k]
+        after = reach[k + 1]
+        if not after:
+            raise _infeasible(seq)
+        first, last = min(after), max(after)
+        best = [pick(after, key=lambda q: w * q + after[q][i])
+                for i, (pick, w) in enumerate(((min, da), (max, da), (min, dc), (max, dc)))]
+        for r in range(r_lo[k], r_hi[k] + 1):
+            a, b = max(first, lo[k] - r), min(last, hi[k] - r)
+            if a <= b:
+                qa, qA, qc, qC = [min(max(q, a), b) for q in best]
+                reach[k][r] = (da * (r + qa) + after[qa][0], da * (r + qA) + after[qA][1],
+                               dc * (r + qc) + after[qc][2], dc * (r + qC) + after[qC][3])
+
+    # Forward: steps[k] maps each state (r_{k+1}, chi_A, chi_C so far) from
+    # which every watched chi is within reach to the states it is reached
+    # from; t_k = r_k + r_{k+1}.
+    layer = {(0, 0, 0): []}
     steps = []
     for k, (da, dc) in enumerate(_CHI_STEPS):
         reached: dict[tuple[int, int, int], list] = {}
+        low, high, t_low, t_high = r_lo[k + 1], r_hi[k + 1], lo[k], hi[k]
         for state in layer:
             r, xa, xc = state
-            top = r_max[k + 1] if hi[k] is None else min(hi[k] - r, r_max[k + 1])
-            for r_next in range(max(r_min[k + 1], lo[k] - r), top + 1):
+            for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
                 t = r + r_next
                 reached.setdefault((r_next, xa + da * t, xc + dc * t), []).append(state)
-        steps.append(reached)
-        layer = reached
-    # End filter (r_9 = 0 already), then backward over the surviving edges.
-    alive = [(r, xa, xc) for r, xa, xc in layer
-             if chis[0] in (None, xa) and chis[1] in (None, xa + xc) and chis[2] in (None, xc)]
-    if not alive:
-        raise _infeasible(seq)
+        layer = reached if not watched else {
+            s: srcs for s, srcs in reached.items()
+            if (g := reach[k + 1].get(s[0]))
+            and (ca is None or g[0] <= ca - s[1] <= g[1])
+            and (cc is None or g[2] <= cc - s[2] <= g[3])
+            and (cb is None or g[0] + g[2] <= cb - s[1] - s[2] <= g[1] + g[3])}
+        if not layer:
+            raise _infeasible(seq)
+        steps.append(layer)
+    # at r_9 = 0 nothing is left to add, so the kept states meet every
+    # watched chi exactly; backward over the surviving edges
+    alive = list(layer)
     chi_seen = ({s[1] for s in alive}, {s[1] + s[2] for s in alive}, {s[2] for s in alive})
     t_min, t_max = [0] * 9, [0] * 9
     for k in range(8, -1, -1):

@@ -1,7 +1,8 @@
-"""Tiny runs of two benchmark workloads, so their gates run with the suite.
+"""Tiny runs of three benchmark workloads, so their gates run with the suite.
 
 The sweep smoke run is checked against its golden stdout digest, which
-covers the Hilbert chain's result on every row.
+covers the Hilbert chain's result on every row; the les-wide smoke run
+checks that each item's true rank chain lies inside the returned intervals.
 """
 
 import json
@@ -27,3 +28,7 @@ def test_oracle_workload_smoke():
 
 def test_sweep_workload_smoke():
     _smoke("sweep")
+
+
+def test_les_workload_smoke():
+    _smoke("les-wide")

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3carpets import battery, carpets, exact_seq
@@ -33,6 +33,9 @@ def test_interval_validation():
         CohInterval((0, -1, 0), (0, 1, 0))
     with pytest.raises(ValueError):
         CohInterval((1, 0, 0), (1, 0, 0), chi=5)  # pinned alternating sum is 1
+    for chi in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="chi must be an integer or None"):
+            CohInterval((0, 0, 0), (2, 2, 2), chi=chi)
     iv = CohInterval((0, 1, 0), (2, 1, None), chi=3)
     assert iv.is_forced(1) and not iv.is_forced(0) and not iv.is_forced(2)
 
@@ -122,6 +125,21 @@ def test_unbounded_pair_rejected():
         propagate(
             LesInstance(CohInterval.unknown(), CohInterval.unknown(), exact(1, 0, 0))
         )
+
+
+def test_wide_infeasible_instance_is_decided_promptly():
+    # interval reasoning over exactness and chi needs 161 rounds to refute
+    # this, narrowing the bounds a few units a round; the chi-pruned DP
+    # refutes it in the first step of its forward pass
+    seq = LesInstance(
+        CohInterval((653, 987, 364), (None, None, 969), 21),
+        CohInterval((647, 356, 429), (1129, 551, 782)),
+        CohInterval((414, 940, 662), (1019, 1730, 1300), 603),
+    )
+    start = time.perf_counter()
+    with pytest.raises(InconsistencyError):
+        propagate(seq)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_idempotence():
@@ -306,9 +324,9 @@ def test_all_bounded_triples_answer_in_bounded_time(n, chi):
 
 
 def _enumerated(seq: LesInstance) -> LesInstance:
-    """Reference for `propagate`: every rank chain r_1..r_8 inside the same
-    arc-consistent bounds, enumerated one by one (exponential in the
-    widths, so for small instances only)."""
+    """Reference for `propagate`: every rank chain r_1..r_8 inside the box
+    of `_rank_bounds`, enumerated one by one (exponential in the widths, so
+    for small instances only)."""
     lo, hi, r_min, r_max = _rank_bounds(seq)
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     t_min, t_max = [None] * 9, [None] * 9
@@ -388,6 +406,47 @@ def _small_instances(draw):
         except ValueError:  # chi contradicts pinned dimensions
             terms.append(CohInterval(*bounds))
     return LesInstance(*terms, label=draw(st.sampled_from(("", "small"))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_small_instances())
+def test_rank_box_keeps_every_feasible_chain(seq):
+    """`_enumerated` searches only inside `_rank_bounds`' box, so the box
+    must not drop a chain: every rank chain in the crude box
+    r_k <= min(hi_{k-1}, hi_k) that meets the bounds and the fixed chi lies
+    inside it (and without chi the box is exactly their hull)."""
+    terms = (seq.a, seq.b, seq.c)
+    assume(all(None not in iv.hi for iv in terms))
+    lo = [terms[k % 3].lo[k // 3] for k in range(9)]
+    hi = [terms[k % 3].hi[k // 3] for k in range(9)]
+    crude = [0] + [min(hi[k - 1], hi[k]) for k in range(1, 9)] + [0]
+    feasible = []
+
+    def walk(ranks):
+        k = len(ranks) - 1  # t_k = r_k + r_{k+1} must meet its bounds
+        if k == 9:
+            ts = [ranks[j] + ranks[j + 1] for j in range(9)]
+            if all(iv.chi in (None, ts[i] - ts[i + 3] + ts[i + 6])
+                   for i, iv in enumerate(terms)):
+                feasible.append(ranks)
+            return
+        for r in range(crude[k + 1] + 1):
+            if lo[k] <= ranks[k] + r <= hi[k]:
+                walk(ranks + [r])
+
+    walk([0])
+    try:
+        box_lo, box_hi, r_lo, r_hi = _rank_bounds(seq)
+    except InconsistencyError:
+        assert not feasible
+        return
+    for ranks in feasible:
+        assert all(r_lo[k] <= r <= r_hi[k] for k, r in enumerate(ranks))
+        assert all(box_lo[k] <= ranks[k] + ranks[k + 1] <= box_hi[k] for k in range(9))
+    if all(iv.chi is None for iv in terms):
+        assert feasible
+        assert r_lo == [min(ranks[k] for ranks in feasible) for k in range(10)]
+        assert r_hi == [max(ranks[k] for ranks in feasible) for k in range(10)]
 
 
 @settings(deadline=None, max_examples=400)
