@@ -14,7 +14,7 @@ from .carpets import (
 )
 from .cech_oracle import TruncationError, coh_oracle
 from .exact_seq import CohInterval, InconsistencyError, LesInstance, chain, propagate
-from .line_cohomology import CohVector, coh, coh_p1, pushforward_degrees
+from .line_cohomology import CohVector, coh
 from .surfaces import (
     DivisorClass,
     SurfaceMismatchError,
@@ -36,8 +36,8 @@ __all__ = [
     "InvalidGeometryError", "LesInstance", "SurfaceMismatchError", "SurfaceModel",
     "TruncationError",
     "abstract_carpet_dim", "canonical_class", "carpet_report", "chain", "coh",
-    "coh_oracle", "coh_p1", "double_cover_k3_check", "embedded_carpet_h0",
+    "coh_oracle", "double_cover_k3_check", "embedded_carpet_h0",
     "hirzebruch", "hilbert_report", "intersect", "is_base_point_free",
-    "is_very_ample", "projective_plane", "propagate", "pushforward_degrees",
+    "is_very_ample", "projective_plane", "propagate",
     "riemann_roch_chi",
 ]

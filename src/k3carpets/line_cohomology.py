@@ -3,9 +3,11 @@
 On F_e the computation runs along the ruling pi': F_e -> P^1.  For a >= 0
 the pushforward of O(a*C0 + b*f) splits as the sum of O_{P^1}(b - k*e) for
 k = 0..a, with vanishing R^1 pushforward, so h^0 and h^1 are sums of the
-corresponding P^1 numbers and h^2 comes out of Serre duality.  For a = -1
-everything vanishes, and for a <= -2 the class is handled through its
-Serre dual K - D (whose C0-coefficient is >= 0 again).
+corresponding P^1 numbers and h^2 comes out of Serre duality.  The degrees
+fall by e at each step, so each sum is a truncated arithmetic series and is
+evaluated in closed form: the work does not depend on the size of a or b.
+For a = -1 everything vanishes, and for a <= -2 the class is handled
+through its Serre dual K - D (whose C0-coefficient is >= 0 again).
 
 On P^2 the numbers are binomial coefficients plus Serre duality.
 
@@ -55,29 +57,28 @@ class CohVector:
         return (self.h0, self.h1, self.h2)
 
 
-def pushforward_degrees(e: int, a: int, b: int) -> list[int]:
-    """P^1-degrees of the summands of the pushforward of O(a*C0 + b*f).
-
-    Returns [b - k*e for k = 0..a].  Only defined for a >= 0; callers must
-    dualize first otherwise.
-    """
-    if e < 0:
-        raise ValueError(f"e must be >= 0, got {e}")
-    if a < 0:
-        raise ValueError(f"pushforward degrees need a >= 0, got a = {a}; dualize first")
-    return [b - k * e for k in range(a + 1)]
-
-
-def coh_p1(d: int) -> tuple[int, int]:
-    """(h0, h1) of O_{P^1}(d): (max(0, d+1), max(0, -d-1))."""
-    return (max(0, d + 1), max(0, -d - 1))
-
-
-def _h0_hirzebruch(e: int, a: int, b: int) -> int:
-    # Sections restrict to each fiber with degree a, so a < 0 kills them all.
-    if a < 0:
+def _series(first: int, step: int, n: int) -> int:
+    """Sum of the n-term arithmetic series first, first + step, ...; 0 if n <= 0."""
+    if n <= 0:
         return 0
-    return sum(max(0, d + 1) for d in pushforward_degrees(e, a, b))
+    return n * first + step * (n * (n - 1) // 2)
+
+
+def _fiber_sums(e: int, a: int, b: int) -> tuple[int, int]:
+    """Sum of h0, and of h1, of O_{P^1}(b - k*e) over k = 0..a.
+
+    The range is empty for a < 0, matching the vanishing pushforward of a
+    class of negative fiber degree; only the h0 sum is meaningful there.
+    """
+    if e == 0:
+        n = max(0, a + 1)
+        return (n * max(0, b + 1), n * max(0, -b - 1))
+    # Degrees b - k*e >= 0 give h0 = b - k*e + 1, for k = 0..min(a, b // e).
+    h0 = _series(b + 1, -e, min(a, b // e) + 1) if b >= 0 else 0
+    # Degrees b - k*e <= -2 give h1 = k*e - b - 1, from the first such k on.
+    first = max(0, -(-(b + 2) // e))
+    h1 = _series(first * e - b - 1, e, a - first + 1)
+    return (h0, h1)
 
 
 def coh(surface: surfaces.SurfaceModel, divisor: surfaces.DivisorClass) -> CohVector:
@@ -92,13 +93,11 @@ def coh(surface: surfaces.SurfaceModel, divisor: surfaces.DivisorClass) -> CohVe
     a, b = divisor.coeffs
     e = surface.e
     if a >= 0:
-        degs = pushforward_degrees(e, a, b)
-        h0 = sum(coh_p1(d)[0] for d in degs)
-        h1 = sum(coh_p1(d)[1] for d in degs)
+        h0, h1 = _fiber_sums(e, a, b)
         # h2 by Serre duality; the dual side has C0-coefficient <= -2, so
-        # its h0 is a computed 0, not an assumed one.
+        # its h0 is a computed 0 (an empty sum), not an assumed one.
         dual = surfaces.canonical_class(surface) - divisor
-        h2 = _h0_hirzebruch(e, *dual.coeffs)
+        h2, _ = _fiber_sums(e, *dual.coeffs)
         return CohVector(h0, h1, h2)
     if a == -1:
         # Both pushforwards vanish; spelled out to avoid bouncing through

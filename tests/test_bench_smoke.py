@@ -1,8 +1,10 @@
-"""Tiny runs of three benchmark workloads, so their gates run with the suite.
+"""Tiny runs of four benchmark workloads, so their gates run with the suite.
 
-The sweep smoke run is checked against its golden stdout digest, which
-covers the Hilbert chain's result on every row; the les-wide smoke run
-checks that each item's true rank chain lies inside the returned intervals.
+The paper and sweep smoke runs are checked against their golden stdout
+digests: `verify-paper` must print byte-identical output, and the sweep
+digest covers the Hilbert chain's result on every row.  The les-wide smoke
+run checks that each item's true rank chain lies inside the returned
+intervals.
 """
 
 import json
@@ -20,6 +22,10 @@ def _smoke(workload):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_paper_workload_smoke():
+    _smoke("paper")
 
 
 def test_oracle_workload_smoke():

@@ -1,6 +1,12 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +96,35 @@ def test_oracle_at_huge_box():
     assert code == 0
     assert "oracle_h0 : 5000000000150000000001" in text
     assert "verdict   : AGREE" in text
+
+
+_HUGE = [
+    (["coh", "F2", "1000000000000,5", "--oracle"], "verdict   : AGREE"),
+    (["coh", "F2", "-1000000000000,-5"], "h2      : 2"),
+    (["carpet", "F2", "1000000000000,2000000000001"], "exists_embedded     : true"),
+    (["hilbert", "F2", "1000000000000,2000000000001"], "h1_provenance           : forced"),
+    (["hilbert", "P2", "1000000000000"], "verdict                 : SMOOTH"),
+    (["sweep", "--e", "2..2", "--a", "1000000000000..1000000000000", "--db", "1..1"], "1 rows"),
+]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_huge_coefficients_answer_in_bounded_work():
+    # Work linear in a coefficient of 10^12 would exhaust the 2 GB cap or
+    # the 5 s shared by all six commands.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    deadline = time.monotonic() + 5.0
+    for argv, expected in _HUGE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3carpets", *argv], capture_output=True, text=True, env=env,
+            timeout=max(0.0, deadline - time.monotonic()), preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert expected in proc.stdout, (argv, proc.stdout)
 
 
 def test_carpet_command():
@@ -388,11 +423,14 @@ def test_mutated_intersection_form_fails(monkeypatch):
     assert _first_fail_ids()
 
 
-def test_mutated_pushforward_degrees_fails(monkeypatch):
-    original = line_cohomology.pushforward_degrees
+def test_mutated_fiber_sums_fails(monkeypatch):
+    # Every summand O_{P^1}(b - k*e) of the pushforward one degree too high.
+    original = line_cohomology._fiber_sums
 
     def skewed(e, a, b):
-        return [d + 1 for d in original(e, a, b)]
+        return original(e, a, b + 1)
 
-    monkeypatch.setattr(line_cohomology, "pushforward_degrees", skewed)
-    assert _first_fail_ids()
+    monkeypatch.setattr(line_cohomology, "_fiber_sums", skewed)
+    fails = _first_fail_ids()
+    assert "oracle-agreement" in fails
+    assert "riemann-roch" in fails

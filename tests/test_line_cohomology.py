@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3carpets.line_cohomology import CohVector, coh, coh_p1, pushforward_degrees
+from k3carpets.cech_oracle import coh_oracle
+from k3carpets.line_cohomology import CohVector, coh
 from k3carpets.surfaces import (
     canonical_class,
     hirzebruch,
@@ -13,6 +16,35 @@ from k3carpets.surfaces import (
 )
 
 P2 = projective_plane()
+
+
+# Differential reference for `coh` on F_e: the pushforward along the ruling
+# listed summand by summand and summed term by term.  Its work is linear in
+# the C0-coefficient, so it is kept only here, to check the closed form.
+
+def pushforward_degrees(e: int, a: int, b: int) -> list[int]:
+    """P^1-degrees [b - k*e for k = 0..a] of the pushforward of O(a*C0 + b*f)."""
+    if e < 0:
+        raise ValueError(f"e must be >= 0, got {e}")
+    if a < 0:
+        raise ValueError(f"pushforward degrees need a >= 0, got a = {a}; dualize first")
+    return [b - k * e for k in range(a + 1)]
+
+
+def coh_p1(d: int) -> tuple[int, int]:
+    """(h0, h1) of O_{P^1}(d)."""
+    return (max(0, d + 1), max(0, -d - 1))
+
+
+def _listed(surface, divisor) -> CohVector:
+    a, b = divisor.coeffs
+    if a >= 0:
+        degs = pushforward_degrees(surface.e, a, b)
+        # h2 = h0(K - D) = 0: the dual's C0-coefficient is -2 - a < 0.
+        return CohVector(sum(coh_p1(d)[0] for d in degs), sum(coh_p1(d)[1] for d in degs), 0)
+    if a == -1:
+        return CohVector(0, 0, 0)
+    return _listed(surface, canonical_class(surface) - divisor).reversed()
 
 
 def test_pushforward_degrees():
@@ -31,6 +63,28 @@ def test_coh_p1():
     assert coh_p1(0) == (1, 0)
     assert coh_p1(-1) == (0, 0)
     assert coh_p1(5) == (6, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 12), st.integers(-40, 40), st.integers(-300, 300))
+def test_coh_matches_listed_reference(e, a, b):
+    s = hirzebruch(e)
+    assert coh(s, s.divisor(a, b)) == _listed(s, s.divisor(a, b))
+
+
+_T = 10**12
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("ab", [(_T, 5), (_T, -5), (-_T, 5), (-_T, -5), (5, _T), (5, -_T)])
+def test_huge_coefficients_match_oracle_duality_and_riemann_roch(e, ab):
+    # The list reference cannot reach these classes; the Cech oracle can.
+    s = hirzebruch(e)
+    d = s.divisor(*ab)
+    v = coh(s, d)
+    assert v == coh_oracle(s, d)
+    assert v.reversed() == coh(s, canonical_class(s) - d)
+    assert v.chi == riemann_roch_chi(s, d)
 
 
 def test_cohvector_validation():
