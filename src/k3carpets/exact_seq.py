@@ -15,15 +15,21 @@ integer bounds on the nine dimensions (plus optional exact Euler
 characteristics per term), `propagate` computes the exact minimum and
 maximum of every dimension over all nonnegative rank assignments.  A
 forward and a backward sweep along the path of ranks, with caps from the
-fixed Euler characteristics, bound the ranks; then a forward/backward DP
-over the rank chain, whose state is r_k and the running Euler
-characteristics of A and C, makes the ranges exact, dropping every state
-from which a fixed Euler characteristic is out of reach.  The work is
-polynomial in the bounds: at most 9 (R + 1)^2 X^2 DP edges for R the
-largest rank bound and X <= 3 H + 1 the values a running Euler
-characteristic can take, H the largest dimension bound.  Bounds that
-collapse (lo == hi) are forced; anything wider is honest partial
-knowledge.
+fixed Euler characteristics, bound the ranks.  Without a *watched* Euler
+characteristic (a fixed one on a term the input does not pin) that sweep
+is already exact on the path (Freuder 1982), and an Euler characteristic
+is constant iff no free block of ranks linked by forced dimensions moves
+it (the affine hull of a totally unimodular polytope is cut out by its
+implicit equalities; Schrijver 1986, section 8.2): at most 9 sweeps,
+whatever the magnitudes.  Otherwise a forward/backward DP over the rank
+chain makes the ranges exact; its state is r_k and the running Euler
+characteristic of the one watched term, or of two terms when two or more
+are watched, and it drops every state from which a watched value is out
+of reach.  For R the largest rank bound and X <= 3 H + 1 the values a
+running Euler characteristic can take, H the largest dimension bound,
+that is at most 9 (R + 1)^2 X DP edges with one watched and
+9 (R + 1)^2 X^2 with more.  Bounds that collapse (lo == hi) are forced;
+anything wider is honest partial knowledge.
 `chain` runs several sequences that share named terms to a common fixed
 point with a worklist: a sequence is propagated again only when one of its
 terms narrowed since its last run.
@@ -38,6 +44,9 @@ _DEGREE_NAMES = ("h0", "h1", "h2")
 
 # Change in the running chi of terms A and C per unit of t_k = h^(k // 3)(term k % 3).
 _CHI_STEPS = ((1, 0), (0, 0), (0, 1), (-1, 0), (0, 0), (0, -1), (1, 0), (0, 0), (0, 1))
+# The chi of terms A, B and C on a complete chain, as coefficients of
+# (chi_A, chi_C): chi_B = chi_A + chi_C by exactness.
+_FORMS = ((1, 0), (1, 1), (0, 1))
 
 
 class InconsistencyError(ValueError):
@@ -68,6 +77,9 @@ class CohInterval:
     chi: int | None = None
 
     def __post_init__(self):
+        if len(self.lo) != 3 or len(self.hi) != 3:
+            raise ValueError(f"bounds must give h0, h1 and h2, got {len(self.lo)} lower"
+                             f" and {len(self.hi)} upper")
         for lo_i, hi_i in zip(self.lo, self.hi):
             _check_bound(lo_i, hi_i)
         if self.chi is not None and (not isinstance(self.chi, int) or isinstance(self.chi, bool)):
@@ -241,79 +253,185 @@ def propagate(seq: LesInstance) -> LesInstance:
     Each dimension's returned range is the exact min/max over all rank
     chains r_1..r_8 compatible with the bounds and chi constraints, and a
     term whose Euler characteristic is constant over them gets its chi
-    pinned.  The sweep of `_rank_bounds` is exact on the path of
-    constraints t_k = r_k + r_{k+1} (Freuder 1982, "A sufficient condition
-    for backtrack-free search"), but chi ties ranks far apart on it.  So a
-    forward/backward DP over r_0..r_9 carries the running chi of terms A
-    and C (chi_B = chi_A + chi_C holds identically) and drops every state
-    from which a fixed chi is out of reach."""
+    pinned.  A fixed chi on a term the input does not pin is *watched*: it
+    ties ranks far apart on the path of constraints t_k = r_k + r_{k+1}.
+    The work depends on how many are watched:
+
+    - none: the sweep of `_rank_bounds` is exact on the path (Freuder 1982,
+      "A sufficient condition for backtrack-free search"), so t_k ranges
+      over [max(lo_k, r_lo[k] + r_lo[k+1]), min(hi_k, r_hi[k] + r_hi[k+1])]
+      and `_constant_chis` reads the chi off the forced ranks and t_k
+      (Schrijver 1986, section 8.2): at most 9 sweeps whatever the
+      magnitudes;
+    - one: `_chi_dp` over states (r_k, that running chi), each carrying the
+      min and max of one other running chi: at most 9 (R + 1)^2 X edges;
+    - two or more: `_chi_dp` over states (r_k, two running chi), which fix
+      the third: at most 9 (R + 1)^2 X^2 edges;
+
+    for R the largest rank bound and X <= 3 H + 1 the values a running chi
+    can take, H the largest dimension bound."""
     lo, hi, r_lo, r_hi = _rank_bounds(seq)
     # a term the input pins has its chi on every chain within the bounds;
     # the fixed chi of the others are watched
-    ca, cb, cc = (None if iv.is_forced_all() else iv.chi for iv in (seq.a, seq.b, seq.c))
-    watched = (ca, cb, cc) != (None, None, None)
+    watched = {_FORMS[term]: iv.chi for term, iv in enumerate((seq.a, seq.b, seq.c))
+               if iv.chi is not None and not iv.is_forced_all()}
+    if watched:
+        t_min, t_max, known = _chi_dp(seq, lo, hi, r_lo, r_hi, watched)
+    else:
+        t_min = [max(l, r_lo[k] + r_lo[k + 1]) for k, l in enumerate(lo)]
+        t_max = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
+        known = _constant_chis(lo, r_lo, r_hi, t_min, t_max)
+    a, b, c = (known.get(form) for form in _FORMS)
+    if [a, b, c].count(None) == 1:  # chi_B = chi_A + chi_C fixes the third
+        a, b, c = (b - c if a is None else a, a + c if b is None else b,
+                   b - a if c is None else c)
+    terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]), chi)
+             for i, chi in enumerate((a, b, c)))
+    return LesInstance(*terms, seq.names, seq.label)
 
-    # Backward: reach[k][r] = (min, max) of what steps k..8 can still add to
-    # chi_A, then to chi_C, from r_k = r (no entry: no completion).  The
-    # completions are the integer points of a polytope with a totally
-    # unimodular matrix, so a linear min (max) over them is the LP's, convex
-    # (concave) in r, and a step's entries form an interval.  An extreme over
-    # the window of r_{k+1} that t_k allows thus sits at the overall extreme
-    # clamped into it: O(R) work a step.
-    reach: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(9)]
-    reach.append({0: (0, 0, 0, 0)})
-    for k in range(8 if watched else -1, -1, -1):
-        da, dc = _CHI_STEPS[k]
-        after = reach[k + 1]
+
+def _constant_chis(lo, r_lo, r_hi, t_min, t_max) -> dict[tuple[int, int], int]:
+    """The chi of each term that is constant over the rank chains within
+    the bounds, keyed by its form in `_FORMS`, when no chi is watched.
+
+    The chains are the integer points of a polytope with a totally
+    unimodular matrix, so their affine hull is the polytope's, cut out by
+    its implicit equalities (Schrijver 1986, "Theory of linear and integer
+    programming", section 8.2): the forced ranks and the forced t_k.  Its
+    directions are spanned by one move per block r_s..r_e of free ranks
+    linked by forced t_s..t_{e-1}: raise r_s, r_{s+2}, ... and lower
+    r_{s+1}, r_{s+3}, ... by one.  Inside the block every t stays put, so
+    the move changes only t_{s-1} (by 1) and t_e (by (-1)^(e-s)).  A chi
+    is constant iff no move changes it, and then it has its value at a
+    greedy feasible chain."""
+    moves, k = [], 1
+    while k < 9:
+        start = k
+        if r_lo[k] < r_hi[k]:
+            while r_lo[k + 1] < r_hi[k + 1] and t_min[k] == t_max[k]:
+                k += 1
+            moves.append((start - 1, k, (-1) ** (k - start)))
+        k += 1
+    ranks = [0]
+    for k in range(9):
+        ranks.append(max(r_lo[k + 1], lo[k] - ranks[k]))
+    known = {}
+    for form in _FORMS:
+        steps = [form[0] * da + form[1] * dc for da, dc in _CHI_STEPS]
+        if all(steps[first] + sign * steps[last] == 0 for first, last, sign in moves):
+            known[form] = sum(w * (ranks[k] + ranks[k + 1]) for k, w in enumerate(steps))
+    return known
+
+
+def _suffix_ranges(seq, lo, hi, r_lo, r_hi, steps):
+    """reach[k][r] = (min, max) of what t_k..t_8 can still add to the
+    running sum of steps[j] t_j, from r_k = r (no entry: no completion).
+
+    The completions are the integer points of a polytope with a totally
+    unimodular matrix, so a linear min (max) over them is the LP's, convex
+    (concave) in r, and a step's entries form an interval.  An extreme over
+    the window of r_{k+1} that t_k allows thus sits at the overall extreme
+    clamped into it: O(R) work a step."""
+    reach: list[dict[int, tuple[int, int]]] = [{} for _ in range(9)]
+    reach.append({0: (0, 0)})
+    for k in range(8, -1, -1):
+        w, after, out = steps[k], reach[k + 1], reach[k]
         if not after:
             raise _infeasible(seq)
         first, last = min(after), max(after)
-        best = [pick(after, key=lambda q: w * q + after[q][i])
-                for i, (pick, w) in enumerate(((min, da), (max, da), (min, dc), (max, dc)))]
+        q_min = min(after, key=lambda q: w * q + after[q][0])
+        q_max = max(after, key=lambda q: w * q + after[q][1])
         for r in range(r_lo[k], r_hi[k] + 1):
             a, b = max(first, lo[k] - r), min(last, hi[k] - r)
             if a <= b:
-                qa, qA, qc, qC = [min(max(q, a), b) for q in best]
-                reach[k][r] = (da * (r + qa) + after[qa][0], da * (r + qA) + after[qA][1],
-                               dc * (r + qc) + after[qc][2], dc * (r + qC) + after[qC][3])
+                qa = a if q_min < a else b if q_min > b else q_min
+                qb = a if q_max < a else b if q_max > b else q_max
+                out[r] = (w * (r + qa) + after[qa][0], w * (r + qb) + after[qb][1])
+    return reach
 
-    # Forward: steps[k] maps each state (r_{k+1}, chi_A, chi_C so far) from
+
+def _chi_dp(seq, lo, hi, r_lo, r_hi, watched):
+    """Exact t ranges and the constant chi, keyed by form, over the rank
+    chains that meet every watched chi ({form: chi}, form in `_FORMS`).
+
+    A forward/backward DP over r_0..r_9 whose state is r_k and the running
+    values of one watched chi, or of the first two in A, B, C order when
+    two or more are watched (the third is then their sum or difference on
+    every chain).  It drops every state from which a watched chi is out of
+    reach.  With one watched, each state also carries the min and max of
+    one other running chi, chi_C if A is watched and chi_A otherwise,
+    which decides whether the two unwatched chi are constant."""
+    forms = list(watched)[:2]
+    targets = [watched[f] for f in forms]
+    steps = [tuple(fa * da + fc * dc for fa, fc in forms) for da, dc in _CHI_STEPS]
+
+    reach = [_suffix_ranges(seq, lo, hi, r_lo, r_hi, [w[j] for w in steps])
+             for j in range(len(forms))]
+
+    # Forward: edges[k] maps each state reached by t_k = r_k + r_{k+1} from
     # which every watched chi is within reach to the states it is reached
-    # from; t_k = r_k + r_{k+1}.
-    layer = {(0, 0, 0): []}
-    steps = []
-    for k, (da, dc) in enumerate(_CHI_STEPS):
-        reached: dict[tuple[int, int, int], list] = {}
+    # from; with one watched, spans[state] = (min, max) of the other running
+    # chi over the prefixes that reach it.
+    other_form = (0, 1) if forms[0] == (1, 0) else (1, 0)
+    other = [other_form[0] * da + other_form[1] * dc for da, dc in _CHI_STEPS]
+    layer = {(0,) * (1 + len(forms)): None}
+    spans = {(0, 0): (0, 0)}
+    edges = []
+    for k in range(9):
+        reached: dict[tuple[int, ...], list] = {}
         low, high, t_low, t_high = r_lo[k + 1], r_hi[k + 1], lo[k], hi[k]
-        for state in layer:
-            r, xa, xc = state
-            for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
-                t = r + r_next
-                reached.setdefault((r_next, xa + da * t, xc + dc * t), []).append(state)
-        layer = reached if not watched else {
-            s: srcs for s, srcs in reached.items()
-            if (g := reach[k + 1].get(s[0]))
-            and (ca is None or g[0] <= ca - s[1] <= g[1])
-            and (cc is None or g[2] <= cc - s[2] <= g[3])
-            and (cb is None or g[0] + g[2] <= cb - s[1] - s[2] <= g[1] + g[3])}
+        g = reach[0][k + 1]
+        if len(forms) == 1:
+            (w,), o, (target,) = steps[k], other[k], targets
+            merged = {}
+            for state in layer:
+                r, x = state
+                a, b = spans[state]
+                for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
+                    t = r + r_next
+                    dst, low_o, high_o = (r_next, x + w * t), a + o * t, b + o * t
+                    if dst in reached:
+                        reached[dst].append(state)
+                        span = merged[dst]
+                        if low_o < span[0]:
+                            span[0] = low_o
+                        if high_o > span[1]:
+                            span[1] = high_o
+                    else:
+                        reached[dst] = [state]
+                        merged[dst] = [low_o, high_o]
+            layer = {s: srcs for s, srcs in reached.items()
+                     if (e := g.get(s[0])) and e[0] <= target - s[1] <= e[1]}
+            spans = merged
+        else:
+            (w, v), (target, target2), g2 = steps[k], targets, reach[1][k + 1]
+            for state in layer:
+                r, x, y = state
+                for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
+                    t = r + r_next
+                    reached.setdefault((r_next, x + w * t, y + v * t), []).append(state)
+            layer = {s: srcs for s, srcs in reached.items()
+                     if (e := g.get(s[0]))
+                     and e[0] <= target - s[1] <= e[1]
+                     and (f := g2[s[0]])[0] <= target2 - s[2] <= f[1]}
         if not layer:
             raise _infeasible(seq)
-        steps.append(layer)
-    # at r_9 = 0 nothing is left to add, so the kept states meet every
+        edges.append(layer)
+    # at r_9 = 0 nothing is left to add, so the one kept state meets every
     # watched chi exactly; backward over the surviving edges
+    known = dict(watched)
+    if len(forms) == 1:
+        (final,) = layer
+        a, b = spans[final]
+        if a == b:
+            known[other_form] = a
     alive = list(layer)
-    chi_seen = ({s[1] for s in alive}, {s[1] + s[2] for s in alive}, {s[2] for s in alive})
     t_min, t_max = [0] * 9, [0] * 9
     for k in range(8, -1, -1):
-        ts = [src[0] + dst[0] for dst in alive for src in steps[k][dst]]
+        ts = [src[0] + dst[0] for dst in alive for src in edges[k][dst]]
         t_min[k], t_max[k] = min(ts), max(ts)
-        alive = {src for dst in alive for src in steps[k][dst]}
-
-    # a fixed chi is the only value its term's chi takes on the kept states
-    terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]),
-                         min(seen) if len(seen) == 1 else None)
-             for i, seen in enumerate(chi_seen))
-    return LesInstance(*terms, seq.names, seq.label)
+        alive = {src for dst in alive for src in edges[k][dst]}
+    return t_min, t_max, known
 
 
 def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:

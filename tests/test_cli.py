@@ -112,19 +112,39 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def test_huge_coefficients_answer_in_bounded_work():
-    # Work linear in a coefficient of 10^12 would exhaust the 2 GB cap or
-    # the 5 s shared by all six commands.
+def _run_capped(cases, seconds):
+    """Run each (argv, expected) command under the 2 GB cap, all within
+    `seconds`; each must exit 0 and print its expected line."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    deadline = time.monotonic() + 5.0
-    for argv, expected in _HUGE:
+    deadline = time.monotonic() + seconds
+    for argv, expected in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "k3carpets", *argv], capture_output=True, text=True, env=env,
             timeout=max(0.0, deadline - time.monotonic()), preexec_fn=_cap_address_space,
         )
         assert proc.returncode == 0, (argv, proc.stderr)
         assert expected in proc.stdout, (argv, proc.stdout)
+
+
+def test_huge_coefficients_answer_in_bounded_work():
+    # Work linear in a coefficient of 10^12 would exhaust the 2 GB cap or
+    # the 5 s shared by all six commands.
+    _run_capped(_HUGE, 5.0)
+
+
+_HUGE_E = [
+    (["hilbert", "F1000000000000", "1,1000000000001"], "h1_provenance           : interval"),
+    (["hilbert", "F1000000", "2,2000001"], "h1_provenance           : interval"),
+    (["sweep", "--e", "1000000..1000000", "--a", "1..2", "--db", "1..2"], "4 rows"),
+]
+
+
+def test_huge_e_answers_in_bounded_work():
+    # On F_e the h1 range of the carpet's normal bundle is about e wide;
+    # work growing with it would exhaust the 2 GB cap or the 5 s shared by
+    # the three commands.
+    _run_capped(_HUGE_E, 5.0)
 
 
 def test_carpet_command():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from k3carpets import battery, carpets, exact_seq
 from k3carpets.exact_seq import (
+    _CHI_STEPS,
     CohInterval,
     InconsistencyError,
     LesInstance,
@@ -38,6 +39,10 @@ def test_interval_validation():
             CohInterval((0, 0, 0), (2, 2, 2), chi=chi)
     iv = CohInterval((0, 1, 0), (2, 1, None), chi=3)
     assert iv.is_forced(1) and not iv.is_forced(0) and not iv.is_forced(2)
+    with pytest.raises(ValueError, match="got 2 lower and 3 upper"):
+        CohInterval((0, 0), (1, 1, 1))
+    with pytest.raises(ValueError, match="got 4 lower and 4 upper"):
+        CohInterval((0,) * 4, (1,) * 4)
 
 
 def test_meet():
@@ -129,17 +134,29 @@ def test_unbounded_pair_rejected():
 
 def test_wide_infeasible_instance_is_decided_promptly():
     # interval reasoning over exactness and chi needs 161 rounds to refute
-    # this, narrowing the bounds a few units a round; the chi-pruned DP
-    # refutes it in the first step of its forward pass
-    seq = LesInstance(
-        CohInterval((653, 987, 364), (None, None, 969), 21),
-        CohInterval((647, 356, 429), (1129, 551, 782)),
-        CohInterval((414, 940, 662), (1019, 1730, 1300), 603),
-    )
-    start = time.perf_counter()
-    with pytest.raises(InconsistencyError):
-        propagate(seq)
-    assert time.perf_counter() - start < 5.0
+    # the first, narrowing the bounds a few units a round; the chi-pruned DP
+    # refutes it in the first step of its forward pass.  The second (chi_A
+    # and chi_B watched, ranks about 10^3 wide; even its LP relaxation is
+    # infeasible) exhausts 2 GB when the DP tracks chi_A and chi_C; tracking
+    # chi_B itself, whose suffix range is tighter than the sum of those of
+    # chi_A and chi_C, refutes it within a few steps.
+    seqs = [
+        LesInstance(
+            CohInterval((653, 987, 364), (None, None, 969), 21),
+            CohInterval((647, 356, 429), (1129, 551, 782)),
+            CohInterval((414, 940, 662), (1019, 1730, 1300), 603),
+        ),
+        LesInstance(
+            CohInterval((30, 465, 313), (None, 577, 578), 341),
+            CohInterval((396, 945, 980), (None, None, None), -350),
+            CohInterval((746, 935, 537), (906, 1723, 1218)),
+        ),
+    ]
+    for seq in seqs:
+        start = time.perf_counter()
+        with pytest.raises(InconsistencyError):
+            propagate(seq)
+        assert time.perf_counter() - start < 5.0
 
 
 def test_idempotence():
@@ -323,6 +340,23 @@ def test_all_bounded_triples_answer_in_bounded_time(n, chi):
         assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("watched", [None, 0, 1])
+def test_wide_triples_answer_promptly(watched):
+    # [0, 40]^3 on every term, chi = 0 on none, on A or on B: without a
+    # watched chi nothing but the sweep runs, with one the DP tracks one
+    # running chi, not two
+    terms = [CohInterval((0, 0, 0), (40, 40, 40))] * 3
+    if watched is not None:
+        terms[watched] = CohInterval((0, 0, 0), (40, 40, 40), 0)
+    start = time.perf_counter()
+    res = propagate(LesInstance(*terms))
+    elapsed = time.perf_counter() - start
+    for i, term in enumerate((res.a, res.b, res.c)):
+        assert term.lo == (0, 0, 0) and term.hi == (40, 40, 40)
+        assert term.chi == (0 if i == watched else None)
+    assert elapsed < 1.0
+
+
 def _enumerated(seq: LesInstance) -> LesInstance:
     """Reference for `propagate`: every rank chain r_1..r_8 inside the box
     of `_rank_bounds`, enumerated one by one (exponential in the widths, so
@@ -364,6 +398,66 @@ def _enumerated(seq: LesInstance) -> LesInstance:
         if chi is None and len(chi_seen[term]) == 1:
             chi = next(iter(chi_seen[term]))
         terms.append(CohInterval(tuple(t_min[term::3]), tuple(t_max[term::3]), chi))
+    return LesInstance(*terms, seq.names, seq.label)
+
+
+def _full_state_dp(seq: LesInstance) -> LesInstance:
+    """Second reference for `propagate`: a forward/backward DP whose state
+    is r_k and the running chi of both A and C, whatever is watched
+    (polynomial, so for instances too wide to enumerate)."""
+    lo, hi, r_lo, r_hi = _rank_bounds(seq)
+    ca, cb, cc = (None if iv.is_forced_all() else iv.chi for iv in (seq.a, seq.b, seq.c))
+    watched = (ca, cb, cc) != (None, None, None)
+
+    # reach[k][r] = (min, max) of what steps k..8 can still add to chi_A,
+    # then to chi_C, from r_k = r; extremes clamped into the window of r_{k+1}
+    reach: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(9)]
+    reach.append({0: (0, 0, 0, 0)})
+    for k in range(8 if watched else -1, -1, -1):
+        da, dc = _CHI_STEPS[k]
+        after = reach[k + 1]
+        if not after:
+            raise _infeasible(seq)
+        first, last = min(after), max(after)
+        best = [pick(after, key=lambda q: w * q + after[q][i])
+                for i, (pick, w) in enumerate(((min, da), (max, da), (min, dc), (max, dc)))]
+        for r in range(r_lo[k], r_hi[k] + 1):
+            a, b = max(first, lo[k] - r), min(last, hi[k] - r)
+            if a <= b:
+                qa, qA, qc, qC = [min(max(q, a), b) for q in best]
+                reach[k][r] = (da * (r + qa) + after[qa][0], da * (r + qA) + after[qA][1],
+                               dc * (r + qc) + after[qc][2], dc * (r + qC) + after[qC][3])
+
+    # forward over states (r_{k+1}, chi_A, chi_C so far), keeping those from
+    # which every watched chi is within reach, then backward over the edges
+    layer = {(0, 0, 0): []}
+    steps = []
+    for k, (da, dc) in enumerate(_CHI_STEPS):
+        reached: dict[tuple[int, int, int], list] = {}
+        for state in layer:
+            r, xa, xc = state
+            for r_next in range(max(r_lo[k + 1], lo[k] - r), min(r_hi[k + 1], hi[k] - r) + 1):
+                t = r + r_next
+                reached.setdefault((r_next, xa + da * t, xc + dc * t), []).append(state)
+        layer = reached if not watched else {
+            s: srcs for s, srcs in reached.items()
+            if (g := reach[k + 1].get(s[0]))
+            and (ca is None or g[0] <= ca - s[1] <= g[1])
+            and (cc is None or g[2] <= cc - s[2] <= g[3])
+            and (cb is None or g[0] + g[2] <= cb - s[1] - s[2] <= g[1] + g[3])}
+        if not layer:
+            raise _infeasible(seq)
+        steps.append(layer)
+    alive = list(layer)
+    chi_seen = ({s[1] for s in alive}, {s[1] + s[2] for s in alive}, {s[2] for s in alive})
+    t_min, t_max = [0] * 9, [0] * 9
+    for k in range(8, -1, -1):
+        ts = [src[0] + dst[0] for dst in alive for src in steps[k][dst]]
+        t_min[k], t_max[k] = min(ts), max(ts)
+        alive = {src for dst in alive for src in steps[k][dst]}
+    terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]),
+                         min(seen) if len(seen) == 1 else None)
+             for i, seen in enumerate(chi_seen))
     return LesInstance(*terms, seq.names, seq.label)
 
 
@@ -470,3 +564,42 @@ def test_propagate_matches_enumeration_on_verify_paper(monkeypatch):
     assert len(seen) > 100
     for seq in seen:
         assert _result(propagate, seq) == _result(_enumerated, seq), seq
+
+
+@st.composite
+def _wide_instances(draw):
+    """Bounds of width 0-5 around a rank chain with ranks <= 8, in a third
+    of the draws with one dimension's bounds shifted off it; 0-3 terms
+    carry a chi (true, off by one or random), and a term is sometimes
+    wholly unknown."""
+    ranks = [0] + draw(st.lists(st.integers(0, 8), min_size=8, max_size=8)) + [0]
+    point = [ranks[k] + ranks[k + 1] for k in range(9)]
+    shifted = draw(st.integers(0, 26))  # a dimension when < 9
+    lo, hi = [], []
+    for k, t in enumerate(point):
+        width = draw(st.integers(0, 5))
+        shift = draw(st.sampled_from((-1, 1))) if k == shifted else 0
+        lo.append(max(0, t - draw(st.integers(0, width)) + shift))
+        hi.append(lo[-1] + width)
+    with_chi = draw(st.permutations(range(3)))[:draw(st.integers(0, 3))]
+    terms = []
+    for term in range(3):
+        chi = None
+        if term in with_chi:
+            true_chi = point[term] - point[term + 3] + point[term + 6]
+            chi = draw(st.sampled_from((true_chi, true_chi, true_chi - 1, true_chi + 1)))
+        if draw(st.integers(0, 7)) == 7:
+            terms.append(CohInterval.unknown(chi))
+            continue
+        bounds = (tuple(lo[term::3]), tuple(hi[term::3]))
+        try:
+            terms.append(CohInterval(*bounds, chi))
+        except ValueError:  # chi contradicts pinned dimensions
+            terms.append(CohInterval(*bounds))
+    return LesInstance(*terms)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_wide_instances())
+def test_propagate_matches_full_state_dp_on_wide_instances(seq):
+    assert _result(propagate, seq) == _result(_full_state_dp, seq)
