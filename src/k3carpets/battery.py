@@ -5,8 +5,8 @@ expected values; sweep-style statements are aggregated into a single claim
 whose computed value is a mismatch count.  The battery is deterministic
 (fixed grids, fixed RNG seed) and uses only the public module operations,
 looked up through their modules so that deliberately corrupting a single
-constant (canonical class, intersection form, pushforward degrees) makes
-the affected claims fail.
+constant (canonical class, intersection form, the fiber sums of
+`line_cohomology`) makes the affected claims fail.
 """
 
 from __future__ import annotations

@@ -31,12 +31,14 @@ that is at most 9 (R + 1)^2 X DP edges with one watched and
 9 (R + 1)^2 X^2 with more.  Bounds that collapse (lo == hi) are forced;
 anything wider is honest partial knowledge.
 `chain` runs several sequences that share named terms to a common fixed
-point with a worklist: a sequence is propagated again only when one of its
-terms narrowed since its last run.
+point with a worklist indexed by term name: a step that narrows a name
+queues the sequences using it, so a sequence is propagated again only when
+one of its terms narrowed since its last run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import inf
 
@@ -57,16 +59,6 @@ class UnboundedRankError(RuntimeError):
     """Two consecutive unbounded terms leave a connecting rank unbounded."""
 
 
-def _check_bound(lo, hi):
-    if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
-        raise ValueError(f"lower bounds must be integers >= 0, got {lo!r}")
-    if hi is not None:
-        if not isinstance(hi, int) or isinstance(hi, bool):
-            raise ValueError(f"upper bounds must be integers or None, got {hi!r}")
-        if hi < lo:
-            raise ValueError(f"empty bound [{lo}, {hi}]")
-
-
 @dataclass(frozen=True)
 class CohInterval:
     """Per-degree bounds lo_i <= h^i <= hi_i (hi None = unbounded) plus an
@@ -77,17 +69,30 @@ class CohInterval:
     chi: int | None = None
 
     def __post_init__(self):
-        if len(self.lo) != 3 or len(self.hi) != 3:
-            raise ValueError(f"bounds must give h0, h1 and h2, got {len(self.lo)} lower"
-                             f" and {len(self.hi)} upper")
-        for lo_i, hi_i in zip(self.lo, self.hi):
-            _check_bound(lo_i, hi_i)
-        if self.chi is not None and (not isinstance(self.chi, int) or isinstance(self.chi, bool)):
-            raise ValueError(f"chi must be an integer or None, got {self.chi!r}")
-        if self.chi is not None and self.is_forced_all():
-            pinned = self.lo[0] - self.lo[1] + self.lo[2]
-            if pinned != self.chi:
-                raise ValueError(f"chi = {self.chi} contradicts pinned dimensions {self.lo}")
+        lo, hi, chi = self.lo, self.hi, self.chi
+        if len(lo) != 3 or len(hi) != 3:
+            raise ValueError(f"bounds must give h0, h1 and h2, got {len(lo)} lower"
+                             f" and {len(hi)} upper")
+        # each check lets a plain int through at its first test
+        for lo_i, hi_i in zip(lo, hi):
+            if (type(lo_i) is not int and (not isinstance(lo_i, int) or isinstance(lo_i, bool))
+                    or lo_i < 0):
+                raise ValueError(f"lower bounds must be integers >= 0, got {lo_i!r}")
+            if hi_i is not None:
+                if type(hi_i) is not int and (not isinstance(hi_i, int) or isinstance(hi_i, bool)):
+                    raise ValueError(f"upper bounds must be integers or None, got {hi_i!r}")
+                if hi_i < lo_i:
+                    raise ValueError(f"empty bound [{lo_i}, {hi_i}]")
+        if type(lo) is not tuple or type(hi) is not tuple:
+            # stored as tuples, so that `is_forced_all` can compare them whole
+            object.__setattr__(self, "lo", tuple(lo))
+            object.__setattr__(self, "hi", tuple(hi))
+        if chi is None:
+            return
+        if type(chi) is not int and (not isinstance(chi, int) or isinstance(chi, bool)):
+            raise ValueError(f"chi must be an integer or None, got {chi!r}")
+        if self.is_forced_all() and lo[0] - lo[1] + lo[2] != chi:
+            raise ValueError(f"chi = {chi} contradicts pinned dimensions {lo}")
 
     @classmethod
     def exact(cls, h0: int, h1: int, h2: int) -> "CohInterval":
@@ -105,7 +110,7 @@ class CohInterval:
         return self.hi[i] is not None and self.lo[i] == self.hi[i]
 
     def is_forced_all(self) -> bool:
-        return all(self.is_forced(i) for i in range(3))
+        return self.lo == self.hi  # every lo_i is an int, so every hi_i is one too
 
     def forced_values(self) -> tuple[int, int, int]:
         if not self.is_forced_all():
@@ -217,19 +222,22 @@ def _rank_bounds(seq: LesInstance):
     magnitudes, since with all nine unbounded nothing bounds one.  So
     whether a rank stays unbounded (`UnboundedRankError`) depends only on
     which bounds are finite and which chi are fixed.  The chi caps only
-    make the ranks finite; `propagate` applies chi exactly."""
+    make the ranks finite; `propagate` applies chi exactly.  A term the
+    input pins is skipped: its chi caps each degree at its pinned value."""
     lo, hi = _term_bounds(seq)
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     if None not in chis and chis[0] + chis[2] != chis[1]:
         raise _infeasible(seq)
+    capped = [(term, iv.chi) for term, iv in enumerate((seq.a, seq.b, seq.c))
+              if iv.chi is not None and not iv.is_forced_all()]
     while True:
         r_lo, r_hi = _sweep(lo, hi)
         if r_hi[-1] < r_lo[-1]:
             raise _infeasible(seq)
         hi = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
         unbounded = hi.count(inf)
-        for term, chi in enumerate(chis):
-            for d in range(3 if chi is not None else 0):
+        for term, chi in capped:
+            for d in range(3):
                 # t_d = s_d (chi - sum of s_e t_e), s = (1, -1, 1): a degree of
                 # opposite sign counts at its top, one of equal sign at its bottom
                 hi[term + 3 * d] = min(hi[term + 3 * d], (-chi if d == 1 else chi) + sum(
@@ -438,14 +446,19 @@ def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
     """Propagate several sequences sharing named terms to a common fixed point.
 
     Returns the final knowledge per term name.  A worklist (AC-3; Mackworth
-    1977, "Consistency in networks of relations"): every sequence is
-    propagated once, and again only when one of its terms narrowed since
-    its last run.  No round cap is needed: `propagate` either raises or
-    returns finite bounds, so every term that changes is bounded from then
-    on and can only narrow a finite number of times.  A sequence whose
-    ranks are unbounded is retried when a term of it narrows, and its
-    `UnboundedRankError` is raised if it is still stuck at the end;
-    inconsistencies are reported with the label of the offending sequence.
+    1977, "Consistency in networks of relations") over an index from each
+    term name to the sequences that use it: every sequence is propagated
+    once, in order; a returned term is met into the table only when it
+    differs from the entry there, and each step queues, in index order, the
+    sequences not yet queued that use a name the step narrowed.  (The step's
+    own sequence is queued again only if the table now differs from what it
+    returned, which takes a term name repeated within it.)  No round cap is
+    needed: `propagate` either raises or returns finite bounds, so every
+    term that changes is bounded from then on and can only narrow a finite
+    number of times.  A sequence whose ranks are unbounded is retried when a
+    term of it narrows, and its `UnboundedRankError` is raised if it is
+    still stuck at the end; inconsistencies are reported with the label of
+    the offending sequence.
     """
     table: dict[str, CohInterval] = {}
 
@@ -457,30 +470,40 @@ def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
                 raise InconsistencyError(f"sequence {seq.label!r}: {err}") from None
         table[name] = iv
 
-    for seq in seqs:
+    users: dict[str, list[int]] = {}  # name -> indices of the sequences using it
+    for i, seq in enumerate(seqs):
         for name, iv in zip(seq.names, (seq.a, seq.b, seq.c)):
             meet(seq, name, iv)
+        for name in set(seq.names):
+            users.setdefault(name, []).append(i)
 
-    queue = list(range(len(seqs)))
-    last: dict[int, tuple[CohInterval, ...]] = {}  # terms after each last run
+    queue = deque(range(len(seqs)))
+    queued = [True] * len(seqs)
     stuck: dict[int, UnboundedRankError] = {}
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
+        queued[i] = False
         seq = seqs[i]
-        current = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label)
         try:
-            current = propagate(current)
+            out = propagate(LesInstance(*(table[n] for n in seq.names), seq.names, seq.label))
         except UnboundedRankError as err:
             stuck[i] = err
-        else:
-            stuck.pop(i, None)
-            for name, iv in zip(seq.names, (current.a, current.b, current.c)):
+            continue
+        stuck.pop(i, None)
+        terms = (out.a, out.b, out.c)
+        narrowed = set()  # a returned term lies inside its input, so one that differs narrows
+        for name, iv in zip(seq.names, terms):
+            if iv != table[name]:
                 meet(seq, name, iv)
-        last[i] = (current.a, current.b, current.c)
-        queue.extend(
-            j for j, other in enumerate(seqs)
-            if j not in queue and tuple(table[n] for n in other.names) != last[j]
-        )
+                narrowed.add(name)
+        if not narrowed:
+            continue
+        again = {j for name in narrowed for j in users[name] if not queued[j] and j != i}
+        if any(table[n] != iv for n, iv in zip(seq.names, terms)):
+            again.add(i)
+        for j in sorted(again):
+            queue.append(j)
+            queued[j] = True
     if stuck:
         raise stuck[max(stuck)]
     return table

@@ -1,10 +1,10 @@
-"""Tiny runs of four benchmark workloads, so their gates run with the suite.
+"""Tiny runs of the five benchmark workloads, so their gates run with the suite.
 
 The paper and sweep smoke runs are checked against their golden stdout
 digests: `verify-paper` must print byte-identical output, and the sweep
-digest covers the Hilbert chain's result on every row.  The les-wide smoke
-run checks that each item's true rank chain lies inside the returned
-intervals.
+digest covers the Hilbert chain's result on every row, at `--jobs 1` and,
+through the process pool, at `--jobs 2`.  The les-wide smoke run checks
+that each item's true rank chain lies inside the returned intervals.
 """
 
 import json
@@ -34,6 +34,10 @@ def test_oracle_workload_smoke():
 
 def test_sweep_workload_smoke():
     _smoke("sweep")
+
+
+def test_sweep_jobs2_workload_smoke():
+    _smoke("sweep-jobs2")
 
 
 def test_les_workload_smoke():

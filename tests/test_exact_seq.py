@@ -27,6 +27,10 @@ def exact(*hs):
     return CohInterval.exact(*hs)
 
 
+class _Int(int):
+    pass
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         CohInterval((0, 2, 0), (0, 1, 0))
@@ -43,6 +47,34 @@ def test_interval_validation():
         CohInterval((0, 0), (1, 1, 1))
     with pytest.raises(ValueError, match="got 4 lower and 4 upper"):
         CohInterval((0,) * 4, (1,) * 4)
+    # each check lets a plain int through at once and must still judge the rest
+    for top in (False, 1.0):
+        with pytest.raises(ValueError, match="upper bounds must be integers or None"):
+            CohInterval((0, 0, 0), (2, top, 2))
+    for bottom in (True, 0.0):
+        with pytest.raises(ValueError, match="lower bounds must be integers >= 0"):
+            CohInterval((0, bottom, 0), (2, 2, 2))
+    with pytest.raises(ValueError, match=r"empty bound \[3, 2\]"):
+        CohInterval((0, 3, 0), (2, 2, 2))
+    iv = CohInterval((_Int(1), 0, 0), (_Int(1), 0, _Int(0)), chi=_Int(1))
+    assert iv.is_forced_all() and iv.chi == 1
+    assert CohInterval((0, _Int(2), 0), (_Int(3), None, 0)).hi[0] == 3
+    for pinned in ((1, 0, 0), (0, 0, 0)):
+        with pytest.raises(ValueError, match="chi must be an integer or None"):
+            CohInterval(pinned, pinned, chi=True)
+    assert CohInterval((1, 2, 3), (1, 2, 3)).chi is None
+    with pytest.raises(ValueError) as err:
+        CohInterval((1, 0, 0), (1, 0, 0), chi=5)
+    assert str(err.value) == "chi = 5 contradicts pinned dimensions (1, 0, 0)"
+    with pytest.raises(ValueError) as err:
+        CohInterval((_Int(1), 0, 0), (1, 0, 0), chi=_Int(0))
+    assert str(err.value) == "chi = 0 contradicts pinned dimensions (1, 0, 0)"
+    with pytest.raises(ValueError, match="contradicts pinned dimensions"):
+        CohInterval([1, 0, 0], (1, 0, 0), chi=5)  # a list pins the same
+    listed = CohInterval([1, 0, 0], [1, 0, None])  # stored as tuples
+    assert listed.lo == (1, 0, 0) and listed.hi == (1, 0, None)
+    assert CohInterval([1, 0, 0], [1, 0, 0], 1) == exact(1, 0, 0)
+    assert CohInterval((1, 0, 0), (1, 0, None), chi=5).chi == 5  # h2 is free
 
 
 def test_meet():
@@ -90,6 +122,19 @@ def test_honest_interval_for_tangent_bundle_of_f3():
     assert res.b.hi == (8, 2, 0)
     assert res.b.chi == 6
     assert not res.b.is_forced(0)
+
+
+def test_pinned_term_without_chi_gets_its_alternating_sum():
+    # no chi is watched; the pinned ends get chi from their dimensions and
+    # the middle term from additivity
+    res = propagate(LesInstance(CohInterval((3, 1, 0), (3, 1, 0)), CohInterval.unknown(),
+                                CohInterval((0, 2, 5), (0, 2, 5))))
+    assert (res.a.chi, res.b.chi, res.c.chi) == (2, 5, 3)
+    assert res.a.forced_values() == (3, 1, 0) and res.c.forced_values() == (0, 2, 5)
+    # a pinned term next to a watched one goes through the DP
+    res = propagate(LesInstance(CohInterval((1, 0, 0), (1, 0, 0)),
+                                CohInterval((0, 0, 0), (4, 4, 4), 3), CohInterval.unknown()))
+    assert res.a.chi == 1 and res.b.chi == 3 and res.c.chi == 2
 
 
 def test_split_sum_forced_for_disjoint_supports():
@@ -306,6 +351,39 @@ def _small_chains(draw):
     return seqs
 
 
+# split sequences 0 -> X -> X + Y -> Y -> 0 over three line bundles X, Y, Z
+_SPLIT = (("X", "X+Y", "Y"), ("Y", "X+Y", "X"), ("Y", "Y+Z", "Z"), ("X", "2X", "X"),
+          ("X+Y", "X+Y+Z", "Z"), ("X", "X+Y+Z", "Y+Z"), ("Z", "Y+Z", "Y"))
+
+
+@st.composite
+def _loose_chains(draw):
+    """3-6 sequences drawn from `_SPLIT`, where ("X", "2X", "X") has a name
+    twice; each term is the exact cohomology of its sheaf, unknown, or
+    bounds up to 2 wider on each side of it, with or without its chi, so
+    the true dimensions are always feasible."""
+    surface = draw(st.sampled_from((hirzebruch(0), hirzebruch(3), P2)))
+    coeffs = st.lists(st.integers(-3, 3), min_size=surface.picard_rank,
+                      max_size=surface.picard_rank)
+    x, y, z = (coh(surface, surface.divisor(*draw(coeffs))) for _ in range(3))
+    truth = {"X": x, "Y": y, "Z": z, "X+Y": x + y, "Y+Z": y + z, "2X": x + x,
+             "X+Y+Z": x + y + z}
+
+    def term(name):
+        h, kind = truth[name].as_tuple(), draw(st.integers(0, 3))
+        if kind < 2:
+            return CohInterval.exact(*h) if kind == 0 else CohInterval.unknown()
+        lo = tuple(max(0, v - draw(st.integers(0, 2))) for v in h)
+        hi = tuple(v + draw(st.integers(0, 2)) for v in h)
+        return CohInterval(lo, hi, h[0] - h[1] + h[2] if draw(st.booleans()) else None)
+
+    seqs = []
+    for i in range(draw(st.integers(3, 6))):
+        names = draw(st.sampled_from(_SPLIT))
+        seqs.append(LesInstance(*map(term, names), names, label=f"seq{i}"))
+    return seqs
+
+
 def _outcome(seqs):
     try:
         return chain(seqs)
@@ -313,8 +391,9 @@ def _outcome(seqs):
         return type(err)
 
 
-@settings(deadline=None)
-@given(_small_chains())
+# 200 draws over the two strategies, so `_small_chains` keeps about its 100
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_small_chains(), _loose_chains()))
 def test_chain_is_an_order_independent_fixed_point(seqs):
     outcome = _outcome(seqs)
     assert _outcome(seqs[::-1]) == outcome
@@ -323,6 +402,106 @@ def test_chain_is_an_order_independent_fixed_point(seqs):
             terms = tuple(outcome[n] for n in seq.names)
             again = propagate(LesInstance(*terms, seq.names, seq.label))
             assert (again.a, again.b, again.c) == terms
+
+
+def _rescanning_chain(seqs):
+    """Reference for `chain`: the same worklist without the name index.
+    After every step it re-meets each returned term into the table and
+    queues, in index order, every sequence not yet queued whose terms differ
+    from what its last run returned."""
+    table = {}
+
+    def meet(seq, name, iv):
+        if name in table:
+            try:
+                iv = table[name].meet(iv, what=f"term {name!r}")
+            except InconsistencyError as err:
+                raise InconsistencyError(f"sequence {seq.label!r}: {err}") from None
+        table[name] = iv
+
+    for seq in seqs:
+        for name, iv in zip(seq.names, (seq.a, seq.b, seq.c)):
+            meet(seq, name, iv)
+    queue = list(range(len(seqs)))
+    last, stuck = {}, {}
+    while queue:
+        i = queue.pop(0)
+        seq = seqs[i]
+        current = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label)
+        try:
+            current = exact_seq.propagate(current)
+        except UnboundedRankError as err:
+            stuck[i] = err
+        else:
+            stuck.pop(i, None)
+            for name, iv in zip(seq.names, (current.a, current.b, current.c)):
+                meet(seq, name, iv)
+        last[i] = (current.a, current.b, current.c)
+        queue.extend(j for j, other in enumerate(seqs)
+                     if j not in queue and tuple(table[n] for n in other.names) != last[j])
+    if stuck:
+        raise stuck[max(stuck)]
+    return table
+
+
+def _traced(solve, seqs, monkeypatch):
+    """The table (or error class and message) of `solve(seqs)` and the
+    inputs of every `propagate` call it made, in order."""
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return propagate(seq)
+
+    monkeypatch.setattr(exact_seq, "propagate", counted)
+    try:
+        outcome = solve(seqs)
+    except (InconsistencyError, UnboundedRankError) as err:
+        outcome = type(err), str(err)
+    finally:
+        monkeypatch.undo()
+    return outcome, calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_small_chains(), _loose_chains()))
+def test_chain_matches_rescanning_chain(seqs):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
+                                                            monkeypatch)
+
+
+def test_chain_matches_rescanning_chain_on_hilbert_chains(monkeypatch):
+    chains = []
+
+    def capture(seqs):
+        chains.append(seqs)
+        return chain(seqs)
+
+    monkeypatch.setattr(carpets, "chain", capture)
+    battery.hilbert_claims()
+    monkeypatch.undo()
+    assert len(chains) > 200
+    for seqs in chains:
+        assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
+                                                            monkeypatch)
+
+
+def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
+    # the Hilbert chains reach their fixed point in one pass: a worklist that
+    # re-propagated a sequence whose terms did not change would show here
+    calls, reports = [], []
+    monkeypatch.setattr(exact_seq, "propagate", lambda seq: calls.append(seq) or propagate(seq))
+    f3 = hirzebruch(3)
+    carpets.hilbert_report(carpets.EmbeddingData.complete_series(f3, f3.divisor(2, 8)))
+    assert len(calls) == 8
+
+    calls.clear()
+    report = carpets.hilbert_report
+    monkeypatch.setattr(carpets, "hilbert_report", lambda emb: reports.append(emb) or report(emb))
+    battery.hilbert_claims()
+    assert len(reports) > 200
+    assert len(calls) == 8 * len(reports)
 
 
 @pytest.mark.parametrize("chi", [None, 0])
