@@ -8,11 +8,17 @@ double-cover K3 test for |-2K_S|, and the Hilbert-scheme tangent report
 for the carpet, entirely from the line-bundle cohomology modules and the
 long-exact-sequence calculus.
 
+Each sequence is data: a label and three term names, with the known
+line-bundle endpoints looked up by name, so every endpoint is written once
+per report.  Each derived term is checked once, where it is read: `_forced`
+raises `InconsistencyError` unless the term is pinned and equal to its
+closed form.
+
 One step is not derivable inside the calculus: on F_e the pushforward of
 N_{S/P^N} ⊗ K_S to P^1 sits in a short exact sequence over the pushforward
 of (O_S(1) ⊗ K_S)^(N+1) with quotient O_{P^1}, and that sequence is taken
-as a declared input.  Reports carry an `assumed_splitting` flag wherever
-it enters.
+as a declared input.  The `assumed_splitting` flag marks the F_e reports,
+which all rest on it.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ class EmbeddingData:
     ambient_n: int
 
     def __post_init__(self):
+        if not isinstance(self.ambient_n, int) or isinstance(self.ambient_n, bool):
+            raise ValueError(f"ambient dimension N must be an integer, got {self.ambient_n!r}")
         surfaces._check_on(self.surface, self.polarization)
         if not surfaces.is_very_ample(self.surface, self.polarization):
             raise InvalidGeometryError(
@@ -112,108 +120,96 @@ class HilbertReport:
     assumed_splitting: bool
 
 
+_UNKNOWN = CohInterval.unknown()
+_exact = CohInterval.from_vector
+
+
+def _sequence(
+    label: str, names: tuple[str, str, str], known: dict[str, CohInterval]
+) -> LesInstance:
+    """The sequence 0 -> A -> B -> C -> 0 over the named terms, each known
+    from `known` or else unknown."""
+    return LesInstance(*(known.get(n, _UNKNOWN) for n in names), names, label)
+
+
+def _forced(
+    iv: CohInterval, what: str, expected: tuple[int, int, int] | None = None
+) -> tuple[int, int, int]:
+    """The pinned (h0, h1, h2) of a derived term, which must equal its closed
+    form `expected` if one is given; anything else means a broken endpoint."""
+    if not iv.is_forced_all():
+        raise InconsistencyError(f"{what} not forced: {iv}")
+    if expected is not None and iv.lo != expected:
+        raise InconsistencyError(f"{what} is {iv.lo}, expected {expected}")
+    return iv.lo
+
+
 def abstract_carpet_dim(surface: surfaces.SurfaceModel) -> int:
     """Dimension h1(T_S ⊗ K_S) of the space classifying abstract carpets.
 
     Derived by exact-sequence propagation with line-bundle endpoints: on
     F_e from the fibration tangent sequence twisted by K, on P^2 from the
-    twisted Euler sequence.  The result must come out forced.
+    twisted Euler sequence.
     """
     if surface.is_plane:
-        seq = LesInstance(
-            CohInterval.from_vector(lc.coh(surface, surface.divisor(-3))),
-            CohInterval.from_vector(lc.coh(surface, surface.divisor(-2)).scaled(3)),
-            CohInterval.unknown(),
-            names=("K", "L(-2)^3", "T⊗K"),
-            label="euler-twist",
-        )
-        out = propagate(seq).c
+        out = propagate(_sequence("euler-twist", ("K", "L(-2)^3", "T⊗K"), {
+            "K": _exact(lc.coh(surface, surface.divisor(-3))),
+            "L(-2)^3": _exact(lc.coh(surface, surface.divisor(-2)).scaled(3)),
+        })).c
     else:
-        e = surface.e
-        seq = LesInstance(
-            CohInterval.from_vector(lc.coh(surface, surface.divisor(0, -2))),
-            CohInterval.unknown(),
-            CohInterval.from_vector(lc.coh(surface, surface.divisor(-2, -e))),
-            names=("T_rel⊗K", "T⊗K", "T_base⊗K"),
-            label="tangent-fibration-twist",
-        )
-        out = propagate(seq).b
-    if not out.is_forced_all():
-        raise InconsistencyError(
-            f"tangent-twist cohomology not forced on {surface}: {out}; "
-            "an endpoint computation is broken"
-        )
-    return out.forced_values()[1]
+        out = propagate(_sequence("tangent-fibration-twist", ("T_rel⊗K", "T⊗K", "T_base⊗K"), {
+            "T_rel⊗K": _exact(lc.coh(surface, surface.divisor(0, -2))),
+            "T_base⊗K": _exact(lc.coh(surface, surface.divisor(-2, -surface.e))),
+        })).b
+    return _forced(out, "tangent-twist cohomology")[1]
 
 
 def _normal_twist_cohomology(
     surface: surfaces.SurfaceModel,
     polarization: surfaces.DivisorClass,
     n_plus_1: int,
-) -> tuple[CohVector, bool]:
-    """(h0, h1, h2) of N_{S/P^N} ⊗ K_S and whether the splitting input was used."""
-    k = surfaces.canonical_class(surface)
+) -> CohVector:
+    """(h0, h1, h2) of N_{S/P^N} ⊗ K_S; on F_e it rests on the declared
+    splitting."""
     if surface.is_plane:
-        d = polarization.degree
-        seq = LesInstance(
-            CohInterval.from_vector(lc.coh(surface, surface.divisor(-2)).scaled(3)),
-            CohInterval.from_vector(
-                lc.coh(surface, surface.divisor(d - 3)).scaled(n_plus_1)
+        out = propagate(_sequence("normal-bundle-twist", ("L(-2)^3", "L(d-3)^(N+1)", "N⊗K"), {
+            "L(-2)^3": _exact(lc.coh(surface, surface.divisor(-2)).scaled(3)),
+            "L(d-3)^(N+1)": _exact(
+                lc.coh(surface, surface.divisor(polarization.degree - 3)).scaled(n_plus_1)
             ),
-            CohInterval.unknown(),
-            names=("L(-2)^3", "L(d-3)^(N+1)", "N⊗K"),
-            label="normal-bundle-twist",
-        )
-        out = propagate(seq).c
-        used_splitting = False
+        })).c
     else:
-        adjoint = lc.coh(surface, polarization + k)
-        seq = LesInstance(
-            CohInterval.from_vector(adjoint.scaled(n_plus_1)),
-            CohInterval((0, 0, 0), (None, None, 0)),
-            CohInterval.exact(1, 0, 0),
-            names=("push_adjoint^(N+1)", "push_N⊗K", "O_base"),
-            label="normal-twist-pushforward",
-        )
-        out = propagate(seq).b
-        used_splitting = True
-    if not out.is_forced_all():
-        raise InconsistencyError(
-            f"twisted normal-bundle cohomology not forced for {polarization} "
-            f"on {surface}: {out}"
-        )
-    vec = CohVector(*out.forced_values())
-    if vec.h1 != 0 or vec.h2 != 0:
-        raise InconsistencyError(
-            f"h1/h2 of the twisted normal bundle should vanish, got {vec.as_tuple()}"
-        )
-    return vec, used_splitting
+        adjoint = lc.coh(surface, polarization + surfaces.canonical_class(surface))
+        out = propagate(_sequence(
+            "normal-twist-pushforward", ("push_adjoint^(N+1)", "push_N⊗K", "O_base"), {
+                "push_adjoint^(N+1)": _exact(adjoint.scaled(n_plus_1)),
+                "push_N⊗K": CohInterval((0, 0, 0), (None, None, 0)),
+                "O_base": CohInterval.exact(1, 0, 0),
+            },
+        )).b
+    return CohVector(*_forced(out, "twisted normal-bundle cohomology", (out.lo[0], 0, 0)))
 
 
 def embedded_carpet_h0(embedding: EmbeddingData) -> int:
     """h0(N_{S/P^N} ⊗ K_S): the embedded carpets form an open subset of the
     projectivization of this space."""
-    vec, _ = _normal_twist_cohomology(
+    return _normal_twist_cohomology(
         embedding.surface, embedding.polarization, embedding.n_plus_1
-    )
-    return vec.h0
+    ).h0
 
 
 def carpet_report(embedding: EmbeddingData, abstract_dim: int | None = None) -> CarpetReport:
     """`abstract_dim`, if given, is the surface's `abstract_carpet_dim`."""
     surface = embedding.surface
-    vec, used_splitting = _normal_twist_cohomology(
-        surface, embedding.polarization, embedding.n_plus_1
-    )
-    minimal_degree = (not surface.is_plane) and embedding.polarization.a == 1
+    h0 = _normal_twist_cohomology(surface, embedding.polarization, embedding.n_plus_1).h0
     report = CarpetReport(
         embedding=embedding,
         abstract_family_dim=abstract_carpet_dim(surface) if abstract_dim is None else abstract_dim,
-        embedded_h0=vec.h0,
-        embedded_moduli_dim=vec.h0 - 1,
-        exists_embedded=vec.h0 > 0,
-        minimal_degree_case=minimal_degree,
-        assumed_splitting=used_splitting,
+        embedded_h0=h0,
+        embedded_moduli_dim=h0 - 1,
+        exists_embedded=h0 > 0,
+        minimal_degree_case=(not surface.is_plane) and embedding.polarization.a == 1,
+        assumed_splitting=not surface.is_plane,
     )
     if report.minimal_degree_case and report.embedded_moduli_dim != 0:
         raise InconsistencyError(
@@ -238,19 +234,13 @@ def double_cover_k3_check(surface: surfaces.SurfaceModel) -> DoubleCoverReport:
     cover_chi = o_coh.chi + k_coh.chi
     cover_h1 = o_coh.h1 + k_coh.h1
 
-    seq = LesInstance(
-        CohInterval.from_vector(o_coh),
-        CohInterval.from_vector(lc.coh(surface, minus_2k)),
-        CohInterval.unknown(),
-        names=("O", "-2K", "-2K|_C"),
-        label="branch-curve-restriction",
-    )
-    restricted = propagate(seq).c
+    restricted = propagate(_sequence("branch-curve-restriction", ("O", "-2K", "-2K|_C"), {
+        "O": _exact(o_coh), "-2K": _exact(lc.coh(surface, minus_2k)),
+    })).c
     if not restricted.is_forced(1):
         raise InconsistencyError(
             f"h1 of the branch restriction not forced on {surface}: {restricted}"
         )
-    h1_n_pi = restricted.lo[1]
 
     return DoubleCoverReport(
         surface=surface,
@@ -258,83 +248,27 @@ def double_cover_k3_check(surface: surfaces.SurfaceModel) -> DoubleCoverReport:
         cover_chi=cover_chi,
         cover_h1=cover_h1,
         cover_K_trivial=True,
-        h1_N_pi=h1_n_pi,
+        h1_N_pi=restricted.lo[1],
         is_k3_cover=branch_bpf and cover_h1 == 0 and cover_chi == 2,
     )
 
 
-def _hilbert_chain(
-    surface: surfaces.SurfaceModel,
-    polarization: surfaces.DivisorClass,
-    n_plus_1: int,
-    normal_twist: CohVector,
-    kinv: CohVector,
-    k2inv: CohVector,
-) -> dict[str, CohInterval]:
-    """The sequences tying the carpet normal bundle to line-bundle endpoints.
-
-    H denotes the sheaf Hom(I_carpet/I_S^2, O_S); Nc the normal bundle of
-    the embedded carpet, restricted to S and twisted by O resp. K; `kinv`
-    and `k2inv` are the cohomology of K^-1 and K^-2.
-    """
-    exact = CohInterval.from_vector
-    o_iv = exact(lc.coh(surface, 0 * surfaces.canonical_class(surface)))
-    l_sum = exact(lc.coh(surface, polarization).scaled(n_plus_1))
-
-    seqs = [
-        LesInstance(
-            o_iv, l_sum, CohInterval.unknown(),
-            names=("O", "L^(N+1)", "T_amb"), label="ambient-euler",
-        ),
-        LesInstance(
-            CohInterval.unknown(), CohInterval.unknown(), CohInterval.unknown(),
-            names=("T_S", "T_amb", "N_S"), label="normal-bundle",
-        ),
-        LesInstance(
-            exact(kinv), CohInterval.unknown(), CohInterval.unknown(),
-            names=("K_inv", "N_S", "H"), label="conormal-quotient",
-        ),
-        LesInstance(
-            o_iv, exact(normal_twist), CohInterval.unknown(),
-            names=("O", "N⊗K", "H⊗K"), label="conormal-quotient-twist",
-        ),
-        LesInstance(
-            CohInterval.unknown(), CohInterval.unknown(), exact(k2inv),
-            names=("H", "Nc_O", "K_inv2"), label="carpet-normal-restriction",
-        ),
-        LesInstance(
-            CohInterval.unknown(), CohInterval.unknown(), exact(kinv),
-            names=("H⊗K", "Nc_K", "K_inv"), label="carpet-normal-restriction-twist",
-        ),
-        LesInstance(
-            CohInterval.unknown(), CohInterval.unknown(), CohInterval.unknown(),
-            names=("Nc_K", "Nc", "Nc_O"), label="carpet-normal-filtration",
-        ),
-    ]
-    if surface.is_plane:
-        seqs.insert(
-            0,
-            LesInstance(
-                o_iv,
-                exact(lc.coh(surface, surface.divisor(1)).scaled(3)),
-                CohInterval.unknown(),
-                names=("O", "L(1)^3", "T_S"),
-                label="surface-euler",
-            ),
-        )
-    else:
-        e = surface.e
-        seqs.insert(
-            0,
-            LesInstance(
-                exact(lc.coh(surface, surface.divisor(2, e))),
-                CohInterval.unknown(),
-                exact(lc.coh(surface, surface.divisor(0, 2))),
-                names=("T_rel", "T_S", "T_base"),
-                label="tangent-fibration",
-            ),
-        )
-    return chain(seqs)
+# The sequences tying the carpet normal bundle to line-bundle endpoints,
+# after the surface's own tangent sequence.  H is the sheaf
+# Hom(I_carpet/I_S^2, O_S); Nc the normal bundle of the embedded carpet, and
+# Nc_O, Nc_K its restriction to S twisted by O resp. K; K_inv and K_inv2 are
+# K^-1 and K^-2.
+_PLANE_TANGENT = ("surface-euler", ("O", "L(1)^3", "T_S"))
+_FE_TANGENT = ("tangent-fibration", ("T_rel", "T_S", "T_base"))
+_HILBERT_SEQUENCES = (
+    ("ambient-euler", ("O", "L^(N+1)", "T_amb")),
+    ("normal-bundle", ("T_S", "T_amb", "N_S")),
+    ("conormal-quotient", ("K_inv", "N_S", "H")),
+    ("conormal-quotient-twist", ("O", "N⊗K", "H⊗K")),
+    ("carpet-normal-restriction", ("H", "Nc_O", "K_inv2")),
+    ("carpet-normal-restriction-twist", ("H⊗K", "Nc_K", "K_inv")),
+    ("carpet-normal-filtration", ("Nc_K", "Nc", "Nc_O")),
+)
 
 
 def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
@@ -352,7 +286,7 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     k = surfaces.canonical_class(surface)
 
     n_plus_1 = lc.coh(surface, pol).h0 + lc.coh(surface, pol + k).h0
-    normal_twist, used_splitting = _normal_twist_cohomology(surface, pol, n_plus_1)
+    normal_twist = _normal_twist_cohomology(surface, pol, n_plus_1)
     if normal_twist.h0 == 0:
         raise InvalidGeometryError(
             f"no embedded carpet exists for {pol} on {surface} "
@@ -361,35 +295,31 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
 
     kinv = lc.coh(surface, -1 * k)
     k2inv = lc.coh(surface, -2 * k)
-    table = _hilbert_chain(surface, pol, n_plus_1, normal_twist, kinv, k2inv)
+    known = {
+        "O": _exact(lc.coh(surface, 0 * k)),
+        "L^(N+1)": _exact(lc.coh(surface, pol).scaled(n_plus_1)),
+        "N⊗K": _exact(normal_twist),
+        "K_inv": _exact(kinv),
+        "K_inv2": _exact(k2inv),
+    }
+    if surface.is_plane:
+        first = _PLANE_TANGENT
+        known["L(1)^3"] = _exact(lc.coh(surface, surface.divisor(1)).scaled(3))
+    else:
+        first = _FE_TANGENT
+        known["T_rel"] = _exact(lc.coh(surface, surface.divisor(2, surface.e)))
+        known["T_base"] = _exact(lc.coh(surface, surface.divisor(0, 2)))
+    table = chain([_sequence(label, names, known) for label, names in (first, *_HILBERT_SEQUENCES)])
 
+    # every forced intermediate is checked against its closed form
     n_s = table["N_S"]
-    if not n_s.is_forced_all():
-        raise InconsistencyError(f"surface normal-bundle cohomology not forced: {n_s}")
-    if n_s.forced_values()[1:] != (0, 0):
-        raise InconsistencyError(
-            f"h1/h2 of the surface normal bundle should vanish, got {n_s}"
-        )
-    h0_n_s = n_s.forced_values()[0]
-
-    # Cross-checks of every forced intermediate against its closed form.
-    hom = table["H"]
-    expected_hom = (h0_n_s - kinv.h0 + kinv.h1, 0, 0)
-    if not hom.is_forced_all() or hom.forced_values() != expected_hom:
-        raise InconsistencyError(f"Hom-sheaf cohomology {hom} != {expected_hom}")
-    hom_k = table["H⊗K"]
-    if not hom_k.is_forced_all() or hom_k.forced_values() != (normal_twist.h0 - 1, 0, 0):
-        raise InconsistencyError(f"twisted Hom-sheaf cohomology {hom_k} is wrong")
-    nc_o = table["Nc_O"]
-    if not nc_o.is_forced_all() or nc_o.forced_values() != (
-        expected_hom[0] + k2inv.h0, k2inv.h1, 0,
-    ):
-        raise InconsistencyError(f"carpet-normal restriction {nc_o} is wrong")
-    nc_k = table["Nc_K"]
-    if not nc_k.is_forced_all() or nc_k.forced_values() != (
-        normal_twist.h0 - 1 + kinv.h0, kinv.h1, 0,
-    ):
-        raise InconsistencyError(f"twisted carpet-normal restriction {nc_k} is wrong")
+    h0_n_s = _forced(n_s, "surface normal-bundle cohomology", (n_s.lo[0], 0, 0))[0]
+    h0_hom = h0_n_s - kinv.h0 + kinv.h1
+    _forced(table["H"], "Hom-sheaf cohomology", (h0_hom, 0, 0))
+    _forced(table["H⊗K"], "twisted Hom-sheaf cohomology", (normal_twist.h0 - 1, 0, 0))
+    _forced(table["Nc_O"], "carpet-normal restriction", (h0_hom + k2inv.h0, k2inv.h1, 0))
+    _forced(table["Nc_K"], "twisted carpet-normal restriction",
+            (normal_twist.h0 - 1 + kinv.h0, kinv.h1, 0))
 
     nc = table["Nc"]
     expected = n_plus_1 * n_plus_1 + 18
@@ -400,7 +330,6 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     if nc.hi[2] != 0:
         raise InconsistencyError(f"h2 of the carpet normal bundle not forced to 0: {nc}")
 
-    smooth = kinv.h1 == 0 and k2inv.h1 == 0
     report = HilbertReport(
         embedding=embedding,
         hilbert_ambient_n=n_plus_1 - 1,
@@ -411,8 +340,8 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
         h1_K2inv=k2inv.h1,
         h0_normal_carpet=(nc.lo[0], nc.hi[0]),
         h1_normal_carpet=(nc.lo[1], nc.hi[1]),
-        smooth=smooth,
-        assumed_splitting=used_splitting,
+        smooth=kinv.h1 == 0 and k2inv.h1 == 0,
+        assumed_splitting=not surface.is_plane,
     )
     if report.smooth and report.h1_normal_carpet != (0, 0):
         raise InconsistencyError(

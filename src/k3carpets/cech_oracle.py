@@ -72,11 +72,6 @@ class ToricFan:
             if abs(u[0] * v[1] - u[1] * v[0]) != 1:
                 raise ValueError(f"cone {cone} with rays {u}, {v} is not smooth")
 
-    @property
-    def cone_key(self) -> tuple[tuple[int, ...], ...]:
-        """Incidence structure only; the pattern->rank table hangs off this."""
-        return self.max_cones
-
 
 @dataclass(frozen=True)
 class ToricDivisor:
@@ -94,19 +89,12 @@ def p2_fan() -> ToricFan:
     return ToricFan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 
 
-def hirzebruch_fan(e: int, negative_section_up: bool = True) -> ToricFan:
-    """Fan of F_e.  The ray at index 1 is always the (-e)-section and the
-    ray at index 0 a fiber; `negative_section_up` picks which of (0,1),
-    (0,-1) plays the section role (the two choices are exchanged by the
-    lattice reflection (x, y) -> (x, -y) and must give identical answers).
-    """
+def hirzebruch_fan(e: int) -> ToricFan:
+    """Fan of F_e.  The ray at index 1, (0, 1), is the (-e)-section and the
+    ray at index 0 a fiber."""
     if e < 0:
         raise ValueError(f"e must be >= 0, got {e}")
-    if negative_section_up:
-        rays = ((1, 0), (0, 1), (-1, e), (0, -1))
-    else:
-        rays = ((1, 0), (0, -1), (-1, -e), (0, 1))
-    return ToricFan(rays, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    return ToricFan(((1, 0), (0, 1), (-1, e), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
 
 
 def fan_for(surface: surfaces.SurfaceModel) -> ToricFan:
@@ -236,7 +224,7 @@ def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVecto
     bits = tuple(
         u[0] * m[0] + u[1] * m[1] >= -a for u, a in zip(fan.rays, t.coeffs)
     )
-    hs = _pattern_cohomology(fan.cone_key, bits)
+    hs = _pattern_cohomology(fan.max_cones, bits)
     return CohVector(hs[0], hs[1], hs[2] if len(hs) > 2 else 0)
 
 
@@ -348,7 +336,7 @@ def _pattern_counts(fan: ToricFan, t: ToricDivisor, box: int) -> dict[tuple[bool
 def _box_totals(fan: ToricFan, t: ToricDivisor, box: int) -> tuple[int, int, int]:
     totals = [0, 0, 0]
     for bits, count in _pattern_counts(fan, t, box).items():
-        hs = _pattern_cohomology(fan.cone_key, bits)
+        hs = _pattern_cohomology(fan.max_cones, bits)
         for i in range(3):
             totals[i] += count * hs[i]
     return tuple(totals)

@@ -1,8 +1,9 @@
+import re
 from dataclasses import fields
 
 import pytest
 
-from k3carpets import battery, cli
+from k3carpets import battery, carpets, cli
 from k3carpets.carpets import (
     EmbeddingData,
     abstract_carpet_dim,
@@ -11,6 +12,7 @@ from k3carpets.carpets import (
     embedded_carpet_h0,
     hilbert_report,
 )
+from k3carpets.exact_seq import CohInterval, InconsistencyError, LesInstance
 from k3carpets.line_cohomology import coh
 from k3carpets.surfaces import canonical_class, hirzebruch, projective_plane
 
@@ -227,3 +229,132 @@ def test_hilbert_command_does_not_depend_on_N(capsys):
         outputs.append([line for line in lines if not line.startswith("ambient_n ")])
     assert outputs[0] == outputs[1]
     assert "verdict                 : SMOOTH" in outputs[0]
+
+
+def test_embedding_rejects_a_non_integer_ambient_dimension():
+    f2 = hirzebruch(2)
+    for bad in (11.0, "11", True, None):
+        message = f"ambient dimension N must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EmbeddingData(f2, f2.divisor(2, 5), bad)
+    assert EmbeddingData(f2, f2.divisor(2, 5), 11).n_plus_1 == 12
+
+
+# Every consistency check of `carpets`, each hit by perturbing one derived
+# term: `carpets.propagate` feeds the single-sequence reads, `carpets.chain`
+# the Hilbert table.
+
+def _widened(iv):
+    return CohInterval(iv.lo, tuple(h + 1 for h in iv.hi))
+
+
+def _shifted(iv):
+    chi = None if iv.chi is None else iv.chi + 1
+    return CohInterval((iv.lo[0] + 1, *iv.lo[1:]), (iv.hi[0] + 1, *iv.hi[1:]), chi)
+
+
+def _with_h1(iv):
+    return CohInterval.exact(iv.lo[0], 1, 0)
+
+
+def _perturb_propagate(monkeypatch, name, change):
+    real = carpets.propagate
+
+    def perturbed(seq):
+        out = real(seq)
+        terms = (change(t) if n == name else t for n, t in zip(out.names, (out.a, out.b, out.c)))
+        return LesInstance(*terms, out.names, out.label)
+
+    monkeypatch.setattr(carpets, "propagate", perturbed)
+
+
+def _perturb_chain(monkeypatch, name, change):
+    real = carpets.chain
+
+    def perturbed(seqs):
+        table = real(seqs)
+        table[name] = change(table[name])
+        return table
+
+    monkeypatch.setattr(carpets, "chain", perturbed)
+
+
+@pytest.mark.parametrize("surface, name", [(P2, "T⊗K"), (hirzebruch(3), "T⊗K")])
+def test_unforced_tangent_twist_is_an_inconsistency(monkeypatch, surface, name):
+    _perturb_propagate(monkeypatch, name, _widened)
+    with pytest.raises(InconsistencyError, match="^tangent-twist cohomology"):
+        abstract_carpet_dim(surface)
+
+
+@pytest.mark.parametrize("emb, name", [
+    (complete(P2, 4), "N⊗K"), (complete(hirzebruch(2), 2, 5), "push_N⊗K"),
+])
+def test_twisted_normal_bundle_checks(monkeypatch, emb, name):
+    with monkeypatch.context() as m:
+        _perturb_propagate(m, name, _widened)
+        with pytest.raises(InconsistencyError, match="^twisted normal-bundle cohomology"):
+            embedded_carpet_h0(emb)
+    _perturb_propagate(monkeypatch, name, _with_h1)
+    with pytest.raises(InconsistencyError, match="twisted normal"):
+        embedded_carpet_h0(emb)
+
+
+def test_minimal_degree_check(monkeypatch):
+    _perturb_propagate(monkeypatch, "push_N⊗K", lambda iv: CohInterval.exact(2, 0, 0))
+    with pytest.raises(InconsistencyError, match="^minimal-degree embedding"):
+        carpet_report(complete(hirzebruch(0), 1, 1))
+
+
+@pytest.mark.parametrize("surface", [P2, hirzebruch(4)])
+def test_unforced_branch_restriction_is_an_inconsistency(monkeypatch, surface):
+    _perturb_propagate(monkeypatch, "-2K|_C", _widened)
+    with pytest.raises(InconsistencyError, match="^h1 of the branch restriction"):
+        double_cover_k3_check(surface)
+
+
+_HILBERT_CASES = [complete(hirzebruch(0), 1, 1), complete(hirzebruch(3), 2, 8), complete(P2, 3)]
+
+
+_CLOSED_FORM_TERMS = [
+    ("H", "Hom-sheaf cohomology"),
+    ("H⊗K", "twisted Hom-sheaf cohomology"),
+    ("Nc_O", "carpet-normal restriction"),
+    ("Nc_K", "twisted carpet-normal restriction"),
+]
+
+
+@pytest.mark.parametrize("emb", _HILBERT_CASES)
+@pytest.mark.parametrize("name, change, phrase", [
+    ("N_S", _widened, "^surface normal-bundle cohomology"),
+    ("N_S", _with_h1, "surface normal"),  # h1 and h2 of N_S must vanish
+    *((name, change, "^" + phrase)
+      for name, phrase in _CLOSED_FORM_TERMS for change in (_widened, _shifted)),
+])
+def test_hilbert_closed_form_checks(monkeypatch, emb, name, change, phrase):
+    _perturb_chain(monkeypatch, name, change)
+    with pytest.raises(InconsistencyError, match=phrase):
+        hilbert_report(emb)
+
+
+@pytest.mark.parametrize("emb", _HILBERT_CASES)
+def test_hilbert_carpet_normal_checks(monkeypatch, emb):
+    with monkeypatch.context() as m:
+        _perturb_chain(m, "Nc", _shifted)
+        with pytest.raises(InconsistencyError, match="^chi of the carpet normal bundle"):
+            hilbert_report(emb)
+    _perturb_chain(monkeypatch, "Nc", lambda iv: CohInterval(iv.lo, (*iv.hi[:2], 1), iv.chi))
+    with pytest.raises(InconsistencyError, match="^h2 of the carpet normal bundle"):
+        hilbert_report(emb)
+
+
+@pytest.mark.parametrize("emb", [_HILBERT_CASES[0], _HILBERT_CASES[2]])
+def test_hilbert_smooth_verdict_checks(monkeypatch, emb):
+    expected = hilbert_report(emb).expected_smooth_dim
+    with monkeypatch.context() as m:
+        _perturb_chain(m, "Nc", lambda iv: CohInterval.exact(expected + 1, 1, 0))
+        with pytest.raises(InconsistencyError, match="^smooth verdict but h1"):
+            hilbert_report(emb)
+    _perturb_chain(monkeypatch, "Nc",
+                   lambda iv: CohInterval((expected - 1, 0, 0), (expected, 0, 0), expected))
+    with pytest.raises(InconsistencyError, match="^smooth verdict but h0"):
+        hilbert_report(emb)
