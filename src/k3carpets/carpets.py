@@ -285,7 +285,8 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     pol = embedding.polarization
     k = surfaces.canonical_class(surface)
 
-    n_plus_1 = lc.coh(surface, pol).h0 + lc.coh(surface, pol + k).h0
+    pol_coh = lc.coh(surface, pol)
+    n_plus_1 = pol_coh.h0 + lc.coh(surface, pol + k).h0
     normal_twist = _normal_twist_cohomology(surface, pol, n_plus_1)
     if normal_twist.h0 == 0:
         raise InvalidGeometryError(
@@ -297,7 +298,7 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     k2inv = lc.coh(surface, -2 * k)
     known = {
         "O": _exact(lc.coh(surface, 0 * k)),
-        "L^(N+1)": _exact(lc.coh(surface, pol).scaled(n_plus_1)),
+        "L^(N+1)": _exact(pol_coh.scaled(n_plus_1)),
         "N⊗K": _exact(normal_twist),
         "K_inv": _exact(kinv),
         "K_inv2": _exact(k2inv),

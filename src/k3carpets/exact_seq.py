@@ -21,15 +21,19 @@ is already exact on the path (Freuder 1982), and an Euler characteristic
 is constant iff no free block of ranks linked by forced dimensions moves
 it (the affine hull of a totally unimodular polytope is cut out by its
 implicit equalities; Schrijver 1986, section 8.2): at most 9 sweeps,
-whatever the magnitudes.  Otherwise a forward/backward DP over the rank
-chain makes the ranges exact; its state is r_k and the running Euler
-characteristic of the one watched term, or of two terms when two or more
-are watched, and it drops every state from which a watched value is out
-of reach.  For R the largest rank bound and X <= 3 H + 1 the values a
-running Euler characteristic can take, H the largest dimension bound,
-that is at most 9 (R + 1)^2 X DP edges with one watched and
-9 (R + 1)^2 X^2 with more.  Bounds that collapse (lo == hi) are forced;
-anything wider is honest partial knowledge.
+whatever the magnitudes.  The matrix of the nine dimensions and the three
+Euler characteristics as functions of the ranks is totally unimodular, so
+over the chains through a fixed rank the running Euler characteristic of
+the prefixes, or of the suffixes, fills an interval.  With one watched, a
+table of those intervals in each direction decides every rank and every
+pair of neighbouring ranks: at most 9 (R + 1)^2 pair tests for R the
+largest rank bound, whatever the values the Euler characteristic can
+take.  With two or more, a forward/backward DP whose state is the rank
+and one running Euler characteristic carries only the interval of a
+second: at most 9 (R + 1)^2 X edges, X <= 3 H + 1 the values a running
+Euler characteristic can take and H the largest dimension bound.  Bounds
+that collapse (lo == hi) are forced; anything wider is honest partial
+knowledge.
 `chain` runs several sequences that share named terms to a common fixed
 point with a worklist indexed by term name: a step that narrows a name
 queues the sequences using it, so a sequence is propagated again only when
@@ -49,6 +53,8 @@ _CHI_STEPS = ((1, 0), (0, 0), (0, 1), (-1, 0), (0, 0), (0, -1), (1, 0), (0, 0), 
 # The chi of terms A, B and C on a complete chain, as coefficients of
 # (chi_A, chi_C): chi_B = chi_A + chi_C by exactness.
 _FORMS = ((1, 0), (1, 1), (0, 1))
+# Change in the running chi of each form per unit of t_k.
+_STEPS = {form: tuple(form[0] * da + form[1] * dc for da, dc in _CHI_STEPS) for form in _FORMS}
 
 
 class InconsistencyError(ValueError):
@@ -261,9 +267,21 @@ def propagate(seq: LesInstance) -> LesInstance:
     Each dimension's returned range is the exact min/max over all rank
     chains r_1..r_8 compatible with the bounds and chi constraints, and a
     term whose Euler characteristic is constant over them gets its chi
-    pinned.  A fixed chi on a term the input does not pin is *watched*: it
+    pinned; a term that comes out unchanged is returned as the input
+    object.  A fixed chi on a term the input does not pin is *watched*: it
     ties ranks far apart on the path of constraints t_k = r_k + r_{k+1}.
-    The work depends on how many are watched:
+
+    Exactness rests on one fact: the 12 x 8 matrix whose rows are t_0..t_8
+    and chi_A, chi_B, chi_C as functions of r_1..r_8 is totally unimodular
+    (Ghouila-Houri's column-bicolouring criterion, checked on all 255
+    column subsets by `test_rank_and_chi_matrix_is_totally_unimodular` in
+    tests/test_exact_seq.py).  So bounds on the ranks and the t_k, fixed
+    ranks and fixed values of up to two chi cut out integral polytopes
+    (Hoffman and Kruskal 1956; Schrijver 1986, "Theory of linear and
+    integer programming", section 19), and on their integer points a rank,
+    a chi or a running chi over a prefix or a suffix of the path takes
+    every integer value between its min and its max.  The work depends on
+    how many chi are watched:
 
     - none: the sweep of `_rank_bounds` is exact on the path (Freuder 1982,
       "A sufficient condition for backtrack-free search"), so t_k ranges
@@ -271,47 +289,65 @@ def propagate(seq: LesInstance) -> LesInstance:
       and `_constant_chis` reads the chi off the forced ranks and t_k
       (Schrijver 1986, section 8.2): at most 9 sweeps whatever the
       magnitudes;
-    - one: `_chi_dp` over states (r_k, that running chi), each carrying the
-      min and max of one other running chi: at most 9 (R + 1)^2 X edges;
-    - two or more: `_chi_dp` over states (r_k, two running chi), which fix
-      the third: at most 9 (R + 1)^2 X^2 edges;
-
-    for R the largest rank bound and X <= 3 H + 1 the values a running chi
-    can take, H the largest dimension bound."""
+    - one: `_one_watched` keeps a rank, or an edge (r_k, r_{k+1}), iff the
+      target lies in the sum of the running-chi intervals of the prefixes
+      and the suffixes meeting there, and `_constant_chis` with the
+      watched row decides the other two chi: at most 9 (R + 1)^2 edge
+      tests, for R the largest rank bound, whatever the values the chi can
+      take;
+    - two or more: `_two_watched`, a DP over states (r_k, the first
+      running chi), each carrying the interval of the second: at most
+      9 (R + 1)^2 X edges, for X <= 3 H + 1 the values the first running
+      chi can take and H the largest dimension bound."""
     lo, hi, r_lo, r_hi = _rank_bounds(seq)
     # a term the input pins has its chi on every chain within the bounds;
     # the fixed chi of the others are watched
     watched = {_FORMS[term]: iv.chi for term, iv in enumerate((seq.a, seq.b, seq.c))
                if iv.chi is not None and not iv.is_forced_all()}
-    if watched:
-        t_min, t_max, known = _chi_dp(seq, lo, hi, r_lo, r_hi, watched)
+    if len(watched) > 1:
+        t_min, t_max = _two_watched(seq, lo, hi, r_lo, r_hi, watched)
+        known = watched
     else:
-        t_min = [max(l, r_lo[k] + r_lo[k + 1]) for k, l in enumerate(lo)]
-        t_max = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
-        known = _constant_chis(lo, r_lo, r_hi, t_min, t_max)
+        if watched:
+            r_lo, r_hi, t_min, t_max, ranks = _one_watched(seq, lo, hi, r_lo, r_hi, watched)
+        else:
+            t_min = [max(l, r_lo[k] + r_lo[k + 1]) for k, l in enumerate(lo)]
+            t_max = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
+            ranks = [0]  # greedy; the sweep is exact, so it never gets stuck
+            for k in range(9):
+                ranks.append(max(r_lo[k + 1], lo[k] - ranks[k]))
+        known = _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched)
     a, b, c = (known.get(form) for form in _FORMS)
     if [a, b, c].count(None) == 1:  # chi_B = chi_A + chi_C fixes the third
         a, b, c = (b - c if a is None else a, a + c if b is None else b,
                    b - a if c is None else c)
-    terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]), chi)
-             for i, chi in enumerate((a, b, c)))
+    terms = []
+    for i, (iv, chi) in enumerate(zip((seq.a, seq.b, seq.c), (a, b, c))):
+        term_lo, term_hi = tuple(t_min[i::3]), tuple(t_max[i::3])
+        terms.append(iv if term_lo == iv.lo and term_hi == iv.hi and chi == iv.chi
+                     else CohInterval(term_lo, term_hi, chi))
     return LesInstance(*terms, seq.names, seq.label)
 
 
-def _constant_chis(lo, r_lo, r_hi, t_min, t_max) -> dict[tuple[int, int], int]:
-    """The chi of each term that is constant over the rank chains within
-    the bounds, keyed by its form in `_FORMS`, when no chi is watched.
+def _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched) -> dict[tuple[int, int], int]:
+    """The chi of each term, keyed by its form in `_FORMS`, that is
+    constant over the rank chains within the bounds that meet the watched
+    chi ({form: chi}, at most one), given exact ranges r_lo..r_hi and
+    t_min..t_max over those chains and one of them, `ranks`.
 
-    The chains are the integer points of a polytope with a totally
-    unimodular matrix, so their affine hull is the polytope's, cut out by
-    its implicit equalities (Schrijver 1986, "Theory of linear and integer
-    programming", section 8.2): the forced ranks and the forced t_k.  Its
-    directions are spanned by one move per block r_s..r_e of free ranks
-    linked by forced t_s..t_{e-1}: raise r_s, r_{s+2}, ... and lower
-    r_{s+1}, r_{s+3}, ... by one.  Inside the block every t stays put, so
-    the move changes only t_{s-1} (by 1) and t_e (by (-1)^(e-s)).  A chi
-    is constant iff no move changes it, and then it has its value at a
-    greedy feasible chain."""
+    With the bounds tightened to those ranges the chains are the integer
+    points of a polytope with a totally unimodular matrix (see
+    `propagate`), so their affine hull is the polytope's, cut out by its
+    implicit equalities (Schrijver 1986, section 8.2): the forced ranks,
+    the forced t_k and the watched chi.  The first two leave one move per
+    block r_s..r_e of free ranks linked by forced t_s..t_{e-1}: raise r_s,
+    r_{s+2}, ... and lower r_{s+1}, r_{s+3}, ... by one.  Inside the block
+    every t stays put, so the move changes only t_{s-1} (by 1) and t_e (by
+    (-1)^(e-s)).  With a_i and b_i what move i adds to the watched chi and
+    to another, the hull's directions are the sums of lambda_i times move
+    i with sum lambda_i a_i = 0, and the other chi is constant iff b is a
+    multiple of a (zero when nothing is watched); then it has its value at
+    `ranks`."""
     moves, k = [], 1
     while k < 9:
         start = k
@@ -320,126 +356,232 @@ def _constant_chis(lo, r_lo, r_hi, t_min, t_max) -> dict[tuple[int, int], int]:
                 k += 1
             moves.append((start - 1, k, (-1) ** (k - start)))
         k += 1
-    ranks = [0]
-    for k in range(9):
-        ranks.append(max(r_lo[k + 1], lo[k] - ranks[k]))
-    known = {}
+
+    def changes(steps):
+        return [steps[first] + sign * steps[last] for first, last, sign in moves]
+
+    known = dict(watched)
+    a = changes(_STEPS[next(iter(watched))]) if watched else [0] * len(moves)
+    pivot = next((i for i, a_i in enumerate(a) if a_i), None)
     for form in _FORMS:
-        steps = [form[0] * da + form[1] * dc for da, dc in _CHI_STEPS]
-        if all(steps[first] + sign * steps[last] == 0 for first, last, sign in moves):
+        if form in known:
+            continue
+        steps = _STEPS[form]
+        b = changes(steps)
+        if (not any(b) if pivot is None
+                else all(a_i * b[pivot] == b_i * a[pivot] for a_i, b_i in zip(a, b))):
             known[form] = sum(w * (ranks[k] + ranks[k + 1]) for k, w in enumerate(steps))
     return known
 
 
 def _suffix_ranges(seq, lo, hi, r_lo, r_hi, steps):
-    """reach[k][r] = (min, max) of what t_k..t_8 can still add to the
-    running sum of steps[j] t_j, from r_k = r (no entry: no completion).
+    """reach[k] = (first, low, high, down, up): what t_k..t_8 can still add
+    to the running sum of steps[j] t_j from r_k = first + i lies in
+    [low[i], high[i]], and the r_k with a completion are exactly
+    first .. first + len(low) - 1.  down[i] and up[i] add steps[k-1] r_k,
+    the share of r_k in the term of t_{k-1} (None at k = 0).
 
     The completions are the integer points of a polytope with a totally
-    unimodular matrix, so a linear min (max) over them is the LP's, convex
-    (concave) in r, and a step's entries form an interval.  An extreme over
-    the window of r_{k+1} that t_k allows thus sits at the overall extreme
-    clamped into it: O(R) work a step."""
-    reach: list[dict[int, tuple[int, int]]] = [{} for _ in range(9)]
-    reach.append({0: (0, 0)})
+    unimodular matrix (see `propagate`), so a linear min (max) over them
+    is the LP's, convex (concave) in r, and the r with a completion form
+    an interval.  An extreme over the window of r_{k+1} that t_k allows
+    thus sits at the overall extreme clamped into it: O(R) work a step."""
+    reach = [None] * 10
+    first, low, high = 0, [0], [0]
     for k in range(8, -1, -1):
-        w, after, out = steps[k], reach[k + 1], reach[k]
-        if not after:
+        # offsets q - first of r_{k+1} = q: 0 .. n, and t_k's window t_lo - r .. t_hi - r
+        w, t_lo, t_hi, n = steps[k], lo[k] - first, hi[k] - first, len(low) - 1
+        if w:
+            down = [w * q + v for q, v in enumerate(low, first)]
+            up = [w * q + v for q, v in enumerate(high, first)]
+        else:
+            down, up = low, high
+        reach[k + 1] = (first, low, high, down, up)
+        m = down.index(min(down)) if n else 0
+        M = up.index(max(up)) if n else 0
+        start, stop = t_lo - n, t_hi
+        if start < r_lo[k]:
+            start = r_lo[k]
+        if stop > r_hi[k]:
+            stop = r_hi[k]
+        if start > stop:
             raise _infeasible(seq)
-        first, last = min(after), max(after)
-        q_min = min(after, key=lambda q: w * q + after[q][0])
-        q_max = max(after, key=lambda q: w * q + after[q][1])
-        for r in range(r_lo[k], r_hi[k] + 1):
-            a, b = max(first, lo[k] - r), min(last, hi[k] - r)
-            if a <= b:
-                qa = a if q_min < a else b if q_min > b else q_min
-                qb = a if q_max < a else b if q_max > b else q_max
-                out[r] = (w * (r + qa) + after[qa][0], w * (r + qb) + after[qb][1])
+        low, high = [], []
+        for r in range(start, stop + 1):
+            a, b = t_lo - r, t_hi - r
+            if a < 0:
+                a = 0
+            if b > n:
+                b = n
+            low.append(w * r + down[a if m < a else b if m > b else m])
+            high.append(w * r + up[a if M < a else b if M > b else M])
+        first = start
+    reach[0] = (first, low, high, None, None)
     return reach
 
 
-def _chi_dp(seq, lo, hi, r_lo, r_hi, watched):
-    """Exact t ranges and the constant chi, keyed by form, over the rank
-    chains that meet every watched chi ({form: chi}, form in `_FORMS`).
+def _prefix_ranges(seq, lo, hi, r_lo, r_hi, steps):
+    """reach[k] = (first, low, high, down, up): what t_0..t_{k-1} add to the
+    running sum of steps[j] t_j on the way to r_k = first + i lies in
+    [low[i], high[i]], and down[i] and up[i] add steps[k] r_k, the share of
+    r_k in the term of t_k (None at k = 9): `_suffix_ranges` on the
+    reversed path."""
+    return _suffix_ranges(seq, lo[::-1], hi[::-1], r_lo[::-1], r_hi[::-1], steps[::-1])[::-1]
 
-    A forward/backward DP over r_0..r_9 whose state is r_k and the running
-    values of one watched chi, or of the first two in A, B, C order when
-    two or more are watched (the third is then their sum or difference on
-    every chain).  It drops every state from which a watched chi is out of
-    reach.  With one watched, each state also carries the min and max of
-    one other running chi, chi_C if A is watched and chi_A otherwise,
-    which decides whether the two unwatched chi are constant."""
-    forms = list(watched)[:2]
-    targets = [watched[f] for f in forms]
-    steps = [tuple(fa * da + fc * dc for fa, fc in forms) for da, dc in _CHI_STEPS]
 
-    reach = [_suffix_ranges(seq, lo, hi, r_lo, r_hi, [w[j] for w in steps])
-             for j in range(len(forms))]
+def _one_watched(seq, lo, hi, r_lo, r_hi, watched):
+    """Exact ranges r_lo, r_hi, t_min and t_max over the rank chains that
+    meet the one watched chi ({form: chi}), and one such chain.
 
-    # Forward: edges[k] maps each state reached by t_k = r_k + r_{k+1} from
-    # which every watched chi is within reach to the states it is reached
-    # from; with one watched, spans[state] = (min, max) of the other running
-    # chi over the prefixes that reach it.
-    other_form = (0, 1) if forms[0] == (1, 0) else (1, 0)
-    other = [other_form[0] * da + other_form[1] * dc for da, dc in _CHI_STEPS]
-    layer = {(0,) * (1 + len(forms)): None}
-    spans = {(0, 0): (0, 0)}
-    edges = []
+    By total unimodularity (see `propagate`) the running chi over the
+    prefixes ending at r_k = r fill an interval, `_prefix_ranges`; over
+    the suffixes starting there another, `_suffix_ranges`; and the two are
+    independent given r.  So r_k = r is on a chain meeting the target iff
+    the target lies in the sum of the two, and the edge
+    (r_k, r_{k+1}) = (r, q) iff it lies in
+    prefix(r) + w_k (r + q) + suffix(q).  For a kept r the kept q form an
+    interval (the values of r_{k+1} on a section of an integral polytope),
+    so the least and the greatest t_k = r + q are each found by one scan
+    from an end of the window of t_k that stops at the first kept q, or
+    where it could no longer beat the best found so far: at most
+    9 (R + 1)^2 edge tests, whatever the values the chi can take.  The
+    chain is walked the same way, with the one prefix value it has."""
+    ((form, target),) = watched.items()
+    steps = _STEPS[form]
+    before = _prefix_ranges(seq, lo, hi, r_lo, r_hi, steps)
+    after = _suffix_ranges(seq, lo, hi, r_lo, r_hi, steps)
+    r_lo, r_hi = [0], [0]
+    for k in range(1, 9):
+        p, p_low, p_high, _, _ = before[k]
+        s, s_low, s_high, _, _ = after[k]
+        kept = [r for r in range(max(p, s), min(p + len(p_low), s + len(s_low)))
+                if p_low[r - p] + s_low[r - s] <= target <= p_high[r - p] + s_high[r - s]]
+        if not kept:
+            raise _infeasible(seq)
+        r_lo.append(kept[0])
+        r_hi.append(kept[-1])
+    r_lo.append(0)
+    r_hi.append(0)
+
+    t_min, t_max, ranks, x = [], [], [0], 0
     for k in range(9):
-        reached: dict[tuple[int, ...], list] = {}
-        low, high, t_low, t_high = r_lo[k + 1], r_hi[k + 1], lo[k], hi[k]
-        g = reach[0][k + 1]
-        if len(forms) == 1:
-            (w,), o, (target,) = steps[k], other[k], targets
-            merged = {}
-            for state in layer:
-                r, x = state
-                a, b = spans[state]
-                for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
-                    t = r + r_next
-                    dst, low_o, high_o = (r_next, x + w * t), a + o * t, b + o * t
-                    if dst in reached:
-                        reached[dst].append(state)
-                        span = merged[dst]
-                        if low_o < span[0]:
-                            span[0] = low_o
-                        if high_o > span[1]:
-                            span[1] = high_o
+        w, t_lo, t_hi, q_lo, q_hi = steps[k], lo[k], hi[k], r_lo[k + 1], r_hi[k + 1]
+        # (r, q) is kept iff p_down[r - p] + down[q - s] <= target <= p_up[r - p] + up[q - s]
+        p, _, _, p_down, p_up = before[k]
+        s, _, _, down, up = after[k + 1]
+        least, most = t_hi + 1, t_lo - 1
+        for r in range(r_lo[k], r_hi[k] + 1):
+            above, below = target - p_down[r - p], target - p_up[r - p]
+            a, b = t_lo - r, t_hi - r  # the window of q, met with the kept ranks
+            if a < q_lo:
+                a = q_lo
+            if b > q_hi:
+                b = q_hi
+            for j in range(a - s, (b if b < least - r else least - r - 1) - s + 1):
+                if down[j] <= above and up[j] >= below:
+                    least = r + s + j
+                    break
+            for j in range(b - s, (a if a > most - r else most - r + 1) - s - 1, -1):
+                if down[j] <= above and up[j] >= below:
+                    most = r + s + j
+                    break
+        t_min.append(least)
+        t_max.append(most)
+        r = ranks[k]
+        left, j = target - x - w * r, (t_lo - r if t_lo - r > q_lo else q_lo) - s
+        while not down[j] <= left <= up[j]:
+            j += 1
+        ranks.append(s + j)
+        x += w * (r + s + j)
+    return r_lo, r_hi, t_min, t_max, ranks
+
+
+def _two_watched(seq, lo, hi, r_lo, r_hi, watched):
+    """Exact t ranges over the rank chains that meet two or more watched
+    chi ({form: chi}); the first two in A, B, C order fix the third.
+
+    A forward pass over states (r_k, x), x the running value of the first
+    watched chi, stores its edges; each state carries the [min, max] of
+    the running second chi over the prefixes that reach it.  A state is
+    dropped when the first chi is out of reach from it (`_suffix_ranges`),
+    or when no value in its interval plus what the rest of the path can
+    add to the second chi meets that target.  A backward pass over the
+    stored edges carries the [min, max] of what the rest of the path adds
+    to the second chi, and keeps an edge iff the target lies in the
+    forward interval of its source + v_k t_k + the backward interval of
+    its end.  Each interval lies inside the gap-free set (see `propagate`)
+    of the values over all prefixes reaching its state, or all completions
+    leaving it, and holds the value of every chain through the state that
+    meets both targets, so the edge test is exact."""
+    (f1, f2), (target, target2) = list(watched)[:2], list(watched.values())[:2]
+    steps, steps2 = _STEPS[f1], _STEPS[f2]
+    reach = _suffix_ranges(seq, lo, hi, r_lo, r_hi, steps)
+    reach2 = _suffix_ranges(seq, lo, hi, r_lo, r_hi, steps2)
+
+    # layers[k]: each kept state at r_k -> [min, max of the running second
+    # chi, the states at r_{k-1} it is reached from]
+    layers = [{(0, 0): [0, 0, None]}]
+    for k in range(9):
+        w, v = steps[k], steps2[k]
+        # both tables have the r_{k+1} = first + j with a completion, j = 0 .. n
+        first, _, _, down, up = reach[k + 1]
+        _, low2, high2, _, _ = reach2[k + 1]
+        t_lo, t_hi, n = lo[k] - first, hi[k] - first, len(down) - 1
+        layer: dict[tuple[int, int], list] = {}
+        for state, (y_lo, y_hi, _) in layers[-1].items():
+            r, x = state
+            left, a, b = target - x - w * r, t_lo - r, t_hi - r
+            if a < 0:
+                a = 0
+            if b > n:
+                b = n
+            for j in range(a, b + 1):
+                if down[j] <= left <= up[j]:  # the first chi is still within reach
+                    t = r + first + j
+                    dst, c, d = (first + j, x + w * t), y_lo + v * t, y_hi + v * t
+                    entry = layer.get(dst)
+                    if entry is None:
+                        layer[dst] = [c, d, [state]]
                     else:
-                        reached[dst] = [state]
-                        merged[dst] = [low_o, high_o]
-            layer = {s: srcs for s, srcs in reached.items()
-                     if (e := g.get(s[0])) and e[0] <= target - s[1] <= e[1]}
-            spans = merged
-        else:
-            (w, v), (target, target2), g2 = steps[k], targets, reach[1][k + 1]
-            for state in layer:
-                r, x, y = state
-                for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
-                    t = r + r_next
-                    reached.setdefault((r_next, x + w * t, y + v * t), []).append(state)
-            layer = {s: srcs for s, srcs in reached.items()
-                     if (e := g.get(s[0]))
-                     and e[0] <= target - s[1] <= e[1]
-                     and (f := g2[s[0]])[0] <= target2 - s[2] <= f[1]}
+                        if c < entry[0]:
+                            entry[0] = c
+                        if d > entry[1]:
+                            entry[1] = d
+                        entry[2].append(state)
+        layer = {dst: entry for dst, entry in layer.items()
+                 if low2[(j := dst[0] - first)] + entry[0] <= target2 <= high2[j] + entry[1]}
         if not layer:
             raise _infeasible(seq)
-        edges.append(layer)
-    # at r_9 = 0 nothing is left to add, so the one kept state meets every
-    # watched chi exactly; backward over the surviving edges
-    known = dict(watched)
-    if len(forms) == 1:
-        (final,) = layer
-        a, b = spans[final]
-        if a == b:
-            known[other_form] = a
-    alive = list(layer)
+        layers.append(layer)
+
+    # at r_9 = 0 nothing is left to add: the one kept state meets the first
+    # chi, and its interval holds the second
+    back = {state: (0, 0) for state in layers[-1]}
     t_min, t_max = [0] * 9, [0] * 9
     for k in range(8, -1, -1):
-        ts = [src[0] + dst[0] for dst in alive for src in edges[k][dst]]
-        t_min[k], t_max[k] = min(ts), max(ts)
-        alive = {src for dst in alive for src in edges[k][dst]}
-    return t_min, t_max, known
+        v, forward, into = steps2[k], layers[k], layers[k + 1]
+        least, most, earlier = inf, -inf, {}
+        for dst, (z_lo, z_hi) in back.items():
+            for src in into[dst][2]:
+                t = src[0] + dst[0]
+                a, b = v * t + z_lo, v * t + z_hi
+                entry = forward[src]
+                if entry[0] + a <= target2 <= entry[1] + b:
+                    if t < least:
+                        least = t
+                    if t > most:
+                        most = t
+                    span = earlier.get(src)
+                    if span is None:
+                        earlier[src] = [a, b]
+                    else:
+                        if a < span[0]:
+                            span[0] = a
+                        if b > span[1]:
+                            span[1] = b
+        t_min[k], t_max[k] = least, most
+        back = earlier
+    return t_min, t_max
 
 
 def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:

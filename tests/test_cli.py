@@ -298,9 +298,9 @@ def test_sweep_computes_h0_once_per_polarization(monkeypatch):
     calls = _counting(monkeypatch, line_cohomology, "coh")
     code, text = run("sweep", "--e", "2..2", "--a", "2..2", "--db", "1..1", "--extra", "0..5")
     assert code == 0 and text.strip().endswith("6 rows")
-    # one for the h0 column, one per row's N + 1 >= h0 check, two in the Hilbert report
+    # one for the h0 column, one per row's N + 1 >= h0 check, one in the Hilbert report
     assert sum(args == (surfaces.hirzebruch(2), surfaces.hirzebruch(2).divisor(2, 5))
-               for args in calls) == 9
+               for args in calls) == 8
 
 
 def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from k3carpets import battery, carpets, exact_seq
 from k3carpets.exact_seq import (
     _CHI_STEPS,
+    _FORMS,
     CohInterval,
     InconsistencyError,
     LesInstance,
@@ -182,9 +184,11 @@ def test_wide_infeasible_instance_is_decided_promptly():
     # the first, narrowing the bounds a few units a round; the chi-pruned DP
     # refutes it in the first step of its forward pass.  The second (chi_A
     # and chi_B watched, ranks about 10^3 wide; even its LP relaxation is
-    # infeasible) exhausts 2 GB when the DP tracks chi_A and chi_C; tracking
-    # chi_B itself, whose suffix range is tighter than the sum of those of
-    # chi_A and chi_C, refutes it within a few steps.
+    # infeasible) exhausts 2 GB when a DP tracks the running chi_A and chi_C
+    # in its state, and does not answer within 90 s when it tracks chi_A and
+    # only the interval of chi_B; dropping the states whose chi_B interval
+    # misses what the rest of the path can add refutes it within a few
+    # steps.
     seqs = [
         LesInstance(
             CohInterval((653, 987, 364), (None, None, 969), 21),
@@ -202,6 +206,72 @@ def test_wide_infeasible_instance_is_decided_promptly():
         with pytest.raises(InconsistencyError):
             propagate(seq)
         assert time.perf_counter() - start < 5.0
+
+
+def test_one_watched_chi_with_wide_ranks_answers_promptly():
+    # ranks up to about 1,700 wide and thousands of running-chi values: a DP
+    # whose state holds the rank and the running chi_B did not answer within
+    # 100 s; the interval tables over prefixes and suffixes hold no chi
+    # values.  The ranges were cross-checked against a MILP solver, which
+    # also finds chi_A and chi_C free.
+    seq = LesInstance(
+        CohInterval((30, 465, 313), (None, 577, 578)),
+        CohInterval((396, 945, 980), (None, None, None), -350),
+        CohInterval((746, 935, 537), (906, 1723, 1218)),
+    )
+    start = time.perf_counter()
+    res = propagate(seq)
+    elapsed = time.perf_counter() - start
+    assert [(term.lo[d], term.hi[d]) for d in range(3) for term in (res.a, res.b, res.c)] == [
+        (30, 224), (396, 970), (746, 906), (465, 577), (1726, 2300), (1529, 1723),
+        (313, 578), (980, 1174), (537, 861)]
+    assert (res.a.chi, res.b.chi, res.c.chi) == (None, -350, None)
+    assert elapsed < 1.0
+
+
+def test_unchanged_terms_are_returned_as_given():
+    seq = LesInstance(exact(1, 0, 0), CohInterval.unknown(), exact(0, 0, 1))
+    res = propagate(seq)
+    assert res.a is seq.a and res.c is seq.c
+    assert res.b.forced_values() == (1, 0, 1)
+    again = propagate(res)
+    assert all(x is y for x, y in zip((again.a, again.b, again.c), (res.a, res.b, res.c)))
+    # a pinned term without its chi comes back with it, as a new object
+    bare = CohInterval((1, 0, 0), (1, 0, 0))
+    res = propagate(LesInstance(bare, CohInterval.unknown(), exact(0, 0, 1)))
+    assert res.a is not bare and res.a == exact(1, 0, 0)
+
+
+def _ghouila_houri(matrix) -> bool:
+    """Ghouila-Houri's criterion (C. R. Acad. Sci. Paris 254, 1962): a
+    matrix is totally unimodular iff every subset of its columns can be
+    signed so that every row sums to -1, 0 or 1 over it.  The first
+    column's sign is free, so it stays +1."""
+    columns = list(zip(*matrix))
+    for size in range(1, len(columns) + 1):
+        for subset in combinations(columns, size):
+            if not any(all(-1 <= sum(row) <= 1 for row in zip(*(
+                    [sign * v for v in column] for sign, column in zip((1, *signs), subset))))
+                    for signs in product((1, -1), repeat=size - 1)):
+                return False
+    return True
+
+
+def test_rank_and_chi_matrix_is_totally_unimodular():
+    # the certificate behind `propagate`: the nine rows t_k = r_k + r_{k+1}
+    # and the three chi rows, over r_1..r_8 (r_0 = r_9 = 0); r_j enters
+    # t_{j-1} and t_j
+    path = [[1 if j in (k, k + 1) else 0 for j in range(1, 9)] for k in range(9)]
+    steps = [[form[0] * da + form[1] * dc for da, dc in _CHI_STEPS] for form in _FORMS]
+    chis = [[s[j - 1] + s[j] for j in range(1, 9)] for s in steps]
+    assert chis == [[1, 0, -1, -1, 0, 1, 1, 0], [1, 1, 0, -1, -1, 0, 1, 1],
+                    [0, 1, 1, 0, -1, -1, 0, 1]]
+    assert _ghouila_houri(path + chis)
+    # the criterion rejects what it must: an odd cycle (determinant 2), and
+    # the path with a row t_0 + t_2 = r_1 + r_2 + r_3 and chi_A, which on
+    # the columns r_1 and r_3 have determinant -2
+    assert not _ghouila_houri([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert not _ghouila_houri(path + [[1, 1, 1, 0, 0, 0, 0, 0], chis[0]])
 
 
 def test_idempotence():
@@ -519,21 +589,26 @@ def test_all_bounded_triples_answer_in_bounded_time(n, chi):
         assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("watched", [None, 0, 1])
+@pytest.mark.parametrize("watched", [None, 0, 1, pytest.param((0, 1), id="AB"),
+                                     pytest.param((0, 2), id="AC"),
+                                     pytest.param((1, 2), id="BC"),
+                                     pytest.param((0, 1, 2), id="ABC")])
 def test_wide_triples_answer_promptly(watched):
-    # [0, 40]^3 on every term, chi = 0 on none, on A or on B: without a
-    # watched chi nothing but the sweep runs, with one the DP tracks one
-    # running chi, not two
-    terms = [CohInterval((0, 0, 0), (40, 40, 40))] * 3
-    if watched is not None:
-        terms[watched] = CohInterval((0, 0, 0), (40, 40, 40), 0)
+    # [0, 40]^3 on every term, chi = 0 on none, on A, on B, or on two or
+    # three terms: without a watched chi nothing but the sweep runs, with
+    # one the interval tables hold no chi values, and with more the DP
+    # tracks one running chi and carries only the interval of another
+    watched = () if watched is None else (watched,) if isinstance(watched, int) else watched
+    terms = [CohInterval((0, 0, 0), (40, 40, 40), 0 if i in watched else None)
+             for i in range(3)]
     start = time.perf_counter()
     res = propagate(LesInstance(*terms))
     elapsed = time.perf_counter() - start
     for i, term in enumerate((res.a, res.b, res.c)):
         assert term.lo == (0, 0, 0) and term.hi == (40, 40, 40)
-        assert term.chi == (0 if i == watched else None)
-    assert elapsed < 1.0
+        # two fixed chi fix the third by additivity
+        assert term.chi == (0 if i in watched or len(watched) > 1 else None)
+    assert elapsed < (1.0 if len(watched) < 2 else 2.0)
 
 
 def _enumerated(seq: LesInstance) -> LesInstance:
@@ -638,6 +713,136 @@ def _full_state_dp(seq: LesInstance) -> LesInstance:
                          min(seen) if len(seen) == 1 else None)
              for i, seen in enumerate(chi_seen))
     return LesInstance(*terms, seq.names, seq.label)
+
+
+def _running_chi_dp(seq: LesInstance) -> LesInstance:
+    """Third reference for `propagate` when a chi is watched: a
+    forward/backward DP whose state holds the rank and the running value of
+    one watched chi, or of two (its work grows with the values a running
+    chi can take, so for moderate instances)."""
+    lo, hi, r_lo, r_hi = _rank_bounds(seq)
+    watched = {_FORMS[term]: iv.chi for term, iv in enumerate((seq.a, seq.b, seq.c))
+               if iv.chi is not None and not iv.is_forced_all()}
+    t_min, t_max, known = _chi_dp(seq, lo, hi, r_lo, r_hi, watched)
+    a, b, c = (known.get(form) for form in _FORMS)
+    if [a, b, c].count(None) == 1:  # chi_B = chi_A + chi_C fixes the third
+        a, b, c = (b - c if a is None else a, a + c if b is None else b,
+                   b - a if c is None else c)
+    terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]), chi)
+             for i, chi in enumerate((a, b, c)))
+    return LesInstance(*terms, seq.names, seq.label)
+
+
+def _suffix_table(seq, lo, hi, r_lo, r_hi, steps):
+    """reach[k][r] = (min, max) of what t_k..t_8 can still add to the
+    running sum of steps[j] t_j, from r_k = r (no entry: no completion):
+    `_suffix_ranges` with one dict a level, the form `_chi_dp` reads.
+
+    The completions are the integer points of a polytope with a totally
+    unimodular matrix, so a linear min (max) over them is the LP's, convex
+    (concave) in r, and a step's entries form an interval.  An extreme over
+    the window of r_{k+1} that t_k allows thus sits at the overall extreme
+    clamped into it: O(R) work a step."""
+    reach: list[dict[int, tuple[int, int]]] = [{} for _ in range(9)]
+    reach.append({0: (0, 0)})
+    for k in range(8, -1, -1):
+        w, after, out = steps[k], reach[k + 1], reach[k]
+        if not after:
+            raise _infeasible(seq)
+        first, last = min(after), max(after)
+        q_min = min(after, key=lambda q: w * q + after[q][0])
+        q_max = max(after, key=lambda q: w * q + after[q][1])
+        for r in range(r_lo[k], r_hi[k] + 1):
+            a, b = max(first, lo[k] - r), min(last, hi[k] - r)
+            if a <= b:
+                qa = a if q_min < a else b if q_min > b else q_min
+                qb = a if q_max < a else b if q_max > b else q_max
+                out[r] = (w * (r + qa) + after[qa][0], w * (r + qb) + after[qb][1])
+    return reach
+
+
+def _chi_dp(seq, lo, hi, r_lo, r_hi, watched):
+    """Exact t ranges and the constant chi, keyed by form, over the rank
+    chains that meet every watched chi ({form: chi}, form in `_FORMS`).
+
+    A forward/backward DP over r_0..r_9 whose state is r_k and the running
+    values of one watched chi, or of the first two in A, B, C order when
+    two or more are watched (the third is then their sum or difference on
+    every chain).  It drops every state from which a watched chi is out of
+    reach.  With one watched, each state also carries the min and max of
+    one other running chi, chi_C if A is watched and chi_A otherwise,
+    which decides whether the two unwatched chi are constant."""
+    forms = list(watched)[:2]
+    targets = [watched[f] for f in forms]
+    steps = [tuple(fa * da + fc * dc for fa, fc in forms) for da, dc in _CHI_STEPS]
+
+    reach = [_suffix_table(seq, lo, hi, r_lo, r_hi, [w[j] for w in steps])
+             for j in range(len(forms))]
+
+    # Forward: edges[k] maps each state reached by t_k = r_k + r_{k+1} from
+    # which every watched chi is within reach to the states it is reached
+    # from; with one watched, spans[state] = (min, max) of the other running
+    # chi over the prefixes that reach it.
+    other_form = (0, 1) if forms[0] == (1, 0) else (1, 0)
+    other = [other_form[0] * da + other_form[1] * dc for da, dc in _CHI_STEPS]
+    layer = {(0,) * (1 + len(forms)): None}
+    spans = {(0, 0): (0, 0)}
+    edges = []
+    for k in range(9):
+        reached: dict[tuple[int, ...], list] = {}
+        low, high, t_low, t_high = r_lo[k + 1], r_hi[k + 1], lo[k], hi[k]
+        g = reach[0][k + 1]
+        if len(forms) == 1:
+            (w,), o, (target,) = steps[k], other[k], targets
+            merged = {}
+            for state in layer:
+                r, x = state
+                a, b = spans[state]
+                for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
+                    t = r + r_next
+                    dst, low_o, high_o = (r_next, x + w * t), a + o * t, b + o * t
+                    if dst in reached:
+                        reached[dst].append(state)
+                        span = merged[dst]
+                        if low_o < span[0]:
+                            span[0] = low_o
+                        if high_o > span[1]:
+                            span[1] = high_o
+                    else:
+                        reached[dst] = [state]
+                        merged[dst] = [low_o, high_o]
+            layer = {s: srcs for s, srcs in reached.items()
+                     if (e := g.get(s[0])) and e[0] <= target - s[1] <= e[1]}
+            spans = merged
+        else:
+            (w, v), (target, target2), g2 = steps[k], targets, reach[1][k + 1]
+            for state in layer:
+                r, x, y = state
+                for r_next in range(max(low, t_low - r), min(high, t_high - r) + 1):
+                    t = r + r_next
+                    reached.setdefault((r_next, x + w * t, y + v * t), []).append(state)
+            layer = {s: srcs for s, srcs in reached.items()
+                     if (e := g.get(s[0]))
+                     and e[0] <= target - s[1] <= e[1]
+                     and (f := g2[s[0]])[0] <= target2 - s[2] <= f[1]}
+        if not layer:
+            raise _infeasible(seq)
+        edges.append(layer)
+    # at r_9 = 0 nothing is left to add, so the one kept state meets every
+    # watched chi exactly; backward over the surviving edges
+    known = dict(watched)
+    if len(forms) == 1:
+        (final,) = layer
+        a, b = spans[final]
+        if a == b:
+            known[other_form] = a
+    alive = list(layer)
+    t_min, t_max = [0] * 9, [0] * 9
+    for k in range(8, -1, -1):
+        ts = [src[0] + dst[0] for dst in alive for src in edges[k][dst]]
+        t_min[k], t_max[k] = min(ts), max(ts)
+        alive = {src for dst in alive for src in edges[k][dst]}
+    return t_min, t_max, known
 
 
 def _result(solve, seq):
@@ -782,3 +987,10 @@ def _wide_instances(draw):
 @given(_wide_instances())
 def test_propagate_matches_full_state_dp_on_wide_instances(seq):
     assert _result(propagate, seq) == _result(_full_state_dp, seq)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_wide_instances())
+def test_propagate_matches_running_chi_dp_on_wide_instances(seq):
+    assume(any(iv.chi is not None and not iv.is_forced_all() for iv in (seq.a, seq.b, seq.c)))
+    assert _result(propagate, seq) == _result(_running_chi_dp, seq)
