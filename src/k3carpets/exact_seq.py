@@ -35,9 +35,8 @@ Euler characteristic can take and H the largest dimension bound.  Bounds
 that collapse (lo == hi) are forced; anything wider is honest partial
 knowledge.
 `chain` runs several sequences that share named terms to a common fixed
-point with a worklist indexed by term name: a step that narrows a name
-queues the sequences using it, so a sequence is propagated again only when
-one of its terms narrowed since its last run.
+point with a worklist: a sequence is propagated again only when one of its
+terms narrowed since its last run.
 """
 
 from __future__ import annotations
@@ -203,9 +202,11 @@ def _sweep(lo, hi):
 
 def _infeasible(seq: LesInstance) -> InconsistencyError:
     """The error for an infeasible instance, naming a violated relation
-    when chi additivity or the sweep of its own bounds shows one."""
+    when chi additivity or the sweep of its own bounds shows one.  When that
+    sweep is not empty the bounds alone admit rank chains; without a watched
+    chi the sweep is exact, so then the error names the watched chi."""
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
-    r_hi = _sweep(*_term_bounds(seq))[1]
+    r_lo, r_hi = _sweep(*_term_bounds(seq))
     k = len(r_hi) - 2  # the term the last swept rank leaves
     if None not in chis and chis[0] + chis[2] != chis[1]:
         why = (f"chi additivity: chi({seq.names[1]}) = {chis[1]} but "
@@ -213,8 +214,12 @@ def _infeasible(seq: LesInstance) -> InconsistencyError:
     elif r_hi[-1] < 0:
         why = (f"exactness at {_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}): the "
                f"incoming rank would have to be negative ({r_hi[-1]})")
-    else:
+    elif r_hi[-1] < r_lo[-1]:
         why = "no nonnegative rank assignment fits the given bounds"
+    else:
+        why = "no rank chain within the bounds meets " + " and ".join(
+            f"chi({name}) = {iv.chi}" for name, iv in zip(seq.names, (seq.a, seq.b, seq.c))
+            if iv.chi is not None and not iv.is_forced_all())
     return InconsistencyError((f"sequence {seq.label!r}: " if seq.label else "") + why)
 
 
@@ -312,7 +317,7 @@ def propagate(seq: LesInstance) -> LesInstance:
             r_lo, r_hi, t_min, t_max, ranks = _one_watched(seq, lo, hi, r_lo, r_hi, watched)
         else:
             t_min = [max(l, r_lo[k] + r_lo[k + 1]) for k, l in enumerate(lo)]
-            t_max = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
+            t_max = hi  # `_rank_bounds` capped it by the sweep it returns
             ranks = [0]  # greedy; the sweep is exact, so it never gets stuck
             for k in range(9):
                 ranks.append(max(r_lo[k + 1], lo[k] - ranks[k]))
@@ -588,64 +593,58 @@ def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
     """Propagate several sequences sharing named terms to a common fixed point.
 
     Returns the final knowledge per term name.  A worklist (AC-3; Mackworth
-    1977, "Consistency in networks of relations") over an index from each
-    term name to the sequences that use it: every sequence is propagated
-    once, in order; a returned term is met into the table only when it
-    differs from the entry there, and each step queues, in index order, the
-    sequences not yet queued that use a name the step narrowed.  (The step's
-    own sequence is queued again only if the table now differs from what it
-    returned, which takes a term name repeated within it.)  No round cap is
-    needed: `propagate` either raises or returns finite bounds, so every
-    term that changes is bounded from then on and can only narrow a finite
-    number of times.  A sequence whose ranks are unbounded is retried when a
-    term of it narrows, and its `UnboundedRankError` is raised if it is
-    still stuck at the end; inconsistencies are reported with the label of
-    the offending sequence.
+    1977, "Consistency in networks of relations"): every sequence is
+    propagated once, in order; each step meets the returned terms into the
+    table and queues, in index order, every sequence not yet queued whose
+    terms there differ from what its last run returned (its input, if it
+    was stuck).  Only a step that narrows the table queues anything, and no
+    round cap is needed: `propagate` either raises or returns finite bounds,
+    so every term that changes is bounded from then on and can only narrow
+    a finite number of times.  An unchanged term comes back from
+    `propagate` as the table's own object, whose meet is skipped, so the
+    rescan is mostly identity tests: O(n) a step for n sequences.  A
+    sequence whose ranks are unbounded is retried when a term of it
+    narrows, and its `UnboundedRankError` is raised if it is still stuck at
+    the end; inconsistencies are reported with the label of the offending
+    sequence.
     """
     table: dict[str, CohInterval] = {}
 
     def meet(seq: LesInstance, name: str, iv: CohInterval) -> None:
-        if name in table:
+        old = table.get(name, iv)
+        if old is not iv:
             try:
-                iv = table[name].meet(iv, what=f"term {name!r}")
+                iv = old.meet(iv, what=f"term {name!r}")
             except InconsistencyError as err:
                 raise InconsistencyError(f"sequence {seq.label!r}: {err}") from None
         table[name] = iv
 
-    users: dict[str, list[int]] = {}  # name -> indices of the sequences using it
-    for i, seq in enumerate(seqs):
+    for seq in seqs:
         for name, iv in zip(seq.names, (seq.a, seq.b, seq.c)):
             meet(seq, name, iv)
-        for name in set(seq.names):
-            users.setdefault(name, []).append(i)
-
+    names = [seq.names for seq in seqs]
     queue = deque(range(len(seqs)))
     queued = [True] * len(seqs)
+    last: list[tuple | None] = [None] * len(seqs)  # the terms each sequence's last run returned
     stuck: dict[int, UnboundedRankError] = {}
     while queue:
         i = queue.popleft()
         queued[i] = False
         seq = seqs[i]
+        out = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label)
         try:
-            out = propagate(LesInstance(*(table[n] for n in seq.names), seq.names, seq.label))
+            out = propagate(out)
         except UnboundedRankError as err:
             stuck[i] = err
-            continue
-        stuck.pop(i, None)
-        terms = (out.a, out.b, out.c)
-        narrowed = set()  # a returned term lies inside its input, so one that differs narrows
-        for name, iv in zip(seq.names, terms):
-            if iv != table[name]:
+        else:
+            stuck.pop(i, None)
+            for name, iv in zip(seq.names, (out.a, out.b, out.c)):
                 meet(seq, name, iv)
-                narrowed.add(name)
-        if not narrowed:
-            continue
-        again = {j for name in narrowed for j in users[name] if not queued[j] and j != i}
-        if any(table[n] != iv for n, iv in zip(seq.names, terms)):
-            again.add(i)
-        for j in sorted(again):
-            queue.append(j)
-            queued[j] = True
+        last[i] = (out.a, out.b, out.c)
+        for j, (x, y, z) in enumerate(names):
+            if not queued[j] and (table[x], table[y], table[z]) != last[j]:
+                queue.append(j)
+                queued[j] = True
     if stuck:
         raise stuck[max(stuck)]
     return table

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3carpets import battery, carpets, exact_seq
+from k3carpets import battery, carpets, cli, exact_seq
 from k3carpets.exact_seq import (
     _CHI_STEPS,
     _FORMS,
@@ -188,24 +188,26 @@ def test_wide_infeasible_instance_is_decided_promptly():
     # in its state, and does not answer within 90 s when it tracks chi_A and
     # only the interval of chi_B; dropping the states whose chi_B interval
     # misses what the rest of the path can add refutes it within a few
-    # steps.
+    # steps.  The bounds alone admit rank chains, so the error names the
+    # watched chi, not the bounds.
     seqs = [
-        LesInstance(
+        (LesInstance(
             CohInterval((653, 987, 364), (None, None, 969), 21),
             CohInterval((647, 356, 429), (1129, 551, 782)),
             CohInterval((414, 940, 662), (1019, 1730, 1300), 603),
-        ),
-        LesInstance(
+        ), "chi(A) = 21 and chi(C) = 603"),
+        (LesInstance(
             CohInterval((30, 465, 313), (None, 577, 578), 341),
             CohInterval((396, 945, 980), (None, None, None), -350),
             CohInterval((746, 935, 537), (906, 1723, 1218)),
-        ),
+        ), "chi(A) = 341 and chi(B) = -350"),
     ]
-    for seq in seqs:
+    for seq, chis in seqs:
         start = time.perf_counter()
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError) as err:
             propagate(seq)
         assert time.perf_counter() - start < 5.0
+        assert str(err.value) == f"no rank chain within the bounds meets {chis}"
 
 
 def test_one_watched_chi_with_wide_ranks_answers_promptly():
@@ -475,10 +477,10 @@ def test_chain_is_an_order_independent_fixed_point(seqs):
 
 
 def _rescanning_chain(seqs):
-    """Reference for `chain`: the same worklist without the name index.
-    After every step it re-meets each returned term into the table and
-    queues, in index order, every sequence not yet queued whose terms differ
-    from what its last run returned."""
+    """Reference for `chain`: the same worklist, except that it re-meets
+    every returned term into the table, the table's own object too.  After
+    every step it queues, in index order, every sequence not yet queued
+    whose terms differ from what its last run returned."""
     table = {}
 
     def meet(seq, name, iv):
@@ -555,6 +557,41 @@ def test_chain_matches_rescanning_chain_on_hilbert_chains(monkeypatch):
     for seqs in chains:
         assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
                                                             monkeypatch)
+
+
+def test_chain_matches_rescanning_chain_on_wide_sweep_chains(monkeypatch):
+    # F_7, F_8 and planes of degree 11 to 30, which the battery never builds
+    chains = []
+    monkeypatch.setattr(carpets, "chain", lambda seqs: chains.append(seqs) or chain(seqs))
+    assert cli.main(["sweep", "--e", "7..8", "--a", "1..3", "--db", "1..3",
+                     "--d", "11..30"]) == 0
+    monkeypatch.undo()
+    assert len(chains) == 38
+    for seqs in chains:
+        assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
+                                                            monkeypatch)
+
+
+def test_long_chain_takes_linear_work_a_step(monkeypatch):
+    # (T_i, M_i, T_{i+1}) with T_0 and every M_i pinned to (1, 0, 0): once
+    # T_i is known a run pins the quotient T_{i+1}, so T_i is (1, 0, 0) for
+    # even i and (0, 0, 0) for odd i.  In order that is one pass; reversed,
+    # each sequence is stuck on unbounded ranks until its predecessor has
+    # run, so every one but the first runs twice.  The ceiling holds only
+    # while a step rescans the chain in O(n).
+    one = CohInterval.exact(1, 0, 0)
+    seqs = [LesInstance(CohInterval.unknown() if i else one, one, CohInterval.unknown(),
+                        (f"T{i}", f"M{i}", f"T{i + 1}"), f"step{i}") for i in range(400)]
+    tables = []
+    for order, runs in ((seqs, 400), (seqs[::-1], 799)):
+        start = time.perf_counter()
+        table, calls = _traced(chain, order, monkeypatch)
+        assert time.perf_counter() - start < 2.0
+        assert len(calls) == runs
+        tables.append(table)
+    assert tables[0] == tables[1]
+    assert tables[0] == {**{f"M{i}": one for i in range(400)},
+                         **{f"T{i}": CohInterval.exact(1 - i % 2, 0, 0) for i in range(401)}}
 
 
 def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
