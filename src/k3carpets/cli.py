@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -422,9 +423,19 @@ def cmd_sweep(tokens: list[str], out) -> int:
     tasks = [task + (extra_range,) + facts[task[0]] for task in tasks]
 
     if jobs > 1 and tasks:
-        # the pool forks all its workers at start, so never more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_task = list(pool.map(_sweep_rows, tasks))
+        # The pool starts all its workers at once, so never more than there
+        # are tasks.  Forked workers skip the import and see the modules as
+        # they are now.  A polarization is 1-2 ms of work; sent one at a
+        # time, its pickling and queue traffic would keep the parent busy on
+        # the workers' cores.  So each worker gets about four contiguous
+        # chunks: few round trips, yet a worker done early takes another.
+        # map keeps task order, so the rows do not depend on the pool.
+        workers = min(jobs, len(tasks))
+        fork = (multiprocessing.get_context("fork")
+                if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+            per_task = list(pool.map(_sweep_rows, tasks,
+                                     chunksize=-(-len(tasks) // (4 * workers))))
     else:
         per_task = [_sweep_rows(task) for task in tasks]
     rows = [row for task_rows in per_task for row in task_rows]

@@ -206,7 +206,8 @@ def _infeasible(seq: LesInstance) -> InconsistencyError:
     sweep is not empty the bounds alone admit rank chains; without a watched
     chi the sweep is exact, so then the error names the watched chi."""
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
-    r_lo, r_hi = _sweep(*_term_bounds(seq))
+    lo, hi = _term_bounds(seq)
+    r_lo, r_hi = _sweep(lo, hi)
     k = len(r_hi) - 2  # the term the last swept rank leaves
     if None not in chis and chis[0] + chis[2] != chis[1]:
         why = (f"chi additivity: chi({seq.names[1]}) = {chis[1]} but "
@@ -215,7 +216,12 @@ def _infeasible(seq: LesInstance) -> InconsistencyError:
         why = (f"exactness at {_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}): the "
                f"incoming rank would have to be negative ({r_hi[-1]})")
     elif r_hi[-1] < r_lo[-1]:
-        why = "no nonnegative rank assignment fits the given bounds"
+        # Empty without going negative: before t_8, r_lo[k+1] > r_hi[k+1] >= 0
+        # would need (hi_k - lo_k) + (r_hi[k] - r_lo[k]) < 0, so this is t_8,
+        # where r_9 = 0 and h2(C) = r_8 <= r_hi[8] < lo[8].
+        b, c = seq.names[1:]
+        why = (f"exactness at h2({c}): h2({b}) -> h2({c}) must be onto, but its "
+               f"rank is at most {r_hi[8]} while h2({c}) >= {lo[8]}")
     else:
         why = "no rank chain within the bounds meets " + " and ".join(
             f"chi({name}) = {iv.chi}" for name, iv in zip(seq.names, (seq.a, seq.b, seq.c))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -355,14 +356,16 @@ def test_sweep_hilbert_error_is_the_error_of_rows_reaching_it(monkeypatch, jobs)
         assert len(calls) == 3
 
 
-def test_sweep_pool_size_is_bounded_by_the_polarizations(monkeypatch):
-    sizes = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """An in-process stand-in for ProcessPoolExecutor; returns the lists it
+    records into: (max_workers, mp_context) per pool, and (number of tasks,
+    chunksize) per map."""
+    made, sent = [], []
 
     class RecordingPool:
-        """An in-process stand-in for ProcessPoolExecutor that records its size."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, mp_context=None):
+            made.append((max_workers, mp_context))
 
         def __enter__(self):
             return self
@@ -370,24 +373,65 @@ def test_sweep_pool_size_is_bounded_by_the_polarizations(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            sent.append((len(tasks), chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return made, sent
+
+
+def test_sweep_pool_size_is_bounded_by_the_polarizations(recording_pool):
+    made, _ = recording_pool
     code, text = run("sweep", "--d", "3..4", "--extra", "0..2", "--jobs", "64")
     assert code == 0 and text.strip().endswith("6 rows")
     code, text = run("sweep", "--e", "0..1", "--a", "1..2", "--db", "1..1", "--jobs", "3")
     assert code == 0 and text.strip().endswith("4 rows")
     code, text = run("sweep", "--d", "3..4", "--extra", "1..0", "--jobs", "64")
     assert code == 0 and text.strip().endswith("0 rows")
+    sizes = [workers for workers, _ in made]
     assert sizes == [2, 3]
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_sweep_sends_a_few_chunks_per_worker(recording_pool, jobs):
+    made, sent = recording_pool
+    code, text = run("sweep", "--e", "0..2", "--a", "1..3", "--db", "1..4", "--d", "1..12",
+                     "--jobs", str(jobs))
+    assert code == 0 and text.strip().endswith("48 rows")
+    [(workers, _)] = made
+    [(tasks, chunksize)] = sent
+    chunks = -(-tasks // chunksize)
+    assert (workers, tasks) == (jobs, 48)
+    assert workers <= chunks <= 4 * workers  # not one round trip per polarization
+
+
+def test_sweep_pool_forks_its_workers(recording_pool):
+    # the workers skip the import and see the modules as the parent has them
+    made, _ = recording_pool
+    run("sweep", "--d", "3..4", "--jobs", "2")
+    [(_, context)] = made
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert context.get_start_method() == "fork"
+    else:
+        assert context is None
+
+
 def test_sweep_parallel_matches_sequential():
-    args = ("sweep", "--e", "2..3", "--a", "1..2", "--db", "1..1")
-    _, seq = run(*args)
-    _, par = run(*args, "--jobs", "2")
-    assert seq == par
+    # 39 polarizations: several chunks per worker, the last one short; P2
+    # rows with no embedded carpet, and rows failing before the Hilbert step
+    args = ("sweep", "--e", "0..2", "--a", "1..3", "--db", "1..3", "--d", "1..12",
+            "--extra", "-2..1")
+    outputs = {fmt: run(*args, "--format", fmt) for fmt in ("text", "json", "csv")}
+    for fmt, sequential in outputs.items():
+        assert sequential[0] == 0
+        for jobs in ("2", "3"):
+            assert run(*args, "--format", fmt, "--jobs", jobs) == sequential
+    errors = [row.get("error", "") for row in json.loads(outputs["json"][1])["rows"]]
+    assert len(errors) == 156
+    assert sum(e.startswith("no embedded carpet exists") for e in errors) == 4
+    assert sum(e.startswith("ambient dimension") for e in errors) == 78
 
 
 def test_determinism():

@@ -170,6 +170,12 @@ def test_infeasible_names_relation():
         )
     assert "chi additivity" in str(err.value)
     assert "bad-chi" in str(err.value)
+    # the sweep empties at its last step without going negative
+    with pytest.raises(InconsistencyError) as err:
+        propagate(LesInstance(exact(0, 0, 0), exact(0, 0, 0),
+                              CohInterval((0, 0, 1), (0, 0, 1))))
+    assert str(err.value) == ("exactness at h2(C): h2(B) -> h2(C) must be onto, "
+                              "but its rank is at most 0 while h2(C) >= 1")
 
 
 def test_unbounded_pair_rejected():
