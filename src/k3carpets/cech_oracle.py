@@ -17,17 +17,20 @@ with the standard alternating-sign differentials, and total cohomology is
 the sum over all m in a large box.
 
 That complex depends on m only through the pattern of ray inequalities m
-satisfies, so each fan has at most 2^(#rays) distinct per-degree
-complexes; their ranks are computed once by exact Gaussian elimination,
-and the box only has to be counted per pattern.  Every ray of these fans
-has x-component in {-1, 0, 1}, so along a row m2 = y the pattern changes
-at cuts that are affine in y.  The box splits into a few y-slabs between
-the rows where two cuts cross or an x-independent ray changes sign;
-inside a slab each pattern's count per row is affine in y, so a slab's
-total is an arithmetic series read off its first and last rows.  The
-work has a bound set by the rays, not by the size of the box.  The box is
-counted again with a larger bound and the run fails loudly if the totals
-moved, turning the heuristic box size into a certified answer.
+satisfies, an integer bitmask whose bit rho is set iff
+<m, u_rho> >= -a_rho.  So each fan has at most 2^(#rays) distinct
+per-degree complexes; their ranks are computed once by exact Gaussian
+elimination, and the box only has to be counted per pattern.  Every ray
+of these fans has x-component in {-1, 0, 1}, so once per divisor each ray
+is classified as x-independent, or satisfied from a lower threshold on,
+or up to an upper one.  Along a row m2 = y the pattern then flips one bit
+at each threshold, a cut that is affine in y.  The box splits into a few
+y-slabs between the rows where two cuts cross or an x-independent ray
+changes sign; inside a slab each pattern's count per row is affine in y,
+so a slab's total is an arithmetic series read off its first and last
+rows.  The work has a bound set by the rays, not by the size of the box.
+The box is counted again with a larger bound and the run fails loudly if
+the totals moved, turning the heuristic box size into a certified answer.
 
 Everything here is integer/rational arithmetic; no formula is shared with
 `line_cohomology`.
@@ -121,11 +124,12 @@ def divisor_to_toric(
 
 
 @lru_cache(maxsize=None)
-def _subset_rays(cone_key: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
+def _subset_rays(cone_key: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All nonempty chart subsets with the rays of their common face.
 
     In a fan the intersection of charts is the chart of the common face,
-    whose rays are exactly the shared ray indices.
+    whose rays are exactly the shared ray indices; they are returned as a
+    bitmask with bit rho set for each shared ray rho.
     """
     n = len(cone_key)
     out = []
@@ -134,7 +138,7 @@ def _subset_rays(cone_key: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int
             common = set(cone_key[subset[0]])
             for i in subset[1:]:
                 common &= set(cone_key[i])
-            out.append((subset, frozenset(common)))
+            out.append((subset, sum(1 << rho for rho in common)))
     return tuple(out)
 
 
@@ -163,20 +167,18 @@ def _rank(rows: list[list[int]]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pattern_cohomology(
-    cone_key: tuple[tuple[int, ...], ...], bits: tuple[bool, ...]
-) -> tuple[int, ...]:
+def _pattern_cohomology(cone_key: tuple[tuple[int, ...], ...], mask: int) -> tuple[int, ...]:
     """Cohomology ranks of the Cech complex for one ray-inequality pattern.
 
-    `bits[rho]` says whether <m, u_rho> >= -a_rho holds; a chart subset is
-    admissible iff every ray of its common face is satisfied.  Returns one
+    Bit rho of `mask` is set iff <m, u_rho> >= -a_rho holds; a chart subset
+    is admissible iff every ray of its common face is satisfied.  Returns one
     rank per degree 0..(#charts - 1); degrees >= 3 must come out 0 (the
     surface has cohomological dimension 2) and are checked, not assumed.
     """
     ncharts = len(cone_key)
     admissible: list[list[tuple[int, ...]]] = [[] for _ in range(ncharts)]
     for subset, common in _subset_rays(cone_key):
-        if all(bits[rho] for rho in common):
+        if common & ~mask == 0:
             admissible[len(subset) - 1].append(subset)
     index = [{s: i for i, s in enumerate(level)} for level in admissible]
 
@@ -203,10 +205,10 @@ def _pattern_cohomology(
         incoming = ranks_d[p - 1] if p > 0 else 0
         hs.append(dim - ranks_d[p] - incoming)
     if any(h < 0 for h in hs):
-        raise ArithmeticError(f"negative Cech rank for pattern {bits}: {hs}")
+        raise ArithmeticError(f"negative Cech rank for pattern {mask:#b}: {hs}")
     if any(hs[3:]):
         raise ArithmeticError(
-            f"nonzero cohomology above degree 2 for pattern {bits}: {hs}"
+            f"nonzero cohomology above degree 2 for pattern {mask:#b}: {hs}"
         )
     return tuple(hs)
 
@@ -221,51 +223,86 @@ def _check_coeff_count(fan: ToricFan, t: ToricDivisor) -> None:
 def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVector:
     """Contribution of the character m to the cohomology of O(T)."""
     _check_coeff_count(fan, t)
-    bits = tuple(
-        u[0] * m[0] + u[1] * m[1] >= -a for u, a in zip(fan.rays, t.coeffs)
+    mask = sum(
+        1 << rho
+        for rho, (u, a) in enumerate(zip(fan.rays, t.coeffs))
+        if u[0] * m[0] + u[1] * m[1] >= -a
     )
-    hs = _pattern_cohomology(fan.max_cones, bits)
+    hs = _pattern_cohomology(fan.max_cones, mask)
     return CohVector(hs[0], hs[1], hs[2] if len(hs) > 2 else 0)
 
 
-def _row_segments(
-    fan: ToricFan, t: ToricDivisor, box: int, y: int
-) -> list[tuple[tuple[bool, ...], int]]:
-    """The row m2 = y of the box, left to right, as (pattern, length) runs.
+# A ray as seen along a row m2 = y: (bit, slope, intercept), with
+# value slope * y + intercept.
+_Ray = tuple[int, int, int]
+# x-independent rays (satisfied iff value >= 0), lower-threshold rays
+# (satisfied iff x >= value) and upper-threshold rays (iff x <= value).
+_RayClasses = tuple[tuple[_Ray, ...], tuple[_Ray, ...], tuple[_Ray, ...]]
 
-    For fixed m2 each ray inequality is constant or a half-line in m1, so
-    the m1-axis splits into at most a handful of constant-pattern segments
-    whose lengths are counted directly.  Ray x-components are in {-1, 0, 1}.
+
+def _classify_rays(fan: ToricFan, t: ToricDivisor) -> _RayClasses:
+    """Sort the rays of (fan, t) for the row-by-row box count.
+
+    The inequality of ray rho on a row m2 = y reads ux * x + uy * y + a >= 0,
+    so with ux in {-1, 0, 1} it holds always or never (ux = 0), from
+    x = -(uy * y + a) on (ux = 1), or up to x = uy * y + a (ux = -1).
     """
-    nrays = len(fan.rays)
-    fixed: list[tuple[int, bool]] = []  # (ray, satisfied) for x-independent rays
-    lower: list[tuple[int, int]] = []  # (ray, threshold): satisfied iff x >= thr
-    upper: list[tuple[int, int]] = []  # (ray, threshold): satisfied iff x <= thr
-    cuts = {-box, box + 1}
+    for u in fan.rays:
+        if u[0] not in (-1, 0, 1):
+            raise ValueError(
+                f"ray {u} has x-component {u[0]}; the oracle's box count needs "
+                "every ray's x-component in {-1, 0, 1}"
+            )
+    _check_coeff_count(fan, t)
+    fixed, lower, upper = [], [], []
     for rho, ((ux, uy), a) in enumerate(zip(fan.rays, t.coeffs)):
-        c = uy * y + a  # inequality: ux*x + c >= 0
         if ux == 0:
-            fixed.append((rho, c >= 0))
+            fixed.append((1 << rho, uy, a))
         elif ux > 0:
-            lower.append((rho, -c))
-            if -box < -c <= box:
-                cuts.add(-c)
+            lower.append((1 << rho, -uy, -a))
         else:
-            upper.append((rho, c))
-            if -box <= c < box:
-                cuts.add(c + 1)
-    edges = sorted(cuts)
-    segments = []
-    for start, stop in zip(edges, edges[1:]):
-        bits = [False] * nrays
-        for rho, sat in fixed:
-            bits[rho] = sat
-        for rho, thr in lower:
-            bits[rho] = start >= thr
-        for rho, thr in upper:
-            bits[rho] = start <= thr
-        segments.append((tuple(bits), stop - start))
-    return segments
+            upper.append((1 << rho, uy, a))
+    return tuple(fixed), tuple(lower), tuple(upper)
+
+
+def _row_segments(rays: _RayClasses, box: int, y: int) -> tuple[list[int], list[int]]:
+    """The row m2 = y of the box, left to right, as constant-pattern runs:
+    the runs' pattern masks and their lengths.
+
+    The pattern at x = -box is read off the rays; every threshold strictly
+    inside the row flips its ray's bit, a lower one at the threshold and
+    an upper one just past it, and a run ends at each distinct flip.
+    """
+    fixed, lower, upper = rays
+    mask = 0
+    flips = []  # (x, bit): bit changes between x - 1 and x
+    for bit, slope, intercept in fixed:
+        if slope * y + intercept >= 0:
+            mask |= bit
+    for bit, slope, intercept in lower:
+        x = slope * y + intercept
+        if x <= -box:
+            mask |= bit
+        elif x <= box:
+            flips.append((x, bit))
+    for bit, slope, intercept in upper:
+        x = slope * y + intercept
+        if x >= -box:
+            mask |= bit
+            if x < box:
+                flips.append((x + 1, bit))
+    flips.sort()
+    masks, lengths = [], []
+    start = -box
+    for x, bit in flips:
+        if x != start:
+            masks.append(mask)
+            lengths.append(x - start)
+            start = x
+        mask ^= bit
+    masks.append(mask)
+    lengths.append(box + 1 - start)
+    return masks, lengths
 
 
 def _slab_edges(fan: ToricFan, t: ToricDivisor, box: int) -> list[int]:
@@ -301,42 +338,42 @@ def _slab_edges(fan: ToricFan, t: ToricDivisor, box: int) -> list[int]:
     return sorted(y for y in edges if -box <= y <= box + 1)
 
 
-def _pattern_counts(fan: ToricFan, t: ToricDivisor, box: int) -> dict[tuple[bool, ...], int]:
-    """Count characters in the box |m1|,|m2| <= box per inequality pattern.
+def _pattern_counts(
+    fan: ToricFan, t: ToricDivisor, rays: _RayClasses, box: int
+) -> dict[int, int]:
+    """Count characters in the box |m1|,|m2| <= box per pattern mask.
 
-    The box is cut into the y-slabs of `_slab_edges`.  A slab's rows share
-    one (pattern, length) sequence whose lengths are affine in y, so only
-    its first and last rows are segmented and each pattern gets the
-    arithmetic series (len_first + len_last) * rows / 2.  The number of
-    slabs has a bound set by the rays, not by the box.  Needs every ray's
-    x-component in {-1, 0, 1}, as on P^2 and F_e.
+    `rays` is `_classify_rays(fan, t)`.  The box is cut into the y-slabs of
+    `_slab_edges`.  A slab's rows share one mask sequence whose run lengths
+    are affine in y, so only its first and last rows are segmented and each
+    pattern gets the arithmetic series (len_first + len_last) * rows / 2.
+    The number of slabs has a bound set by the rays, not by the box.
     """
-    for u in fan.rays:
-        if u[0] not in (-1, 0, 1):
-            raise ValueError(
-                f"ray {u} has x-component {u[0]}; the oracle's box count needs "
-                "every ray's x-component in {-1, 0, 1}"
-            )
-    _check_coeff_count(fan, t)
-    counts: dict[tuple[bool, ...], int] = {}
+    counts: dict[int, int] = {}
     edges = _slab_edges(fan, t, box)
     for first, stop in zip(edges, edges[1:]):
         rows = stop - first
-        head = _row_segments(fan, t, box, first)
-        tail = head if rows == 1 else _row_segments(fan, t, box, stop - 1)
-        if [bits for bits, _ in head] != [bits for bits, _ in tail]:
-            raise ArithmeticError(
-                f"rows {first} and {stop - 1} of one slab differ: {head} vs {tail}"
-            )
-        for (bits, l0), (_, l1) in zip(head, tail):
-            counts[bits] = counts.get(bits, 0) + (l0 + l1) * rows // 2
+        masks, head = _row_segments(rays, box, first)
+        if rows == 1:
+            tail = head
+        else:
+            tail_masks, tail = _row_segments(rays, box, stop - 1)
+            if masks != tail_masks:
+                raise ArithmeticError(
+                    f"rows {first} and {stop - 1} of one slab differ: "
+                    f"{[bin(m) for m in masks]} vs {[bin(m) for m in tail_masks]}"
+                )
+        for mask, l0, l1 in zip(masks, head, tail):
+            counts[mask] = counts.get(mask, 0) + (l0 + l1) * rows // 2
     return counts
 
 
-def _box_totals(fan: ToricFan, t: ToricDivisor, box: int) -> tuple[int, int, int]:
+def _box_totals(
+    fan: ToricFan, t: ToricDivisor, rays: _RayClasses, box: int
+) -> tuple[int, int, int]:
     totals = [0, 0, 0]
-    for bits, count in _pattern_counts(fan, t, box).items():
-        hs = _pattern_cohomology(fan.max_cones, bits)
+    for mask, count in _pattern_counts(fan, t, rays, box).items():
+        hs = _pattern_cohomology(fan.max_cones, mask)
         for i in range(3):
             totals[i] += count * hs[i]
     return tuple(totals)
@@ -373,8 +410,9 @@ def coh_oracle(
         box = default_box(surface, t)
     if box < 0:
         raise ValueError(f"box bound must be >= 0, got {box}")
-    first = _box_totals(fan, t, box)
-    second = _box_totals(fan, t, box + 3)
+    rays = _classify_rays(fan, t)
+    first = _box_totals(fan, t, rays, box)
+    second = _box_totals(fan, t, rays, box + 3)
     if first != second:
         raise TruncationError(
             f"cohomology totals not stable under box growth for {divisor} on "

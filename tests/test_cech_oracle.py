@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3carpets import cech_oracle as co
@@ -39,9 +39,9 @@ def test_oracle_refuses_ray_with_wide_x_component():
         ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)),
     )
     with pytest.raises(ValueError, match=r"ray \(2, 1\)"):
-        co._box_totals(fan, ToricDivisor((1, 0, 0, 0, 0)), 5)
+        co._classify_rays(fan, ToricDivisor((1, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="coefficients"):
-        co._box_totals(hirzebruch_fan(1), divisor_to_toric(P2, P2.divisor(1)), 5)
+        co._classify_rays(hirzebruch_fan(1), divisor_to_toric(P2, P2.divisor(1)))
 
 
 def test_divisor_translation():
@@ -132,16 +132,24 @@ def test_oracle_deep_negative_twist():
     assert coh_oracle(f5, f5.divisor(-8, 0)).as_tuple() == (0, 147, 0)
 
 
+def _box_totals(fan, t, box):
+    return co._box_totals(fan, t, co._classify_rays(fan, t), box)
+
+
+def _pattern_counts(fan, t, box):
+    return co._pattern_counts(fan, t, co._classify_rays(fan, t), box)
+
+
 def test_linear_equivalence_invariance():
     f2 = hirzebruch(2)
     fan = fan_for(f2)
     t = divisor_to_toric(f2, f2.divisor(2, -3))
-    base = co._box_totals(fan, t, 30)
+    base = _box_totals(fan, t, 30)
     for m0 in [(1, 0), (0, 1), (-2, 3)]:
         shifted = ToricDivisor(
             tuple(a + u[0] * m0[0] + u[1] * m0[1] for u, a in zip(fan.rays, t.coeffs))
         )
-        assert co._box_totals(fan, shifted, 30) == base
+        assert _box_totals(fan, shifted, 30) == base
 
 
 def _reflected(fan):
@@ -159,7 +167,7 @@ def test_section_ray_orientation_is_immaterial():
             for b in (-3, 0, 2):
                 t = divisor_to_toric(s, s.divisor(a, b))
                 for box in (co.default_box(s, t), co.default_box(s, t) + 3):
-                    assert co._box_totals(up, t, box) == co._box_totals(down, t, box)
+                    assert _box_totals(up, t, box) == _box_totals(down, t, box)
 
 
 def test_h0_equals_polytope_point_count():
@@ -208,9 +216,13 @@ def test_degree_three_cohomology_always_vanishes():
 
 
 def _per_character_counts(fan, t, box):
-    """Patterns of every character of the box, straight from the rays."""
+    """Pattern masks of every character of the box, straight from the rays."""
     return Counter(
-        tuple(u[0] * x + u[1] * y >= -a for u, a in zip(fan.rays, t.coeffs))
+        sum(
+            1 << rho
+            for rho, (u, a) in enumerate(zip(fan.rays, t.coeffs))
+            if u[0] * x + u[1] * y >= -a
+        )
         for x in range(-box, box + 1)
         for y in range(-box, box + 1)
     )
@@ -229,12 +241,73 @@ def _fan_and_divisor(draw):
     return surface, fan, ToricDivisor(tuple(coeffs))
 
 
+F2 = hirzebruch(2)  # mask bits: 1 = (1, 0), 2 = (0, 1), 4 = (-1, 2), 8 = (0, -1)
+
+# (surface, divisor, box) at the boundaries of a row's bit flips; each is
+# one more input to the per-character comparison below, whose boxes 0..12
+# include its box
+_ROW_EDGE_CASES = [
+    # lower threshold of (1, 0) at x = -box on the row y = 0
+    (F2, ToricDivisor((4, 0, 0, 0)), 4),
+    # lower threshold of (1, 0) at x = box
+    (F2, ToricDivisor((-4, 0, 0, 0)), 4),
+    # upper cut of (-1, 2) with c = box on the row y = 0: no flip
+    (F2, ToricDivisor((0, 0, 4, 0)), 4),
+    # upper cut of (-1, 2) with c = -box - 1: no flip, never satisfied
+    (F2, ToricDivisor((0, 0, -5, 0)), 4),
+    # lower cut of (1, 0) and upper cut of (-1, 2) both at x = 1 on the row y = 0
+    (F2, ToricDivisor((-1, 0, 0, 0)), 3),
+    # on P^2, (1, 0) and (-1, -1) flip at the same x on the one-row slab y = 1
+    (P2, ToricDivisor((0, 0, 0)), 5),
+    # box = 0
+    (F2, ToricDivisor((0, 0, 0, 0)), 0),
+    (P2, ToricDivisor((-1, 2, 0)), 0),
+]
+
+
+def test_row_edge_cases_reach_their_boundaries():
+    # each case above puts its flips where its comment says
+    rays = [co._classify_rays(fan_for(s), t) for s, t, _ in _ROW_EDGE_CASES]
+    row = co._row_segments
+    assert row(rays[0], 4, 0) == ([0b1111, 0b1011], [5, 4])  # bit 1 on from the start
+    assert row(rays[1], 4, 0) == ([0b1110, 0b1010, 0b1011], [5, 3, 1])  # bit 1 on at x = 4
+    assert row(rays[2], 4, 0) == ([0b1110, 0b1111], [4, 5])  # bit 4 never flips
+    assert row(rays[3], 4, 0) == ([0b1010, 0b1011], [4, 5])  # bit 4 never set
+    assert row(rays[4], 3, 0) == ([0b1110, 0b1011], [4, 3])  # bits 1 and 4 flip at x = 1
+    assert row(rays[5], 5, 1) == ([0b110, 0b011], [5, 6])  # bits 1 and 4 flip at x = 0
+    edges = co._slab_edges(p2_fan(), _ROW_EDGE_CASES[5][1], 5)
+    assert [1, 2] == [y for y in edges if 0 < y < 3]
+    assert row(rays[6], 0, 0) == ([0b1111], [1])
+    assert row(rays[7], 0, 0) == ([0b110], [1])
+
+
+def test_slab_check_fires_on_merged_slabs(monkeypatch):
+    # F_2 with a = 3 on (0, 1): the row y = -3 turns the section ray on, so
+    # edges -4 and -3 start slabs with different mask sequences; dropping
+    # the edge -3 merges them and the head/tail comparison must object
+    fan, t = fan_for(F2), ToricDivisor((0, 3, 0, 0))
+    rays = co._classify_rays(fan, t)
+    edges = co._slab_edges(fan, t, 4)
+    assert -3 in edges
+    assert co._row_segments(rays, 4, -4)[0] != co._row_segments(rays, 4, -3)[0]
+    monkeypatch.setattr(co, "_slab_edges", lambda *args: [y for y in edges if y != -3])
+    with pytest.raises(ArithmeticError, match="rows -4 and .* of one slab differ"):
+        co._pattern_counts(fan, t, rays, 4)
+
+
+def _with_row_edge_cases(test):
+    for surface, t, _ in _ROW_EDGE_CASES:
+        test = example((surface, fan_for(surface), t))(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(_fan_and_divisor())
+@_with_row_edge_cases
 def test_slab_counts_match_per_character_count(case):
     surface, fan, t = case
     for box in [*range(13), co.default_box(surface, t)]:
-        assert co._pattern_counts(fan, t, box) == _per_character_counts(fan, t, box), box
+        assert _pattern_counts(fan, t, box) == _per_character_counts(fan, t, box), box
 
 
 def test_row_evaluations_do_not_depend_on_box(monkeypatch):
@@ -244,9 +317,9 @@ def test_row_evaluations_do_not_depend_on_box(monkeypatch):
     rows = []
     segments = co._row_segments
 
-    def counted(fan, t, box, y):
+    def counted(rays, box, y):
         rows.append(y)
-        return segments(fan, t, box, y)
+        return segments(rays, box, y)
 
     monkeypatch.setattr(co, "_row_segments", counted)
     f1, f3, f8 = hirzebruch(1), hirzebruch(3), hirzebruch(8)
@@ -257,6 +330,6 @@ def test_row_evaluations_do_not_depend_on_box(monkeypatch):
         per_box = []
         for box in (co.default_box(surface, t), 10**6, 10**9, 10**12):
             rows.clear()
-            co._pattern_counts(fan, t, box)
+            _pattern_counts(fan, t, box)
             per_box.append(len(rows))
         assert max(per_box) <= 20 and per_box[1] == per_box[2] == per_box[3], (d, per_box)
