@@ -22,13 +22,15 @@ satisfies, an integer bitmask whose bit rho is set iff
 per-degree complexes; their ranks are computed once by exact Gaussian
 elimination, and the box only has to be counted per pattern.  Every ray
 of these fans has x-component in {-1, 0, 1}, so once per divisor each ray
-is classified as x-independent, or satisfied from a lower threshold on,
-or up to an upper one.  Along a row m2 = y the pattern then flips one bit
-at each threshold, a cut that is affine in y.  The box splits into a few
-y-slabs between the rows where two cuts cross or an x-independent ray
-changes sign; inside a slab each pattern's count per row is affine in y,
-so a slab's total is an arithmetic series read off its first and last
-rows.  The work has a bound set by the rays, not by the size of the box.
+is classified as x-independent or as a cut: along a row m2 = y its bit
+flips once, between x - 1 and x at an x affine in y.  A lower ray
+(x-component 1) is satisfied from its cut on; an upper ray (-1) is
+satisfied up to its threshold, so its cut sits one past it.  The box
+splits into a few y-slabs between the rows where two cuts cross or an
+x-independent ray changes sign; inside a slab each pattern's count per
+row is affine in y, so a slab's total is an arithmetic series read off
+its first and last rows.  The work has a bound set by the rays, not by
+the size of the box.
 The box is counted again with a larger bound and the run fails loudly if
 the totals moved, turning the heuristic box size into a certified answer.
 
@@ -41,8 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from . import surfaces
 from .line_cohomology import CohVector
@@ -123,25 +126,6 @@ def divisor_to_toric(
     return ToricDivisor((b, a, 0, 0))
 
 
-@lru_cache(maxsize=None)
-def _subset_rays(cone_key: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All nonempty chart subsets with the rays of their common face.
-
-    In a fan the intersection of charts is the chart of the common face,
-    whose rays are exactly the shared ray indices; they are returned as a
-    bitmask with bit rho set for each shared ray rho.
-    """
-    n = len(cone_key)
-    out = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            common = set(cone_key[subset[0]])
-            for i in subset[1:]:
-                common &= set(cone_key[i])
-            out.append((subset, sum(1 << rho for rho in common)))
-    return tuple(out)
-
-
 def _rank(rows: list[list[int]]) -> int:
     """Rank over Q by exact Gaussian elimination."""
     mat = [[Fraction(x) for x in row] for row in rows if any(row)]
@@ -171,15 +155,21 @@ def _pattern_cohomology(cone_key: tuple[tuple[int, ...], ...], mask: int) -> tup
     """Cohomology ranks of the Cech complex for one ray-inequality pattern.
 
     Bit rho of `mask` is set iff <m, u_rho> >= -a_rho holds; a chart subset
-    is admissible iff every ray of its common face is satisfied.  Returns one
-    rank per degree 0..(#charts - 1); degrees >= 3 must come out 0 (the
-    surface has cohomological dimension 2) and are checked, not assumed.
+    is admissible iff every ray of its common face (the AND of its cones'
+    ray masks) is satisfied.  Returns one rank per degree 0..(#charts - 1);
+    degrees >= 3 must come out 0 (the surface has cohomological dimension
+    2) and are checked, not assumed.
     """
     ncharts = len(cone_key)
-    admissible: list[list[tuple[int, ...]]] = [[] for _ in range(ncharts)]
-    for subset, common in _subset_rays(cone_key):
-        if common & ~mask == 0:
-            admissible[len(subset) - 1].append(subset)
+    cone_masks = [sum(1 << rho for rho in cone) for cone in cone_key]
+    admissible = [
+        [
+            subset
+            for subset in combinations(range(ncharts), size)
+            if reduce(and_, (cone_masks[i] for i in subset)) & ~mask == 0
+        ]
+        for size in range(1, ncharts + 1)
+    ]
     index = [{s: i for i, s in enumerate(level)} for level in admissible]
 
     ranks_d = []
@@ -232,20 +222,22 @@ def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVecto
     return CohVector(hs[0], hs[1], hs[2] if len(hs) > 2 else 0)
 
 
-# A ray as seen along a row m2 = y: (bit, slope, intercept), with
-# value slope * y + intercept.
-_Ray = tuple[int, int, int]
-# x-independent rays (satisfied iff value >= 0), lower-threshold rays
-# (satisfied iff x >= value) and upper-threshold rays (iff x <= value).
-_RayClasses = tuple[tuple[_Ray, ...], tuple[_Ray, ...], tuple[_Ray, ...]]
+# An x-independent ray along a row m2 = y: (bit, slope, intercept), with
+# the ray satisfied iff slope * y + intercept >= 0.
+_Fixed = tuple[int, int, int]
+# A ray with ux = +-1 along a row m2 = y: (bit, slope, intercept, upper),
+# satisfied from x = slope * y + intercept on, or before it if upper.
+_Cut = tuple[int, int, int, bool]
+_RayClasses = tuple[tuple[_Fixed, ...], tuple[_Cut, ...]]
 
 
 def _classify_rays(fan: ToricFan, t: ToricDivisor) -> _RayClasses:
     """Sort the rays of (fan, t) for the row-by-row box count.
 
     The inequality of ray rho on a row m2 = y reads ux * x + uy * y + a >= 0,
-    so with ux in {-1, 0, 1} it holds always or never (ux = 0), from
-    x = -(uy * y + a) on (ux = 1), or up to x = uy * y + a (ux = -1).
+    so with ux in {-1, 0, 1} it holds always or never (ux = 0), from the
+    cut x = -(uy * y + a) on (ux = 1), or up to x = uy * y + a (ux = -1),
+    whose cut is one past that.
     """
     for u in fan.rays:
         if u[0] not in (-1, 0, 1):
@@ -254,43 +246,36 @@ def _classify_rays(fan: ToricFan, t: ToricDivisor) -> _RayClasses:
                 "every ray's x-component in {-1, 0, 1}"
             )
     _check_coeff_count(fan, t)
-    fixed, lower, upper = [], [], []
+    fixed, cuts = [], []
     for rho, ((ux, uy), a) in enumerate(zip(fan.rays, t.coeffs)):
         if ux == 0:
             fixed.append((1 << rho, uy, a))
         elif ux > 0:
-            lower.append((1 << rho, -uy, -a))
+            cuts.append((1 << rho, -uy, -a, False))
         else:
-            upper.append((1 << rho, uy, a))
-    return tuple(fixed), tuple(lower), tuple(upper)
+            cuts.append((1 << rho, uy, a + 1, True))
+    return tuple(fixed), tuple(cuts)
 
 
 def _row_segments(rays: _RayClasses, box: int, y: int) -> tuple[list[int], list[int]]:
     """The row m2 = y of the box, left to right, as constant-pattern runs:
     the runs' pattern masks and their lengths.
 
-    The pattern at x = -box is read off the rays; every threshold strictly
-    inside the row flips its ray's bit, a lower one at the threshold and
-    an upper one just past it, and a run ends at each distinct flip.
+    The pattern at x = -box is read off the rays; every cut strictly inside
+    the row flips its ray's bit, and a run ends at each distinct cut.
     """
-    fixed, lower, upper = rays
+    fixed, cuts = rays
     mask = 0
     flips = []  # (x, bit): bit changes between x - 1 and x
     for bit, slope, intercept in fixed:
         if slope * y + intercept >= 0:
             mask |= bit
-    for bit, slope, intercept in lower:
+    for bit, slope, intercept, upper in cuts:
         x = slope * y + intercept
-        if x <= -box:
+        if (x <= -box) != upper:
             mask |= bit
-        elif x <= box:
+        if -box < x <= box:
             flips.append((x, bit))
-    for bit, slope, intercept in upper:
-        x = slope * y + intercept
-        if x >= -box:
-            mask |= bit
-            if x < box:
-                flips.append((x + 1, bit))
     flips.sort()
     masks, lengths = [], []
     start = -box
@@ -305,27 +290,20 @@ def _row_segments(rays: _RayClasses, box: int, y: int) -> tuple[list[int], list[
     return masks, lengths
 
 
-def _slab_edges(fan: ToricFan, t: ToricDivisor, box: int) -> list[int]:
+def _slab_edges(rays: _RayClasses, box: int) -> list[int]:
     """Sorted row indices that start a slab, followed by box + 1.
 
-    With ray x-components in {-1, 0, 1}, every x-cut of a row is an affine
-    function of y with integer coefficients (a ray's threshold, or a box
-    edge as a constant), and every x-independent ray is satisfied or not
-    according to the sign of one.  Between two consecutive edges no two
-    cuts change their order (equal stays equal) and no such sign changes,
-    so every row of a slab has the same (pattern, length) sequence with
-    lengths affine in y.
+    Every x-cut of a row is an affine function of y with integer
+    coefficients (a ray's cut, or a box edge as a constant), and every
+    x-independent ray is satisfied or not according to the sign of one.
+    Between two consecutive edges no two cuts change their order (equal
+    stays equal) and no such sign changes, so every row of a slab has the
+    same (pattern, length) sequence with lengths affine in y.
     """
-    cuts = [(0, -box), (0, box + 1)]  # (slope, intercept) in y
-    signs = []
-    for (ux, uy), a in zip(fan.rays, t.coeffs):
-        if ux == 0:
-            signs.append((uy, a))
-        elif ux > 0:
-            cuts.append((-uy, -a))  # threshold -(uy*y + a)
-        else:
-            cuts.append((uy, a + 1))  # cut just past the threshold uy*y + a
-    signs += [(s1 - s2, b1 - b2) for (s1, b1), (s2, b2) in combinations(cuts, 2)]
+    fixed, cuts = rays
+    lines = [(0, -box), (0, box + 1)] + [(slope, b) for _, slope, b, _ in cuts]
+    signs = [(slope, b) for _, slope, b in fixed]
+    signs += [(s1 - s2, b1 - b2) for (s1, b1), (s2, b2) in combinations(lines, 2)]
     edges = {-box, box + 1}
     for slope, intercept in signs:
         if slope < 0:
@@ -338,19 +316,17 @@ def _slab_edges(fan: ToricFan, t: ToricDivisor, box: int) -> list[int]:
     return sorted(y for y in edges if -box <= y <= box + 1)
 
 
-def _pattern_counts(
-    fan: ToricFan, t: ToricDivisor, rays: _RayClasses, box: int
-) -> dict[int, int]:
+def _pattern_counts(rays: _RayClasses, box: int) -> dict[int, int]:
     """Count characters in the box |m1|,|m2| <= box per pattern mask.
 
-    `rays` is `_classify_rays(fan, t)`.  The box is cut into the y-slabs of
+    `rays` comes from `_classify_rays`.  The box is cut into the y-slabs of
     `_slab_edges`.  A slab's rows share one mask sequence whose run lengths
     are affine in y, so only its first and last rows are segmented and each
     pattern gets the arithmetic series (len_first + len_last) * rows / 2.
     The number of slabs has a bound set by the rays, not by the box.
     """
     counts: dict[int, int] = {}
-    edges = _slab_edges(fan, t, box)
+    edges = _slab_edges(rays, box)
     for first, stop in zip(edges, edges[1:]):
         rows = stop - first
         masks, head = _row_segments(rays, box, first)
@@ -369,11 +345,11 @@ def _pattern_counts(
 
 
 def _box_totals(
-    fan: ToricFan, t: ToricDivisor, rays: _RayClasses, box: int
+    cone_key: tuple[tuple[int, ...], ...], rays: _RayClasses, box: int
 ) -> tuple[int, int, int]:
     totals = [0, 0, 0]
-    for mask, count in _pattern_counts(fan, t, rays, box).items():
-        hs = _pattern_cohomology(fan.max_cones, mask)
+    for mask, count in _pattern_counts(rays, box).items():
+        hs = _pattern_cohomology(cone_key, mask)
         for i in range(3):
             totals[i] += count * hs[i]
     return tuple(totals)
@@ -411,8 +387,8 @@ def coh_oracle(
     if box < 0:
         raise ValueError(f"box bound must be >= 0, got {box}")
     rays = _classify_rays(fan, t)
-    first = _box_totals(fan, t, rays, box)
-    second = _box_totals(fan, t, rays, box + 3)
+    first = _box_totals(fan.max_cones, rays, box)
+    second = _box_totals(fan.max_cones, rays, box + 3)
     if first != second:
         raise TruncationError(
             f"cohomology totals not stable under box growth for {divisor} on "

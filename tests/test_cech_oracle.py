@@ -133,11 +133,11 @@ def test_oracle_deep_negative_twist():
 
 
 def _box_totals(fan, t, box):
-    return co._box_totals(fan, t, co._classify_rays(fan, t), box)
+    return co._box_totals(fan.max_cones, co._classify_rays(fan, t), box)
 
 
 def _pattern_counts(fan, t, box):
-    return co._pattern_counts(fan, t, co._classify_rays(fan, t), box)
+    return co._pattern_counts(co._classify_rays(fan, t), box)
 
 
 def test_linear_equivalence_invariance():
@@ -168,6 +168,31 @@ def test_section_ray_orientation_is_immaterial():
                 t = divisor_to_toric(s, s.divisor(a, b))
                 for box in (co.default_box(s, t), co.default_box(s, t) + 3):
                     assert _box_totals(up, t, box) == _box_totals(down, t, box)
+
+
+def _cycle_cohomology(cones, mask):
+    """(h0, h1, h2) of one pattern by CLS Thm 9.1.3: h^p is the rank of the
+    reduced H^(p-1) of the unsatisfied rays on the fan's cycle, read off
+    the cones alone."""
+    rays = {rho for cone in cones for rho in cone}
+    off = {rho for rho in rays if not mask >> rho & 1}
+    if not off:
+        return (1, 0, 0)
+    if off == rays:
+        return (0, 0, 1)
+    # the unsatisfied rays form runs (arcs) of the cycle; each cone with both
+    # rays unsatisfied joins two of them
+    joins = sum(1 for i, j in cones if i in off and j in off)
+    return (0, len(off) - joins - 1, 0)
+
+
+def test_pattern_table_matches_cycle_cohomology():
+    fans = [p2_fan(), *(hirzebruch_fan(e) for e in range(6))]
+    for fan in [*fans, *map(_reflected, fans)]:
+        for mask in range(1 << len(fan.rays)):
+            hs = co._pattern_cohomology(fan.max_cones, mask)
+            assert hs[:3] == _cycle_cohomology(fan.max_cones, mask), (fan, bin(mask))
+            assert not any(hs[3:])
 
 
 def test_h0_equals_polytope_point_count():
@@ -275,7 +300,7 @@ def test_row_edge_cases_reach_their_boundaries():
     assert row(rays[3], 4, 0) == ([0b1010, 0b1011], [4, 5])  # bit 4 never set
     assert row(rays[4], 3, 0) == ([0b1110, 0b1011], [4, 3])  # bits 1 and 4 flip at x = 1
     assert row(rays[5], 5, 1) == ([0b110, 0b011], [5, 6])  # bits 1 and 4 flip at x = 0
-    edges = co._slab_edges(p2_fan(), _ROW_EDGE_CASES[5][1], 5)
+    edges = co._slab_edges(rays[5], 5)
     assert [1, 2] == [y for y in edges if 0 < y < 3]
     assert row(rays[6], 0, 0) == ([0b1111], [1])
     assert row(rays[7], 0, 0) == ([0b110], [1])
@@ -287,12 +312,12 @@ def test_slab_check_fires_on_merged_slabs(monkeypatch):
     # the edge -3 merges them and the head/tail comparison must object
     fan, t = fan_for(F2), ToricDivisor((0, 3, 0, 0))
     rays = co._classify_rays(fan, t)
-    edges = co._slab_edges(fan, t, 4)
+    edges = co._slab_edges(rays, 4)
     assert -3 in edges
     assert co._row_segments(rays, 4, -4)[0] != co._row_segments(rays, 4, -3)[0]
     monkeypatch.setattr(co, "_slab_edges", lambda *args: [y for y in edges if y != -3])
     with pytest.raises(ArithmeticError, match="rows -4 and .* of one slab differ"):
-        co._pattern_counts(fan, t, rays, 4)
+        co._pattern_counts(rays, 4)
 
 
 def _with_row_edge_cases(test):

@@ -1,0 +1,103 @@
+"""The package computes with integers and Fractions only: a scan of its
+source for the ways a float can get in."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "k3carpets"
+
+# (module, function) where true division is allowed: `_rank` divides Fractions
+DIVISION_ALLOWED = {("cech_oracle", "_rank")}
+# modules where `inf` is allowed: `exact_seq` uses it as the unbounded-bound sentinel
+INF_ALLOWED = {"exact_seq"}
+
+
+def _float_uses(source: str, module: str) -> list[str]:
+    """Every float literal, float() call, disallowed true division and
+    disallowed use of `inf` in `source`, as 'module:line what' strings."""
+    found = []
+
+    class Scan(ast.NodeVisitor):
+        function = None
+
+        def report(self, node, what):
+            found.append(f"{module}:{node.lineno} {what}")
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        def visit_Constant(self, node):
+            if isinstance(node.value, (float, complex)):
+                self.report(node, f"literal {node.value!r}")
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id == "float":
+                self.report(node, "float() call")
+            self.generic_visit(node)
+
+        def _division(self, node, op):
+            if isinstance(op, ast.Div) and (module, self.function) not in DIVISION_ALLOWED:
+                self.report(node, "true division")
+            self.generic_visit(node)
+
+        def visit_BinOp(self, node):
+            self._division(node, node.op)
+
+        def visit_AugAssign(self, node):
+            self._division(node, node.op)
+
+        def _inf(self, node, name):
+            if name == "inf" and module not in INF_ALLOWED:
+                self.report(node, "inf")
+
+        def visit_Name(self, node):
+            self._inf(node, node.id)
+
+        def visit_Attribute(self, node):
+            self._inf(node, node.attr)
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            for alias in node.names:
+                self._inf(node, alias.name)
+
+    Scan().visit(ast.parse(source))
+    return found
+
+
+def test_package_source_has_no_floats():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [use for path in modules for use in _float_uses(path.read_text(), path.stem)]
+    assert found == []
+
+
+def test_scan_finds_each_kind_of_float():
+    source = (
+        "from math import inf\n"
+        "def _rank(a, b):\n"
+        "    return a / b\n"
+        "def f(a, b):\n"
+        "    a /= b\n"
+        "    return float(a) + 1.5 + 2j + math.inf + a / b\n"
+    )
+    assert sorted(_float_uses(source, "cech_oracle")) == [
+        "cech_oracle:1 inf",
+        "cech_oracle:5 true division",
+        "cech_oracle:6 float() call",
+        "cech_oracle:6 inf",
+        "cech_oracle:6 literal 1.5",
+        "cech_oracle:6 literal 2j",
+        "cech_oracle:6 true division",
+    ]
+    # `_rank` may divide only in cech_oracle, and `inf` is allowed in exact_seq
+    assert sorted(_float_uses(source, "exact_seq")) == [
+        "exact_seq:3 true division",
+        "exact_seq:5 true division",
+        "exact_seq:6 float() call",
+        "exact_seq:6 literal 1.5",
+        "exact_seq:6 literal 2j",
+        "exact_seq:6 true division",
+    ]
