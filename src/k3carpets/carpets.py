@@ -24,6 +24,7 @@ which all rest on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import line_cohomology as lc
 from . import surfaces
@@ -198,23 +199,35 @@ def embedded_carpet_h0(embedding: EmbeddingData) -> int:
     ).h0
 
 
+@lru_cache(maxsize=1024)
+def _minimal_degree(polarization: surfaces.DivisorClass) -> bool:
+    """Whether the very ample L embeds S with minimal degree, degree =
+    codimension + 1: L^2 = h0(L) - 2, where h0(L) = chi(L).  Cached because
+    a sweep reports on one polarization once per extra ambient dimension."""
+    s = polarization.surface
+    square = surfaces.intersect(s, polarization, polarization)
+    return square == surfaces.riemann_roch_chi(s, polarization) - 2
+
+
 def carpet_report(embedding: EmbeddingData, abstract_dim: int | None = None) -> CarpetReport:
     """`abstract_dim`, if given, is the surface's `abstract_carpet_dim`."""
     surface = embedding.surface
-    h0 = _normal_twist_cohomology(surface, embedding.polarization, embedding.n_plus_1).h0
+    polarization = embedding.polarization
+    h0 = _normal_twist_cohomology(surface, polarization, embedding.n_plus_1).h0
+    minimal = _minimal_degree(polarization)
     report = CarpetReport(
         embedding=embedding,
         abstract_family_dim=abstract_carpet_dim(surface) if abstract_dim is None else abstract_dim,
         embedded_h0=h0,
         embedded_moduli_dim=h0 - 1,
         exists_embedded=h0 > 0,
-        minimal_degree_case=(not surface.is_plane) and embedding.polarization.a == 1,
+        minimal_degree_case=minimal,
         assumed_splitting=not surface.is_plane,
     )
-    if report.minimal_degree_case and report.embedded_moduli_dim != 0:
+    if minimal and h0 != (0 if surface.is_plane else 1):
         raise InconsistencyError(
-            f"minimal-degree embedding should carry a unique carpet, got "
-            f"h0 = {report.embedded_h0}"
+            f"minimal-degree embedding should carry a unique carpet on F_e and "
+            f"none on P^2, got h0 = {h0}"
         )
     return report
 

@@ -31,10 +31,25 @@ x-independent ray changes sign; inside a slab each pattern's count per
 row is affine in y, so a slab's total is an arithmetic series read off
 its first and last rows.  The work has a bound set by the rays, not by
 the size of the box.
-The box is counted again with a larger bound and the run fails loudly if
-the totals moved, turning the heuristic box size into a certified answer.
 
-Everything here is integer/rational arithmetic; no formula is shared with
+The box is counted once, and certified rather than re-counted.  Every
+character outside it must carry no cohomology, which follows from two
+checks (`_certify`).  The ray inequalities cut the plane along the lines
+<m, u_rho> = -a_rho, and a pattern is constant on each face of that line
+arrangement.  (a) If the box holds every vertex of the arrangement, it
+holds every bounded face (the hull of its vertices), so a character
+outside it lies on an unbounded face and keeps its pattern along a
+recession direction d of that face.  There the bit of a ray not
+perpendicular to d is the sign of <d, u_rho>, and the bits of the rays
+perpendicular to d follow from the character.  (b) Those patterns at
+infinity are one per open sector between consecutive critical directions
++-u_rho^perp, and at each critical direction one per feasible choice of
+the perpendicular rays' bits.  Each of them holds infinitely many
+characters, so on a complete toric surface, whose cohomology is finite
+(Cox-Little-Schenck, Toric Varieties, ch. 9), it must have zero
+cohomology, and `_pattern_cohomology` checks that rather than trusting it.
+
+Everything here is integer arithmetic; no formula is shared with
 `line_cohomology`.
 """
 
@@ -42,8 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
@@ -52,7 +66,9 @@ from .line_cohomology import CohVector
 
 
 class TruncationError(RuntimeError):
-    """Box sweep totals changed when the box grew; the bound is too small."""
+    """The box's count is not certified to be the whole answer: a vertex of
+    the ray arrangement lies outside the box, or a pattern at infinity has
+    nonzero cohomology."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +84,8 @@ class ToricFan:
                 raise ValueError(f"rays must be 2-vectors, got {u}")
             if math.gcd(u[0], u[1]) != 1:
                 raise ValueError(f"ray {u} is not primitive")
+        if len(set(self.rays)) != len(self.rays):
+            raise ValueError(f"rays must be distinct, got {self.rays}")
         for cone in self.max_cones:
             if len(cone) != 2:
                 raise ValueError(f"maximal cones must have two rays, got {cone}")
@@ -103,7 +121,9 @@ def hirzebruch_fan(e: int) -> ToricFan:
     return ToricFan(((1, 0), (0, 1), (-1, e), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
 
 
+@lru_cache(maxsize=None)
 def fan_for(surface: surfaces.SurfaceModel) -> ToricFan:
+    """The fan of `surface`, built once per P^2 and per e."""
     if surface.is_plane:
         return p2_fan()
     return hirzebruch_fan(surface.e)
@@ -127,8 +147,8 @@ def divisor_to_toric(
 
 
 def _rank(rows: list[list[int]]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    """Rank over Q by fraction-free integer row elimination."""
+    mat = [row for row in rows if any(row)]
     if not mat:
         return 0
     ncols = len(mat[0])
@@ -141,10 +161,11 @@ def _rank(rows: list[list[int]]) -> int:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
+        pivot_entry = prow[col]
         for r in range(rank + 1, len(mat)):
-            factor = mat[r][col] / prow[col]
+            factor = mat[r][col]
             if factor:
-                mat[r] = [x - factor * y for x, y in zip(mat[r], prow)]
+                mat[r] = [pivot_entry * x - factor * y for x, y in zip(mat[r], prow)]
         rank += 1
         col += 1
     return rank
@@ -355,15 +376,109 @@ def _box_totals(
     return tuple(totals)
 
 
-def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
-    """Box bound covering every bounded cell of the inequality arrangement.
+def _positive_mask(fan: ToricFan, d: tuple[int, int]) -> int:
+    """Mask of the rays with <d, u_rho> > 0."""
+    return sum(1 << rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] > 0)
 
-    The pattern changes only across the lines <m, u_rho> = -a_rho, and
-    characters in unbounded cells contribute nothing (they would give
-    infinite-dimensional cohomology), so covering the pairwise line
-    intersections covers all contributing characters.  On F_e the section
-    inequalities intersect the slanted fiber inequality at coordinates of
-    order e * max|a_rho|, hence the extra term.
+
+def _counterclockwise(d: tuple[int, int], e: tuple[int, int]) -> int:
+    """Order of two directions counterclockwise from the positive x-axis,
+    by half-plane and then by the sign of their cross product."""
+    lower_d = d[1] < 0 or (d[1] == 0 and d[0] < 0)
+    lower_e = e[1] < 0 or (e[1] == 0 and e[0] < 0)
+    if lower_d != lower_e:
+        return lower_d - lower_e
+    return e[0] * d[1] - e[1] * d[0]
+
+
+# A pattern at infinity realized by some divisors only: (rho, sigma, mask,
+# both), with u_sigma = -u_rho perpendicular to the direction and both bits
+# set in mask (both) or both unset (not both).
+_Conditional = tuple[int, int, int, bool]
+
+
+@lru_cache(maxsize=None)
+def _patterns_at_infinity(fan: ToricFan) -> tuple[_Conditional, ...]:
+    """The fan's part of the certificate, computed once per fan.
+
+    The critical directions +-u_rho^perp are sorted counterclockwise.  The
+    pattern of the open sector after a direction d is read off the sum of
+    d and the next direction.  At d, the rays with <d, u_rho> > 0 are
+    satisfied, and the rays perpendicular to d are one ray w, or w and -w;
+    with k = <m, w>, which takes every integer value, the bit of w asks for
+    k >= -a_w and the bit of -w for k <= a_(-w).  A single bit, and two
+    different bits, are realized whatever the divisor.  Both set needs
+    a_w + a_(-w) >= 0, and both unset needs a_w + a_(-w) <= -2.
+
+    Raises TruncationError if a pattern that every divisor realizes has
+    nonzero cohomology.  Returns the patterns that only some divisors
+    realize and that have nonzero cohomology, for `_certify` to test
+    against the divisor; a correct fan has none.
+    """
+    dirs = sorted(
+        {d for p, q in fan.rays for d in ((-q, p), (q, -p))}, key=cmp_to_key(_counterclockwise)
+    )
+    always, conditional = [], []
+    for d, after in zip(dirs, dirs[1:] + dirs[:1]):
+        sector = _positive_mask(fan, (d[0] + after[0], d[1] + after[1]))
+        always.append((sector, f"in the sector between directions {d} and {after}"))
+        base = _positive_mask(fan, d)
+        perp = [rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] == 0]
+        always += [(base | 1 << rho, f"at direction {d}") for rho in perp]
+        if len(perp) == 1:
+            always.append((base, f"at direction {d}"))
+        else:
+            rho, sigma = perp
+            both = base | 1 << rho | 1 << sigma
+            conditional += [(rho, sigma, both, True), (rho, sigma, base, False)]
+    for mask, where in always:
+        hs = _pattern_cohomology(fan.max_cones, mask)
+        if any(hs):
+            raise TruncationError(
+                f"pattern at infinity {mask:#b} {where} has cohomology {hs[:3]}, "
+                f"for the fan with rays {fan.rays}"
+            )
+    return tuple(c for c in conditional if any(_pattern_cohomology(fan.max_cones, c[2])))
+
+
+def _ratio(num: int, den: int) -> str:
+    g = math.gcd(num, den) * (-1 if den < 0 else 1)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _certify(fan: ToricFan, t: ToricDivisor, box: int, what: str) -> None:
+    """Raise TruncationError unless the box's count is the whole answer.
+
+    (a) Every vertex of the arrangement <m, u_rho> = -a_rho lies in
+    |m1|, |m2| <= box, tested as |numerator| <= box * |det| by Cramer's rule.
+    (b) Every pattern at infinity that a character realizes has zero
+    cohomology (`_patterns_at_infinity`).
+    """
+    for (u, a), (v, b) in combinations(zip(fan.rays, t.coeffs), 2):
+        det = u[0] * v[1] - u[1] * v[0]
+        x, y = b * u[1] - a * v[1], a * v[0] - b * u[0]
+        if det and max(abs(x), abs(y)) > box * abs(det):
+            raise TruncationError(
+                f"arrangement vertex ({_ratio(x, det)}, {_ratio(y, det)}), where the "
+                f"lines of rays {u} and {v} meet, lies outside the box |m1|, |m2| <= "
+                f"{box} for {what}"
+            )
+    for rho, sigma, mask, both in _patterns_at_infinity(fan):
+        total = t.coeffs[rho] + t.coeffs[sigma]
+        if (total >= 0) if both else (total <= -2):
+            hs = _pattern_cohomology(fan.max_cones, mask)
+            raise TruncationError(
+                f"pattern at infinity {mask:#b} has cohomology {hs[:3]} for {what}"
+            )
+
+
+def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
+    """Box bound holding every vertex of the inequality arrangement.
+
+    The vertices are the pairwise intersections of the lines
+    <m, u_rho> = -a_rho.  On F_e the section lines meet the slanted fiber
+    line at coordinates of order e * max|a_rho|, hence the extra term.  The
+    bound is not trusted: `coh_oracle` certifies every box it counts.
     """
     e = 0 if surface.is_plane else surface.e
     biggest = max(abs(c) for c in t.coeffs)
@@ -377,8 +492,8 @@ def coh_oracle(
 ) -> CohVector:
     """Ground-truth (h0, h1, h2) by summing graded pieces over a box.
 
-    Runs the sweep at the box bound and again at bound + 3; raises
-    TruncationError when the totals differ.
+    Certifies the box (`_certify`), raising TruncationError if it fails,
+    and then counts it once.
     """
     fan = fan_for(surface)
     t = divisor_to_toric(surface, divisor)
@@ -387,11 +502,5 @@ def coh_oracle(
     if box < 0:
         raise ValueError(f"box bound must be >= 0, got {box}")
     rays = _classify_rays(fan, t)
-    first = _box_totals(fan.max_cones, rays, box)
-    second = _box_totals(fan.max_cones, rays, box + 3)
-    if first != second:
-        raise TruncationError(
-            f"cohomology totals not stable under box growth for {divisor} on "
-            f"{surface}: box {box} gives {first}, box {box + 3} gives {second}"
-        )
-    return CohVector(*first)
+    _certify(fan, t, box, f"{divisor} on {surface}")
+    return CohVector(*_box_totals(fan.max_cones, rays, box))

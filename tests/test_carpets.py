@@ -55,6 +55,21 @@ def test_minimal_degree_unique_carpet():
     assert rep.exists_embedded
 
 
+def test_minimal_degree_is_degree_equal_to_codimension_plus_one():
+    # on F_0, (a, 1) is the scroll (1, a) with the rulings swapped; on P^2
+    # the plane itself and the Veronese surface have minimal degree
+    for a in range(1, 7):
+        for emb in (complete(hirzebruch(0), a, 1), complete(hirzebruch(0), 1, a)):
+            rep = carpet_report(emb)
+            assert rep.minimal_degree_case and rep.embedded_h0 == 1
+    for d in range(1, 9):
+        rep = carpet_report(complete(P2, d))
+        assert rep.minimal_degree_case == (d <= 2)
+        assert rep.exists_embedded == (d > 2)
+    assert not carpet_report(complete(hirzebruch(0), 2, 2)).minimal_degree_case
+    assert not carpet_report(complete(hirzebruch(1), 2, 3)).minimal_degree_case
+
+
 def test_embedded_counts_frozen_cases():
     f2 = hirzebruch(2)
     assert embedded_carpet_h0(complete(f2, 2, 5)) == 25

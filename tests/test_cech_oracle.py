@@ -1,9 +1,12 @@
+import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from k3carpets import battery
 from k3carpets import cech_oracle as co
 from k3carpets.cech_oracle import (
     ToricDivisor,
@@ -27,6 +30,8 @@ def test_fan_validation():
         ToricFan(((2, 0), (0, 1)), ((0, 1),))  # non-primitive ray
     with pytest.raises(ValueError):
         ToricFan(((1, 0), (-1, 0)), ((0, 1),))  # det 0, not smooth
+    with pytest.raises(ValueError, match="distinct"):
+        ToricFan(((1, 0), (0, 1), (1, 0)), ((0, 1),))
     fan = hirzebruch_fan(3)
     assert fan.rays == ((1, 0), (0, 1), (-1, 3), (0, -1))
     assert p2_fan().rays == ((1, 0), (0, 1), (-1, -1))
@@ -218,10 +223,135 @@ def test_h0_equals_polytope_point_count():
 
 def test_truncation_error_on_small_box():
     f5 = hirzebruch(5)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"vertex \(40, 8\), where the lines of rays "
+                       r"\(0, 1\) and \(-1, 5\) meet, lies outside the box \|m1\|, \|m2\| <= 15"):
         coh_oracle(f5, f5.divisor(-8, 0), box=15)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"vertex \(12, 0\)"):
         coh_oracle(P2, P2.divisor(-12), box=2)
+    # a vertex with a fractional coordinate is named exactly
+    fan, t = fan_for(f5), ToricDivisor((0, 0, 6, 0))
+    with pytest.raises(TruncationError, match=r"vertex \(0, -6/5\)"):
+        co._certify(fan, t, 1, "t")
+    co._certify(fan, t, 6, "t")
+
+
+def test_recount_misses_what_the_certificate_catches():
+    # the box and box + 3 counts agree on (0, 0, 0) here; the answer is (0, 22, 2)
+    f3 = hirzebruch(3)
+    fan, t = fan_for(f3), divisor_to_toric(f3, f3.divisor(-6, -6))
+    assert _box_totals(fan, t, 0) == _box_totals(fan, t, 3) == (0, 0, 0)
+    assert coh(f3, f3.divisor(-6, -6)).as_tuple() == (0, 22, 2)
+    with pytest.raises(TruncationError, match=r"arrangement vertex \(6, 6\)"):
+        coh_oracle(f3, f3.divisor(-6, -6), box=0)
+
+
+def _oracle_large_bundles(seed, count=120, max_coeff=1000):
+    """Bundles like the benchmark's large oracle queries: P^2 and F_0..F_12,
+    coefficient magnitudes log-uniform in [1, max_coeff], random signs."""
+    rng = random.Random(seed)
+    surfaces = [P2, *(hirzebruch(e) for e in range(13))]
+    out = []
+    for i in range(count):
+        s = surfaces[i % len(surfaces)]
+        coeffs = [
+            rng.choice((-1, 1)) * round(math.exp(rng.random() * math.log(max_coeff)))
+            for _ in range(s.picard_rank)
+        ]
+        out.append((s, s.divisor(*coeffs)))
+    return out
+
+
+@pytest.mark.parametrize("bundles", [
+    pytest.param(list(battery.oracle_grid()), id="battery-grid"),
+    pytest.param(_oracle_large_bundles(1), id="oracle-large-seed-1"),
+    pytest.param(_oracle_large_bundles(7919), id="oracle-large-seed-7919"),
+])
+def test_certified_pass_matches_recount_and_closed_form(bundles):
+    # the box + 3 recount is kept here as a reference count
+    for s, d in bundles:
+        fan, t = fan_for(s), divisor_to_toric(s, d)
+        box = co.default_box(s, t)
+        co._certify(fan, t, box, f"{d} on {s}")
+        once = coh_oracle(s, d).as_tuple()
+        assert once == _box_totals(fan, t, box + 3) == coh(s, d).as_tuple(), (s, d)
+
+
+def test_oracle_counts_the_box_once(monkeypatch):
+    boxes = []
+    real = co._box_totals
+
+    def counted(cone_key, rays, box):
+        boxes.append(box)
+        return real(cone_key, rays, box)
+
+    monkeypatch.setattr(co, "_box_totals", counted)
+    f5 = hirzebruch(5)
+    assert coh_oracle(f5, f5.divisor(-8, 0)).as_tuple() == (0, 147, 0)
+    assert boxes == [co.default_box(f5, divisor_to_toric(f5, f5.divisor(-8, 0)))]
+
+
+@pytest.fixture
+def fake_cohomology(monkeypatch):
+    """Gives one pattern mask the cohomology (0, 1, 0); the fans' cached
+    patterns at infinity are cleared before and after."""
+    real = co._pattern_cohomology
+    co._patterns_at_infinity.cache_clear()
+
+    def fake(fake_mask):
+        monkeypatch.setattr(
+            co, "_pattern_cohomology",
+            lambda key, mask: (0, 1, 0, 0) if mask == fake_mask else real(key, mask),
+        )
+
+    yield fake
+    monkeypatch.undo()
+    co._patterns_at_infinity.cache_clear()
+
+
+def test_sector_pattern_with_cohomology_is_refused(fake_cohomology):
+    # on F_2 the direction (1, 1) lies in the open sector between the
+    # critical directions (2, 1) and (0, 1); rays (1, 0), (0, 1), (-1, 2) are
+    # positive on it
+    fake_cohomology(0b0111)
+    with pytest.raises(TruncationError, match="pattern at infinity 0b111 in the sector "
+                       r"between directions \(2, 1\) and \(0, 1\) has cohomology \(0, 1, 0\)"):
+        coh_oracle(F2, F2.divisor(1, 1))
+
+
+@pytest.mark.parametrize("mask, realized_at", [(0b0010, (-2, -7)), (0b0111, (0, 5))])
+def test_critical_pattern_is_checked_where_a_character_realizes_it(
+    fake_cohomology, mask, realized_at
+):
+    # on F_0 at the critical direction (0, 1), the rays (1, 0) and (-1, 0)
+    # are perpendicular to it, and the divisor (0, b) asks x >= -b and x <= 0
+    # of them: both unsatisfied (0b0010) needs b <= -2, both satisfied
+    # (0b0111) needs b >= 0
+    f0 = hirzebruch(0)
+    fake_cohomology(mask)
+    assert coh_oracle(f0, f0.divisor(0, -1)).as_tuple() == (0, 0, 0)
+    for b in realized_at:
+        with pytest.raises(TruncationError, match=f"pattern at infinity {mask:#b} has cohomology"):
+            coh_oracle(f0, f0.divisor(0, b))
+
+
+def test_directions_sort_counterclockwise():
+    order = [(1, 0), (3, 1), (1, 1), (0, 1), (-1, 2), (-1, 0), (-2, -1), (0, -1), (1, -5)]
+    shuffled = order[:]
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled, key=co.cmp_to_key(co._counterclockwise)) == order
+
+
+def test_integer_rank():
+    assert co._rank([[2, 4], [1, 2]]) == 1
+    assert co._rank([[2, 1], [1, 2]]) == 2
+    assert co._rank([[0, 0], [0, 0]]) == 0
+    assert co._rank([[0, 3, 6], [0, 2, 4], [5, 0, 1]]) == 2
+
+
+def test_one_fan_per_surface():
+    assert fan_for(hirzebruch(4)) is fan_for(hirzebruch(4))
+    assert fan_for(P2) is fan_for(projective_plane())
+    assert fan_for(hirzebruch(4)) == hirzebruch_fan(4)
 
 
 def test_degree_three_cohomology_always_vanishes():

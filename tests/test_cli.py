@@ -70,6 +70,13 @@ def test_coh_oracle_agreement():
     assert "h1      : 3" in text
 
 
+@pytest.mark.parametrize("surface, divisor", [("F0", "2,1"), ("P2", "2"), ("P2", "1")])
+def test_minimal_degree_beyond_one_section(surface, divisor):
+    code, text = run("carpet", surface, divisor)
+    assert code == 0
+    assert "minimal_degree_case : true" in text
+
+
 def test_coh_json_integers_are_strings():
     code, text = run("coh", "F4", "4,12", "--format", "json")
     assert code == 0
@@ -80,7 +87,20 @@ def test_coh_json_integers_are_strings():
 def test_box_override_surfaces_truncation(capsys):
     assert cli.main(["coh", "F5", "-8,0", "--oracle", "--box", "15"]) == 2
     err = capsys.readouterr().err
-    assert "not stable" in err and "(0, 97, 0)" in err and "(0, 109, 0)" in err
+    assert "arrangement vertex (40, 8)" in err and "outside the box |m1|, |m2| <= 15" in err
+
+
+@pytest.mark.parametrize("surface, divisor, box, vertex", [
+    ("F3", "-6,-6", "0", "(6, 6)"),
+    ("F4", "-9,-16", "1", "(16, 9)"),
+])
+def test_uncertified_box_is_an_error_not_a_disagree(capsys, surface, divisor, box, vertex):
+    # the box and box + 3 counts of these agree on (0, 0, 0), which is wrong
+    assert cli.main(["coh", surface, divisor, "--oracle", "--box", box]) == 2
+    captured = capsys.readouterr()
+    assert "DISAGREE" not in captured.out
+    assert f"arrangement vertex {vertex}" in captured.err
+    assert f"outside the box |m1|, |m2| <= {box}" in captured.err
 
 
 def test_box_usage_errors(capsys):

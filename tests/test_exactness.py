@@ -1,32 +1,23 @@
-"""The package computes with integers and Fractions only: a scan of its
-source for the ways a float can get in."""
+"""The package computes with integers only: a scan of its source for the
+ways a float can get in."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "k3carpets"
 
-# (module, function) where true division is allowed: `_rank` divides Fractions
-DIVISION_ALLOWED = {("cech_oracle", "_rank")}
 # modules where `inf` is allowed: `exact_seq` uses it as the unbounded-bound sentinel
 INF_ALLOWED = {"exact_seq"}
 
 
 def _float_uses(source: str, module: str) -> list[str]:
-    """Every float literal, float() call, disallowed true division and
-    disallowed use of `inf` in `source`, as 'module:line what' strings."""
+    """Every float literal, float() call, true division and disallowed use
+    of `inf` in `source`, as 'module:line what' strings."""
     found = []
 
     class Scan(ast.NodeVisitor):
-        function = None
-
         def report(self, node, what):
             found.append(f"{module}:{node.lineno} {what}")
-
-        def visit_FunctionDef(self, node):
-            outer, self.function = self.function, node.name
-            self.generic_visit(node)
-            self.function = outer
 
         def visit_Constant(self, node):
             if isinstance(node.value, (float, complex)):
@@ -38,7 +29,7 @@ def _float_uses(source: str, module: str) -> list[str]:
             self.generic_visit(node)
 
         def _division(self, node, op):
-            if isinstance(op, ast.Div) and (module, self.function) not in DIVISION_ALLOWED:
+            if isinstance(op, ast.Div):
                 self.report(node, "true division")
             self.generic_visit(node)
 
@@ -85,6 +76,7 @@ def test_scan_finds_each_kind_of_float():
     )
     assert sorted(_float_uses(source, "cech_oracle")) == [
         "cech_oracle:1 inf",
+        "cech_oracle:3 true division",
         "cech_oracle:5 true division",
         "cech_oracle:6 float() call",
         "cech_oracle:6 inf",
@@ -92,7 +84,7 @@ def test_scan_finds_each_kind_of_float():
         "cech_oracle:6 literal 2j",
         "cech_oracle:6 true division",
     ]
-    # `_rank` may divide only in cech_oracle, and `inf` is allowed in exact_seq
+    # `inf` is allowed in exact_seq only
     assert sorted(_float_uses(source, "exact_seq")) == [
         "exact_seq:3 true division",
         "exact_seq:5 true division",
