@@ -6,7 +6,10 @@ and the carpets embedded in P^N extending a fixed embedding of S by
 P(H^0(N_{S/P^N} ⊗ K_S)).  This module assembles those dimensions, the
 double-cover K3 test for |-2K_S|, and the Hilbert-scheme tangent report
 for the carpet, entirely from the line-bundle cohomology modules and the
-long-exact-sequence calculus.
+long-exact-sequence calculus.  The first two levels are kept apart:
+`abstract_carpet_dim` and `double_cover_k3_check` take the surface alone,
+`carpet_report` one embedding of it.  The Hilbert verdict is read off the
+chain's h^1 of the carpet normal bundle.
 
 Each sequence is data: a label and three term names, with the known
 line-bundle endpoints looked up by name, so every endpoint is written once
@@ -23,8 +26,7 @@ which all rest on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from . import line_cohomology as lc
 from . import surfaces
@@ -43,6 +45,7 @@ class EmbeddingData:
     surface: surfaces.SurfaceModel
     polarization: surfaces.DivisorClass
     ambient_n: int
+    h0: int = field(init=False, compare=False)  # h^0(L), computed once here
 
     def __post_init__(self):
         if not isinstance(self.ambient_n, int) or isinstance(self.ambient_n, bool):
@@ -53,6 +56,7 @@ class EmbeddingData:
                 f"polarization {self.polarization} on {self.surface} is not very ample"
             )
         h0 = lc.coh(self.surface, self.polarization).h0
+        object.__setattr__(self, "h0", h0)
         if self.ambient_n + 1 < h0:
             raise InvalidGeometryError(
                 f"ambient dimension N = {self.ambient_n} too small: "
@@ -78,10 +82,10 @@ class EmbeddingData:
 
 @dataclass(frozen=True)
 class CarpetReport:
-    """Family dimensions of abstract and embedded K3 carpets on one surface."""
+    """The K3 carpets embedded along one embedding of S; the abstract carpets,
+    a fact about S alone, are counted by `abstract_carpet_dim`."""
 
     embedding: EmbeddingData
-    abstract_family_dim: int  # = h1(T_S ⊗ K_S)
     embedded_h0: int  # = h0(N_{S/P^N} ⊗ K_S)
     embedded_moduli_dim: int  # = embedded_h0 - 1
     exists_embedded: bool
@@ -199,25 +203,15 @@ def embedded_carpet_h0(embedding: EmbeddingData) -> int:
     ).h0
 
 
-@lru_cache(maxsize=1024)
-def _minimal_degree(polarization: surfaces.DivisorClass) -> bool:
-    """Whether the very ample L embeds S with minimal degree, degree =
-    codimension + 1: L^2 = h0(L) - 2, where h0(L) = chi(L).  Cached because
-    a sweep reports on one polarization once per extra ambient dimension."""
-    s = polarization.surface
-    square = surfaces.intersect(s, polarization, polarization)
-    return square == surfaces.riemann_roch_chi(s, polarization) - 2
-
-
-def carpet_report(embedding: EmbeddingData, abstract_dim: int | None = None) -> CarpetReport:
-    """`abstract_dim`, if given, is the surface's `abstract_carpet_dim`."""
+def carpet_report(embedding: EmbeddingData) -> CarpetReport:
+    """The embedded carpets of one embedding.  L embeds S with minimal
+    degree, degree = codimension + 1, iff L^2 = h0(L) - 2."""
     surface = embedding.surface
     polarization = embedding.polarization
     h0 = _normal_twist_cohomology(surface, polarization, embedding.n_plus_1).h0
-    minimal = _minimal_degree(polarization)
+    minimal = surfaces.intersect(surface, polarization, polarization) == embedding.h0 - 2
     report = CarpetReport(
         embedding=embedding,
-        abstract_family_dim=abstract_carpet_dim(surface) if abstract_dim is None else abstract_dim,
         embedded_h0=h0,
         embedded_moduli_dim=h0 - 1,
         exists_embedded=h0 > 0,
@@ -344,7 +338,22 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     if nc.hi[2] != 0:
         raise InconsistencyError(f"h2 of the carpet normal bundle not forced to 0: {nc}")
 
-    report = HilbertReport(
+    # the chain decides the verdict, smooth iff h1 = 0 and singular iff
+    # h1 >= 1; the closed form h1(K^-1) = h1(K^-2) = 0 is its cross-check
+    smooth = nc.hi[1] == 0
+    if not smooth and nc.lo[1] == 0:
+        raise InconsistencyError(f"h1 of the carpet normal bundle decides no verdict: {nc}")
+    if smooth != (kinv.h1 == 0 and k2inv.h1 == 0):
+        raise InconsistencyError(
+            f"chain verdict {'smooth' if smooth else 'singular'} disagrees with "
+            f"h1(K^-1) = {kinv.h1}, h1(K^-2) = {k2inv.h1}"
+        )
+    if smooth and (nc.lo[0], nc.hi[0]) != (expected, expected):
+        raise InconsistencyError(
+            f"smooth verdict but h0 {(nc.lo[0], nc.hi[0])} != {expected}"
+        )
+
+    return HilbertReport(
         embedding=embedding,
         hilbert_ambient_n=n_plus_1 - 1,
         h0_normal_surface=h0_n_s,
@@ -354,15 +363,6 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
         h1_K2inv=k2inv.h1,
         h0_normal_carpet=(nc.lo[0], nc.hi[0]),
         h1_normal_carpet=(nc.lo[1], nc.hi[1]),
-        smooth=kinv.h1 == 0 and k2inv.h1 == 0,
+        smooth=smooth,
         assumed_splitting=not surface.is_plane,
     )
-    if report.smooth and report.h1_normal_carpet != (0, 0):
-        raise InconsistencyError(
-            f"smooth verdict but h1 not forced to zero: {report.h1_normal_carpet}"
-        )
-    if report.smooth and report.h0_normal_carpet != (expected, expected):
-        raise InconsistencyError(
-            f"smooth verdict but h0 {report.h0_normal_carpet} != {expected}"
-        )
-    return report

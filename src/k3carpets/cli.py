@@ -261,7 +261,7 @@ def cmd_carpet(tokens: list[str], out) -> int:
             "ambient_n": report.embedding.ambient_n,
         },
         "results": {
-            "abstract_family_dim": report.abstract_family_dim,
+            "abstract_family_dim": carpets.abstract_carpet_dim(surface),
             "embedded_h0": report.embedded_h0,
             "embedded_moduli_dim": report.embedded_moduli_dim,
             "exists_embedded": report.exists_embedded,
@@ -341,13 +341,16 @@ def _known(fact):
 def _sweep_rows(task: tuple) -> list[dict]:
     """The rows of one polarization, one per extra ambient dimension.
 
-    The Hilbert report is computed once, at the first row that reaches it,
+    The task carries the surface's `_surface_facts`, computed once per
+    surface: a row reads its abstract dimension and double-cover verdict
+    there, and `carpet_report` reports on the row's embedding alone.  The
+    Hilbert report is computed once, at the first row that reaches it,
     and reused by the later rows: it is the report of the carpet embedded by
     its own complete series, N + 1 = h^0(L) + h^0(L + K_S), so it depends on
     the surface and the polarization and not on the row's extra dimensions.
     A row that fails before the Hilbert step keeps its own error.  h^0(L)
-    is computed once, by the first row that reaches it, and every later
-    row's embedding is built from it.
+    is computed once, by the first row that reaches it; every later row's
+    embedding is built from it, and each row's h0 column is emb.h0.
     """
     s, a, b, d, extra_range, abstract_dim, cover = task
     h0 = hilbert = None
@@ -360,13 +363,14 @@ def _sweep_rows(task: tuple) -> list[dict]:
                 h0 = line_cohomology.coh(s, div).h0
             emb = EmbeddingData(s, div, h0 - 1 + extra)  # the complete series and `extra` more
             row["n_plus_1"] = emb.n_plus_1
-            row["h0"] = h0
-            rep = carpets.carpet_report(emb, abstract_dim=_known(abstract_dim))
+            row["h0"] = emb.h0
+            abstract = _known(abstract_dim)
+            rep = carpets.carpet_report(emb)
             row.update(
                 embedded_h0=rep.embedded_h0,
                 moduli_dim=rep.embedded_moduli_dim,
                 exists=rep.exists_embedded,
-                abstract_dim=rep.abstract_family_dim,
+                abstract_dim=abstract,
             )
             row["k3_cover"] = _known(cover).is_k3_cover
             if hilbert is None:

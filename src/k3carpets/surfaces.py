@@ -84,20 +84,6 @@ class DivisorClass:
                 raise ValueError(f"divisor coefficients must be integers, got {c!r}")
 
     @property
-    def a(self) -> int:
-        """C0-coefficient on F_e."""
-        if self.surface.is_plane:
-            raise SurfaceMismatchError("P^2 classes have no C0-coefficient")
-        return self.coeffs[0]
-
-    @property
-    def b(self) -> int:
-        """f-coefficient on F_e."""
-        if self.surface.is_plane:
-            raise SurfaceMismatchError("P^2 classes have no fiber coefficient")
-        return self.coeffs[1]
-
-    @property
     def degree(self) -> int:
         if not self.surface.is_plane:
             raise SurfaceMismatchError("degree is defined on P^2 classes only")
@@ -120,9 +106,6 @@ class DivisorClass:
         return DivisorClass(
             self.surface, tuple(x - y for x, y in zip(self.coeffs, other.coeffs))
         )
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-x for x in self.coeffs))
 
     def __rmul__(self, n: int) -> "DivisorClass":
         if not isinstance(n, int) or isinstance(n, bool):

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from k3carpets import battery, carpets, cli
+from k3carpets import battery, carpets, cli, surfaces
 from k3carpets.carpets import (
     EmbeddingData,
     abstract_carpet_dim,
@@ -32,7 +32,9 @@ def test_embedding_validation():
     with pytest.raises(ValueError):
         EmbeddingData(P2, P2.divisor(2), 4)  # N + 1 < h0 = 6
     emb = complete(f2, 1, 3)
-    assert emb.n_plus_1 == coh(f2, f2.divisor(1, 3)).h0 == 6
+    assert emb.n_plus_1 == emb.h0 == coh(f2, f2.divisor(1, 3)).h0 == 6
+    # h^0(L) is derived, so it takes no part in equality or hashing
+    assert "h0" not in {f.name for f in fields(EmbeddingData) if f.init or f.compare}
 
 
 @pytest.mark.parametrize("e", range(8))
@@ -53,6 +55,23 @@ def test_minimal_degree_unique_carpet():
     rep = carpet_report(complete(hirzebruch(0), 1, 1))
     assert rep.minimal_degree_case and rep.embedded_moduli_dim == 0
     assert rep.exists_embedded
+
+
+def test_minimal_degree_reads_the_intersection_form_as_it_is(monkeypatch):
+    # a polarization seen before must not keep its earlier verdict once the
+    # intersection form changes: here F_e's form skewed by a1 * a2
+    f0 = hirzebruch(0)
+    assert carpet_report(complete(f0, 1, 1)).minimal_degree_case
+    original = surfaces.intersect
+
+    def skewed(surface, d1, d2):
+        value = original(surface, d1, d2)
+        if not surface.is_plane:
+            value += d1.coeffs[0] * d2.coeffs[0]
+        return value
+
+    monkeypatch.setattr(surfaces, "intersect", skewed)
+    assert not carpet_report(complete(f0, 1, 1)).minimal_degree_case
 
 
 def test_minimal_degree_is_degree_equal_to_codimension_plus_one():
@@ -110,13 +129,13 @@ def test_embedded_count_plane_closed_forms():
 
 def test_carpet_report_fields():
     rep = carpet_report(complete(hirzebruch(2), 2, 5))
-    assert rep.abstract_family_dim == 2
+    assert abstract_carpet_dim(hirzebruch(2)) == 2
     assert rep.embedded_h0 == 25
     assert rep.embedded_moduli_dim == 24
     assert rep.exists_embedded and not rep.minimal_degree_case
     assert rep.assumed_splitting
     rep = carpet_report(complete(P2, 2))
-    assert rep.abstract_family_dim == 1
+    assert abstract_carpet_dim(P2) == 1
     assert not rep.exists_embedded and rep.embedded_h0 == 0
     assert not rep.assumed_splitting
 
@@ -367,9 +386,46 @@ def test_hilbert_smooth_verdict_checks(monkeypatch, emb):
     expected = hilbert_report(emb).expected_smooth_dim
     with monkeypatch.context() as m:
         _perturb_chain(m, "Nc", lambda iv: CohInterval.exact(expected + 1, 1, 0))
-        with pytest.raises(InconsistencyError, match="^smooth verdict but h1"):
+        with pytest.raises(InconsistencyError, match="^chain verdict singular disagrees"):
             hilbert_report(emb)
     _perturb_chain(monkeypatch, "Nc",
                    lambda iv: CohInterval((expected - 1, 0, 0), (expected, 0, 0), expected))
     with pytest.raises(InconsistencyError, match="^smooth verdict but h0"):
         hilbert_report(emb)
+
+
+def test_hilbert_singular_verdict_checks(monkeypatch):
+    emb = _HILBERT_CASES[1]  # F_3 (2,8): h1 = 1
+    expected = hilbert_report(emb).expected_smooth_dim
+    _perturb_chain(monkeypatch, "Nc", lambda iv: CohInterval.exact(expected, 0, 0))
+    with pytest.raises(InconsistencyError, match="^chain verdict smooth disagrees"):
+        hilbert_report(emb)
+
+
+@pytest.mark.parametrize("emb", _HILBERT_CASES)
+def test_hilbert_undecided_h1_is_an_inconsistency(monkeypatch, emb):
+    expected = hilbert_report(emb).expected_smooth_dim
+    _perturb_chain(monkeypatch, "Nc",
+                   lambda iv: CohInterval((expected, 0, 0), (expected + 1, 1, 0), expected))
+    with pytest.raises(InconsistencyError, match="^h1 of the carpet normal bundle decides no"):
+        hilbert_report(emb)
+
+
+def _complete_series_reports():
+    for e in range(13):
+        yield from ((hirzebruch(e), a, a * e + db) for a in range(1, 5) for db in range(1, 5))
+    for e in (20, 100, 1000, 10**6):
+        yield from ((hirzebruch(e), a, a * e + db) for a in range(1, 3) for db in range(1, 3))
+    yield from ((P2, d) for d in range(3, 40))
+
+
+def test_chain_decides_every_complete_series_verdict():
+    # smooth iff the chain forces h1(N_carpet) = 0, singular iff it forces
+    # h1 >= 1; the paper's verdict is smooth iff S = P^2 or e <= 2
+    cases = list(_complete_series_reports())
+    assert len(cases) == 261
+    for surface, *coeffs in cases:
+        rep = hilbert_report(complete(surface, *coeffs))
+        lo, hi = rep.h1_normal_carpet
+        assert rep.smooth == (surface.is_plane or surface.e <= 2), (surface, coeffs)
+        assert hi == 0 if rep.smooth else lo >= 1, (surface, coeffs, lo, hi)
