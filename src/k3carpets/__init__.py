@@ -6,6 +6,8 @@ from .carpets import (
     EmbeddingData,
     HilbertReport,
     InvalidGeometryError,
+    PolarizationData,
+    SurfaceContext,
     abstract_carpet_dim,
     carpet_report,
     double_cover_k3_check,
@@ -33,8 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CarpetReport", "CohInterval", "CohVector", "DivisorClass",
     "DoubleCoverReport", "EmbeddingData", "HilbertReport", "InconsistencyError",
-    "InvalidGeometryError", "LesInstance", "SurfaceMismatchError", "SurfaceModel",
-    "TruncationError",
+    "InvalidGeometryError", "LesInstance", "PolarizationData", "SurfaceContext",
+    "SurfaceMismatchError", "SurfaceModel", "TruncationError",
     "abstract_carpet_dim", "canonical_class", "carpet_report", "chain", "coh",
     "coh_oracle", "double_cover_k3_check", "embedded_carpet_h0",
     "hirzebruch", "hilbert_report", "intersect", "is_base_point_free",

@@ -64,18 +64,24 @@ def fe_polarizations():
 
 def fe_embeddings():
     """The F_e grid embedded by the complete series, and by that series
-    followed by `extra` more ambient dimensions.  Yields (embedding, extra)."""
-    for s, d in fe_polarizations():
-        for extra in CARPET_EXTRAS:
-            yield EmbeddingData.complete_series(s, d, extra), extra
+    followed by `extra` more ambient dimensions.  One context per surface
+    and one `PolarizationData` per class, shared by its extras.  Yields
+    (embedding, extra)."""
+    for s, grid in itertools.groupby(fe_polarizations(), key=lambda pair: pair[0]):
+        context = carpets.SurfaceContext.of(s)
+        for _, d in grid:
+            line = carpets.PolarizationData(context, d)
+            for extra in CARPET_EXTRAS:
+                yield line.complete_series(extra), extra
 
 
 def plane_embeddings():
     """The d-uple planes, with the same extras.  Yields (embedding, extra)."""
-    p2 = surfaces.projective_plane()
+    context = carpets.SurfaceContext.of(surfaces.projective_plane())
     for deg in P2_D_RANGE:
+        line = carpets.PolarizationData(context, context.surface.divisor(deg))
         for extra in CARPET_EXTRAS:
-            yield EmbeddingData.complete_series(p2, p2.divisor(deg), extra), extra
+            yield line.complete_series(extra), extra
 
 
 def oracle_grid():

@@ -6,10 +6,20 @@ and the carpets embedded in P^N extending a fixed embedding of S by
 P(H^0(N_{S/P^N} ⊗ K_S)).  This module assembles those dimensions, the
 double-cover K3 test for |-2K_S|, and the Hilbert-scheme tangent report
 for the carpet, entirely from the line-bundle cohomology modules and the
-long-exact-sequence calculus.  The first two levels are kept apart:
-`abstract_carpet_dim` and `double_cover_k3_check` take the surface alone,
-`carpet_report` one embedding of it.  The Hilbert verdict is read off the
+long-exact-sequence calculus.  The Hilbert verdict is read off the
 chain's h^1 of the carpet normal bundle.
+
+The data sit on three levels, each computed once by whoever holds it:
+- `SurfaceContext`, one per surface: K, the cohomology of O, K^-1 and
+  K^-2, the endpoints of the surface's tangent sequence, and the surface's
+  own facts, `abstract_carpet_dim` and `double_cover_k3_check`.
+- `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S) and
+  whether L embeds S with minimal degree.
+- `EmbeddingData`, one per embedding into P^N: only N + 1 >= h^0(L) is
+  checked there.
+`carpet_report` and `hilbert_report` take an embedding and read the other
+two levels through it.  No module keeps a cache: a caller builds the
+objects for one command run, so every run sees the modules as they are.
 
 Each sequence is data: a label and three term names, with the known
 line-bundle endpoints looked up by name, so every endpoint is written once
@@ -38,29 +48,125 @@ class InvalidGeometryError(ValueError):
     """The input describes no embedding, or no embedded carpet, to report on."""
 
 
+# The errors a computation can end in.  A surface's fact keeps its error,
+# and whoever reads the fact raises it then.
+COMPUTATION_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+
+
+def attempt(compute, arg):
+    """compute(arg), or the error it raised."""
+    try:
+        return compute(arg)
+    except COMPUTATION_ERRORS as err:
+        return err
+
+
+def value_of(fact):
+    """A held result of `attempt`; a held error is raised for the caller
+    that reads it."""
+    if isinstance(fact, Exception):
+        raise fact
+    return fact
+
+
+@dataclass(frozen=True, eq=False)  # held by identity, never compared
+class SurfaceContext:
+    """What every polarization of one surface reads, computed once by
+    `of`: K, h^*(K^-1) and h^*(K^-2), the Hilbert chain's surface
+    endpoints (O, K^-1, K^-2 and the ends of the tangent sequence: T_rel
+    and T_base on F_e, L(1)^3 on P^2), L(-2)^3 on P^2, and the surface's
+    two facts, each as a value or its error."""
+
+    surface: surfaces.SurfaceModel
+    canonical: surfaces.DivisorClass
+    kinv: CohVector
+    k2inv: CohVector
+    hilbert_ends: tuple[tuple[str, CohInterval], ...]
+    plane_twist: CohInterval | None  # L(-2)^3 on P^2; None on F_e
+    facts: tuple  # abstract_carpet_dim and double_cover_k3_check, or their errors
+
+    @classmethod
+    def of(cls, surface: surfaces.SurfaceModel) -> "SurfaceContext":
+        k = surfaces.canonical_class(surface)
+        kinv = lc.coh(surface, -1 * k)
+        k2inv = lc.coh(surface, -2 * k)
+        ends = [("O", _exact(lc.coh(surface, 0 * k))), ("K_inv", _exact(kinv)),
+                ("K_inv2", _exact(k2inv))]
+        if surface.is_plane:
+            ends.append(("L(1)^3", _exact(lc.coh(surface, surface.divisor(1)).scaled(3))))
+            plane_twist = _exact(lc.coh(surface, surface.divisor(-2)).scaled(3))
+        else:
+            ends.append(("T_rel", _exact(lc.coh(surface, surface.divisor(2, surface.e)))))
+            ends.append(("T_base", _exact(lc.coh(surface, surface.divisor(0, 2)))))
+            plane_twist = None
+        # looked up in the module at call time, so a replaced function is the one run
+        facts = tuple(attempt(compute, surface)
+                      for compute in (abstract_carpet_dim, double_cover_k3_check))
+        return cls(surface, k, kinv, k2inv, tuple(ends), plane_twist, facts)
+
+    @property
+    def abstract_dim(self) -> int:
+        return value_of(self.facts[0])
+
+    @property
+    def double_cover(self) -> "DoubleCoverReport":
+        return value_of(self.facts[1])
+
+
+@dataclass(frozen=True, eq=False)  # held by identity, never compared
+class PolarizationData:
+    """A very ample class L on the context's surface, with coh(L) and the
+    adjoint coh(L + K_S) computed once.  L embeds S with minimal degree,
+    degree = codimension + 1, iff L^2 = h^0(L) - 2."""
+
+    context: SurfaceContext
+    divisor: surfaces.DivisorClass
+    coh: CohVector = field(init=False, compare=False)
+    adjoint: CohVector = field(init=False, compare=False)
+    minimal_degree: bool = field(init=False, compare=False)
+
+    def __post_init__(self):
+        surface = self.context.surface
+        surfaces._check_on(surface, self.divisor)
+        if not surfaces.is_very_ample(surface, self.divisor):
+            raise InvalidGeometryError(
+                f"polarization {self.divisor} on {surface} is not very ample"
+            )
+        coh = lc.coh(surface, self.divisor)
+        object.__setattr__(self, "coh", coh)
+        object.__setattr__(self, "adjoint", lc.coh(surface, self.divisor + self.context.canonical))
+        object.__setattr__(self, "minimal_degree",
+                           surfaces.intersect(surface, self.divisor, self.divisor) == coh.h0 - 2)
+
+    def complete_series(self, extra: int = 0) -> "EmbeddingData":
+        """Embedding by the full linear series, composed with a linear
+        embedding into `extra` more ambient dimensions."""
+        return EmbeddingData(self.context.surface, self.divisor, self.coh.h0 - 1 + extra,
+                             line=self)
+
+
 @dataclass(frozen=True)
 class EmbeddingData:
-    """An embedding of S into P^N by a very ample class, N+1 >= h^0."""
+    """An embedding of S into P^N by a very ample class, N+1 >= h^0.
+
+    `line` is the class's `PolarizationData`; given, only N + 1 >= h^0 is
+    checked, otherwise it is built here with a context of its own."""
 
     surface: surfaces.SurfaceModel
     polarization: surfaces.DivisorClass
     ambient_n: int
-    h0: int = field(init=False, compare=False)  # h^0(L), computed once here
+    line: PolarizationData = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.ambient_n, int) or isinstance(self.ambient_n, bool):
             raise ValueError(f"ambient dimension N must be an integer, got {self.ambient_n!r}")
-        surfaces._check_on(self.surface, self.polarization)
-        if not surfaces.is_very_ample(self.surface, self.polarization):
-            raise InvalidGeometryError(
-                f"polarization {self.polarization} on {self.surface} is not very ample"
-            )
-        h0 = lc.coh(self.surface, self.polarization).h0
-        object.__setattr__(self, "h0", h0)
-        if self.ambient_n + 1 < h0:
+        if self.line is None:
+            line = PolarizationData(SurfaceContext.of(self.surface), self.polarization)
+            object.__setattr__(self, "line", line)
+        if self.ambient_n + 1 < self.line.coh.h0:
             raise InvalidGeometryError(
                 f"ambient dimension N = {self.ambient_n} too small: "
-                f"N + 1 must be >= h0 = {h0}"
+                f"N + 1 must be >= h0 = {self.line.coh.h0}"
             )
 
     @classmethod
@@ -72,8 +178,12 @@ class EmbeddingData:
     ) -> "EmbeddingData":
         """Embedding by the full linear series of the polarization, composed
         with a linear embedding into `extra` more ambient dimensions."""
-        h0 = lc.coh(surface, polarization).h0
-        return cls(surface, polarization, h0 - 1 + extra)
+        return PolarizationData(SurfaceContext.of(surface), polarization).complete_series(extra)
+
+    @property
+    def h0(self) -> int:
+        """h^0(L), computed once by the polarization."""
+        return self.line.coh.h0
 
     @property
     def n_plus_1(self) -> int:
@@ -169,25 +279,18 @@ def abstract_carpet_dim(surface: surfaces.SurfaceModel) -> int:
     return _forced(out, "tangent-twist cohomology")[1]
 
 
-def _normal_twist_cohomology(
-    surface: surfaces.SurfaceModel,
-    polarization: surfaces.DivisorClass,
-    n_plus_1: int,
-) -> CohVector:
+def _normal_twist_cohomology(line: PolarizationData, n_plus_1: int) -> CohVector:
     """(h0, h1, h2) of N_{S/P^N} ⊗ K_S; on F_e it rests on the declared
     splitting."""
-    if surface.is_plane:
+    adjoint = _exact(line.adjoint.scaled(n_plus_1))
+    if line.context.surface.is_plane:
         out = propagate(_sequence("normal-bundle-twist", ("L(-2)^3", "L(d-3)^(N+1)", "N⊗K"), {
-            "L(-2)^3": _exact(lc.coh(surface, surface.divisor(-2)).scaled(3)),
-            "L(d-3)^(N+1)": _exact(
-                lc.coh(surface, surface.divisor(polarization.degree - 3)).scaled(n_plus_1)
-            ),
+            "L(-2)^3": line.context.plane_twist, "L(d-3)^(N+1)": adjoint,
         })).c
     else:
-        adjoint = lc.coh(surface, polarization + surfaces.canonical_class(surface))
         out = propagate(_sequence(
             "normal-twist-pushforward", ("push_adjoint^(N+1)", "push_N⊗K", "O_base"), {
-                "push_adjoint^(N+1)": _exact(adjoint.scaled(n_plus_1)),
+                "push_adjoint^(N+1)": adjoint,
                 "push_N⊗K": CohInterval((0, 0, 0), (None, None, 0)),
                 "O_base": CohInterval.exact(1, 0, 0),
             },
@@ -198,27 +301,23 @@ def _normal_twist_cohomology(
 def embedded_carpet_h0(embedding: EmbeddingData) -> int:
     """h0(N_{S/P^N} ⊗ K_S): the embedded carpets form an open subset of the
     projectivization of this space."""
-    return _normal_twist_cohomology(
-        embedding.surface, embedding.polarization, embedding.n_plus_1
-    ).h0
+    return _normal_twist_cohomology(embedding.line, embedding.n_plus_1).h0
 
 
 def carpet_report(embedding: EmbeddingData) -> CarpetReport:
-    """The embedded carpets of one embedding.  L embeds S with minimal
-    degree, degree = codimension + 1, iff L^2 = h0(L) - 2."""
-    surface = embedding.surface
-    polarization = embedding.polarization
-    h0 = _normal_twist_cohomology(surface, polarization, embedding.n_plus_1).h0
-    minimal = surfaces.intersect(surface, polarization, polarization) == embedding.h0 - 2
+    """The embedded carpets of one embedding."""
+    line = embedding.line
+    h0 = _normal_twist_cohomology(line, embedding.n_plus_1).h0
+    plane = embedding.surface.is_plane
     report = CarpetReport(
         embedding=embedding,
         embedded_h0=h0,
         embedded_moduli_dim=h0 - 1,
         exists_embedded=h0 > 0,
-        minimal_degree_case=minimal,
-        assumed_splitting=not surface.is_plane,
+        minimal_degree_case=line.minimal_degree,
+        assumed_splitting=not plane,
     )
-    if minimal and h0 != (0 if surface.is_plane else 1):
+    if line.minimal_degree and h0 != (0 if plane else 1):
         raise InconsistencyError(
             f"minimal-degree embedding should carry a unique carpet on F_e and "
             f"none on P^2, got h0 = {h0}"
@@ -284,39 +383,25 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
     The Hilbert question concerns the carpet embedded by the complete
     linear series of its own very ample bundle; restricting that series to
     S splits off h^0 of the adjoint class, so the relevant ambient
-    dimension is N + 1 = h^0(L) + h^0(L + K_S) and is recomputed here from
-    the polarization (the input embedding's N only parametrizes where the
-    carpet-counting of `carpet_report` happens).
+    dimension is N + 1 = h^0(L) + h^0(L + K_S), read from the polarization
+    (the input embedding's N only parametrizes where the carpet-counting of
+    `carpet_report` happens).
     """
-    surface = embedding.surface
-    pol = embedding.polarization
-    k = surfaces.canonical_class(surface)
-
-    pol_coh = lc.coh(surface, pol)
-    n_plus_1 = pol_coh.h0 + lc.coh(surface, pol + k).h0
-    normal_twist = _normal_twist_cohomology(surface, pol, n_plus_1)
+    line = embedding.line
+    context = line.context
+    n_plus_1 = line.coh.h0 + line.adjoint.h0
+    normal_twist = _normal_twist_cohomology(line, n_plus_1)
     if normal_twist.h0 == 0:
         raise InvalidGeometryError(
-            f"no embedded carpet exists for {pol} on {surface} "
+            f"no embedded carpet exists for {line.divisor} on {context.surface} "
             "(the twisted normal bundle has no sections)"
         )
 
-    kinv = lc.coh(surface, -1 * k)
-    k2inv = lc.coh(surface, -2 * k)
-    known = {
-        "O": _exact(lc.coh(surface, 0 * k)),
-        "L^(N+1)": _exact(pol_coh.scaled(n_plus_1)),
-        "N⊗K": _exact(normal_twist),
-        "K_inv": _exact(kinv),
-        "K_inv2": _exact(k2inv),
-    }
-    if surface.is_plane:
-        first = _PLANE_TANGENT
-        known["L(1)^3"] = _exact(lc.coh(surface, surface.divisor(1)).scaled(3))
-    else:
-        first = _FE_TANGENT
-        known["T_rel"] = _exact(lc.coh(surface, surface.divisor(2, surface.e)))
-        known["T_base"] = _exact(lc.coh(surface, surface.divisor(0, 2)))
+    kinv, k2inv = context.kinv, context.k2inv
+    known = dict(context.hilbert_ends)
+    known["L^(N+1)"] = _exact(line.coh.scaled(n_plus_1))
+    known["N⊗K"] = _exact(normal_twist)
+    first = _PLANE_TANGENT if context.surface.is_plane else _FE_TANGENT
     table = chain([_sequence(label, names, known) for label, names in (first, *_HILBERT_SEQUENCES)])
 
     # every forced intermediate is checked against its closed form
@@ -364,5 +449,5 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
         h0_normal_carpet=(nc.lo[0], nc.hi[0]),
         h1_normal_carpet=(nc.lo[1], nc.hi[1]),
         smooth=smooth,
-        assumed_splitting=not surface.is_plane,
+        assumed_splitting=not context.surface.is_plane,
     )

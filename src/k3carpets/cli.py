@@ -7,9 +7,11 @@ quartically; consumers should not need big-integer JSON), and RFC-4180
 CSV.  Identical inputs produce byte-identical output unless --timestamp
 is passed.
 
-A sweep computes each per-surface result once per surface and each
-Hilbert report once per polarization: the report is about the carpet
-embedded by its own complete series, so it does not depend on `--extra`.
+A sweep builds one `carpets.SurfaceContext` per surface and one
+`carpets.PolarizationData` per polarization, and each row's embedding from
+the latter; it computes each Hilbert report once per polarization: the
+report is about the carpet embedded by its own complete series, so it does
+not depend on `--extra`.  Nothing is cached between commands.
 
 Exit codes: 0 success / all checks pass, 1 usage error or invalid
 geometry (no such embedding, no embedded carpet), 2 computation
@@ -261,7 +263,7 @@ def cmd_carpet(tokens: list[str], out) -> int:
             "ambient_n": report.embedding.ambient_n,
         },
         "results": {
-            "abstract_family_dim": carpets.abstract_carpet_dim(surface),
+            "abstract_family_dim": report.embedding.line.context.abstract_dim,
             "embedded_h0": report.embedded_h0,
             "embedded_moduli_dim": report.embedded_moduli_dim,
             "exists_embedded": report.exists_embedded,
@@ -314,57 +316,36 @@ SWEEP_COLUMNS = [
 ]
 
 
-_ROW_ERRORS = (ValueError, RuntimeError, ArithmeticError)
-
-
-def _attempt(compute, arg):
-    """compute(arg), or the error it raised."""
-    try:
-        return compute(arg)
-    except _ROW_ERRORS as err:
-        return err
-
-
-def _surface_facts(s: surfaces.SurfaceModel) -> tuple:
-    """abstract_carpet_dim and double_cover_k3_check of s, each a value or an error."""
-    return tuple(_attempt(compute, s) for compute in (carpets.abstract_carpet_dim,
-                                                      carpets.double_cover_k3_check))
-
-
-def _known(fact):
-    """A shared result; its error becomes the error of the row using it."""
-    if isinstance(fact, Exception):
-        raise fact
-    return fact
-
-
 def _sweep_rows(task: tuple) -> list[dict]:
     """The rows of one polarization, one per extra ambient dimension.
 
-    The task carries the surface's `_surface_facts`, computed once per
-    surface: a row reads its abstract dimension and double-cover verdict
-    there, and `carpet_report` reports on the row's embedding alone.  The
-    Hilbert report is computed once, at the first row that reaches it,
-    and reused by the later rows: it is the report of the carpet embedded by
-    its own complete series, N + 1 = h^0(L) + h^0(L + K_S), so it depends on
-    the surface and the polarization and not on the row's extra dimensions.
-    A row that fails before the Hilbert step keeps its own error.  h^0(L)
-    is computed once, by the first row that reaches it; every later row's
-    embedding is built from it, and each row's h0 column is emb.h0.
+    The task carries the surface's context, built once per sweep: a row
+    reads its abstract dimension and double-cover verdict there.  The
+    polarization's data, h^0(L) and h^0(L + K_S) among them, are computed
+    once here, and each row's embedding is derived from them with only its
+    N + 1 >= h^0 check; if the class is not very ample, every row carries
+    that error.  The Hilbert report is computed once, at the first row that
+    reaches it, and reused by the later rows: it is the report of the
+    carpet embedded by its own complete series, N + 1 = h^0(L) + h^0(L + K_S),
+    so it does not depend on the row's extra dimensions.  A row that fails
+    before the Hilbert step keeps its own error.
     """
-    s, a, b, d, extra_range, abstract_dim, cover = task
-    h0 = hilbert = None
+    context, a, b, d, extra_range = task
+    s = context.surface
+    base = {"surface": str(s), "e": None if s.is_plane else s.e, "a": a, "b": b, "d": d}
+    try:
+        line = carpets.PolarizationData(context, s.divisor(d) if s.is_plane else s.divisor(a, b))
+    except carpets.COMPUTATION_ERRORS as err:
+        return [{**base, "error": str(err)} for _ in extra_range]
+    hilbert = None
     rows = []
     for extra in extra_range:
-        row: dict = {"surface": str(s), "e": None if s.is_plane else s.e, "a": a, "b": b, "d": d}
+        row = dict(base)
         try:
-            div = s.divisor(d) if s.is_plane else s.divisor(a, b)
-            if h0 is None:
-                h0 = line_cohomology.coh(s, div).h0
-            emb = EmbeddingData(s, div, h0 - 1 + extra)  # the complete series and `extra` more
+            emb = line.complete_series(extra)
             row["n_plus_1"] = emb.n_plus_1
             row["h0"] = emb.h0
-            abstract = _known(abstract_dim)
+            abstract = context.abstract_dim
             rep = carpets.carpet_report(emb)
             row.update(
                 embedded_h0=rep.embedded_h0,
@@ -372,13 +353,13 @@ def _sweep_rows(task: tuple) -> list[dict]:
                 exists=rep.exists_embedded,
                 abstract_dim=abstract,
             )
-            row["k3_cover"] = _known(cover).is_k3_cover
+            row["k3_cover"] = context.double_cover.is_k3_cover
             if hilbert is None:
-                hilbert = _attempt(carpets.hilbert_report, emb)
-            hil = _known(hilbert)
-            row["smooth"] = hil.smooth
-            row["h1_carpet_lo"], row["h1_carpet_hi"] = hil.h1_normal_carpet
-        except _ROW_ERRORS as err:
+                hilbert = carpets.attempt(carpets.hilbert_report, emb)
+            report = carpets.value_of(hilbert)
+            row["smooth"] = report.smooth
+            row["h1_carpet_lo"], row["h1_carpet_hi"] = report.h1_normal_carpet
+        except carpets.COMPUTATION_ERRORS as err:
             row["error"] = str(err)
         rows.append(row)
     return rows
@@ -421,10 +402,10 @@ def cmd_sweep(tokens: list[str], out) -> int:
     for d in d_range:
         tasks.append((surfaces.projective_plane(), None, None, d))
     if not extra_range:
-        tasks = []  # no rows, so no per-surface facts and no workers
+        tasks = []  # no rows, so no surface contexts and no workers
     # once per sweep, not cached in a module: each sweep sees the modules as they are
-    facts = {s: _surface_facts(s) for s in dict.fromkeys(task[0] for task in tasks)}
-    tasks = [task + (extra_range,) + facts[task[0]] for task in tasks]
+    contexts = {s: carpets.SurfaceContext.of(s) for s in dict.fromkeys(task[0] for task in tasks)}
+    tasks = [(contexts[s], a, b, d, extra_range) for s, a, b, d in tasks]
 
     if jobs > 1 and tasks:
         # The pool starts all its workers at once, so never more than there

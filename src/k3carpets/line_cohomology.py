@@ -7,7 +7,9 @@ corresponding P^1 numbers and h^2 comes out of Serre duality.  The degrees
 fall by e at each step, so each sum is a truncated arithmetic series and is
 evaluated in closed form: the work does not depend on the size of a or b.
 For a = -1 everything vanishes, and for a <= -2 the class is handled
-through its Serre dual K - D (whose C0-coefficient is >= 0 again).
+through its Serre dual K - D (whose C0-coefficient is >= 0 again).  The
+dual is taken on the integer coefficients of K and D; no class is built
+for it.
 
 On P^2 the numbers are binomial coefficients plus Serre duality.
 
@@ -92,16 +94,14 @@ def coh(surface: surfaces.SurfaceModel, divisor: surfaces.DivisorClass) -> CohVe
 
     a, b = divisor.coeffs
     e = surface.e
-    if a >= 0:
-        h0, h1 = _fiber_sums(e, a, b)
-        # h2 by Serre duality; the dual side has C0-coefficient <= -2, so
-        # its h0 is a computed 0 (an empty sum), not an assumed one.
-        dual = surfaces.canonical_class(surface) - divisor
-        h2, _ = _fiber_sums(e, *dual.coeffs)
-        return CohVector(h0, h1, h2)
     if a == -1:
-        # Both pushforwards vanish; spelled out to avoid bouncing through
-        # the dual, which has a = -1 as well.
+        # Both pushforwards vanish; spelled out because the dual has a = -1
+        # as well.
         return CohVector(0, 0, 0)
-    dual = surfaces.canonical_class(surface) - divisor
-    return coh(surface, dual).reversed()
+    # Serre duality: h^i(D) = h^(2-i)(K - D).  Of D and K - D, with
+    # C0-coefficients a and -2 - a, the one with a <= -2 gives a computed
+    # 0 (an empty sum) for its h0, not an assumed one.
+    ka, kb = surfaces.canonical_class(surface).coeffs
+    h0, h1 = _fiber_sums(e, a, b)
+    h2, dual_h1 = _fiber_sums(e, ka - a, kb - b)
+    return CohVector(h0, h1 if a >= 0 else dual_h1, h2)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -319,9 +320,18 @@ def test_sweep_computes_h0_once_per_polarization(monkeypatch):
     calls = _counting(monkeypatch, line_cohomology, "coh")
     code, text = run("sweep", "--e", "2..2", "--a", "2..2", "--db", "1..1", "--extra", "0..5")
     assert code == 0 and text.strip().endswith("6 rows")
-    # one for the h0 column, one per row's N + 1 >= h0 check, one in the Hilbert report
+    # the polarization's data hold coh(L): the h0 column, each row's N + 1 >= h0
+    # check and the Hilbert report read it there
     assert sum(args == (surfaces.hirzebruch(2), surfaces.hirzebruch(2).divisor(2, 5))
-               for args in calls) == 8
+               for args in calls) == 1
+
+
+def test_complete_series_computes_h0_once(monkeypatch):
+    calls = _counting(monkeypatch, line_cohomology, "coh")
+    f2 = surfaces.hirzebruch(2)
+    emb = carpets.EmbeddingData.complete_series(f2, f2.divisor(2, 5), 3)
+    assert (emb.h0, emb.ambient_n) == (12, 14)
+    assert sum(args == (f2, f2.divisor(2, 5)) for args in calls) == 1
 
 
 def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):
@@ -492,6 +502,31 @@ def test_mutated_canonical_class_fails(monkeypatch):
     assert any("canonical" in cid for cid in fails)
     code, _ = run("verify-paper")
     assert code == 3
+
+
+# sha256 of the JSON sweep below: rows that are not very ample, rows with too
+# small an N, planes without an embedded carpet, and SINGULAR rows on F_3
+_SMALL_SWEEP_SHA256 = "0b231c998fdaf7f356374632455d6b0ec42bc18037fe280578dab0414e90d828"
+
+
+def test_nothing_computed_under_a_mutation_outlives_its_command(monkeypatch):
+    # verify-paper builds the contexts of F_0..F_6 and P^2 with a skewed K;
+    # the next command, in the same process and in forked workers, must see
+    # K as it is again
+    original = surfaces.canonical_class
+
+    def skewed(surface):
+        d = original(surface)
+        return surfaces.DivisorClass(surface, d.coeffs[:-1] + (d.coeffs[-1] - 1,))
+
+    monkeypatch.setattr(surfaces, "canonical_class", skewed)
+    assert run("verify-paper")[0] == 3
+    monkeypatch.undo()
+    for jobs in ("1", "2"):
+        code, text = run("sweep", "--e", "0..3", "--a", "1..2", "--db", "0..2",
+                         "--extra", "-1..1", "--d", "1..4", "--format", "json", "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == _SMALL_SWEEP_SHA256, jobs
 
 
 def test_mutated_intersection_form_fails(monkeypatch):
