@@ -260,17 +260,12 @@ def hilbert_claims() -> list[Claim]:
     out = []
     chi_bad, verdict_bad = [], []
     checked = 0
-    # one report per polarization: it is stated at the carpet's own complete
-    # series, so every extra of a polarization shares it
-    reports = {}
     for emb, _ in itertools.chain(fe_embeddings(), plane_embeddings()):
         s, d = emb.surface, emb.polarization
         if s.is_plane and d.degree <= 2:
             continue  # the Veronese and the plane carry no embedded carpet
         checked += 1
-        if (s, d) not in reports:
-            reports[s, d] = carpets.hilbert_report(emb)
-        rep = reports[s, d]
+        rep = emb.line.hilbert  # one report per polarization, shared by its extras
         np1 = rep.hilbert_ambient_n + 1
         if rep.chi_normal_carpet != np1 * np1 + 18:
             chi_bad.append((str(s), d.coeffs, rep.chi_normal_carpet))

@@ -9,21 +9,27 @@ for the carpet, entirely from the line-bundle cohomology modules and the
 long-exact-sequence calculus.  The Hilbert verdict is read off the
 chain's h^1 of the carpet normal bundle.
 
-The data sit on three levels, each computed once by whoever holds it:
-- `SurfaceContext`, one per surface: K, the cohomology of O, K^-1 and
-  K^-2, the endpoints of the surface's tangent sequence, and the surface's
-  own facts, `abstract_carpet_dim` and `double_cover_k3_check`.
-- `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S) and
-  whether L embeds S with minimal degree.
+The data sit on three levels, one object each, built by the caller for
+one command run:
+- `SurfaceContext`, one per surface: K, the cohomology of K^-1 and K^-2,
+  `ends`, the named line-bundle terms the sequences start from, and the
+  surface's two facts, `abstract_carpet_dim` and `double_cover_k3_check`.
+- `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S),
+  whether L embeds S with minimal degree, and the Hilbert report, which
+  every embedding by L shares.
 - `EmbeddingData`, one per embedding into P^N: only N + 1 >= h^0(L) is
   checked there.
-`carpet_report` and `hilbert_report` take an embedding and read the other
-two levels through it.  No module keeps a cache: a caller builds the
-objects for one command run, so every run sees the modules as they are.
+The two facts and everything on a `PolarizationData` are computed when
+first read and then held by their object (`functools.cached_property`):
+a query computes only what it reads, and a computation that raised is run
+again by the next reader, with the same message.  `carpet_report` and
+`hilbert_report` take an embedding and read the other two levels through
+it.  No module keeps a cache, so every run sees the modules as they are.
 
 Each sequence is data: a label and three term names, with the known
-line-bundle endpoints looked up by name, so every endpoint is written once
-per report.  Each derived term is checked once, where it is read: `_forced`
+line-bundle endpoints looked up by name in the context's `ends` and the
+report's own terms, so every endpoint is written once per surface or per
+report.  Each derived term is checked once, where it is read: `_forced`
 raises `InconsistencyError` unless the term is pinned and equal to its
 closed form.
 
@@ -37,6 +43,7 @@ which all rest on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import line_cohomology as lc
 from . import surfaces
@@ -48,82 +55,59 @@ class InvalidGeometryError(ValueError):
     """The input describes no embedding, or no embedded carpet, to report on."""
 
 
-# The errors a computation can end in.  A surface's fact keeps its error,
-# and whoever reads the fact raises it then.
+# The errors a computation can end in, which a sweep row reports as its own.
 COMPUTATION_ERRORS = (ValueError, RuntimeError, ArithmeticError)
-
-
-def attempt(compute, arg):
-    """compute(arg), or the error it raised."""
-    try:
-        return compute(arg)
-    except COMPUTATION_ERRORS as err:
-        return err
-
-
-def value_of(fact):
-    """A held result of `attempt`; a held error is raised for the caller
-    that reads it."""
-    if isinstance(fact, Exception):
-        raise fact
-    return fact
 
 
 @dataclass(frozen=True, eq=False)  # held by identity, never compared
 class SurfaceContext:
-    """What every polarization of one surface reads, computed once by
-    `of`: K, h^*(K^-1) and h^*(K^-2), the Hilbert chain's surface
-    endpoints (O, K^-1, K^-2 and the ends of the tangent sequence: T_rel
-    and T_base on F_e, L(1)^3 on P^2), L(-2)^3 on P^2, and the surface's
-    two facts, each as a value or its error."""
+    """What every polarization of one surface reads.  `of` computes K,
+    h^*(K^-1), h^*(K^-2) and `ends`, the named line-bundle terms the
+    sequences start from: O, K^-1, K^-2 and the ends of the tangent
+    sequence (T_rel and T_base on F_e, L(1)^3 on P^2), and L(-2)^3 on P^2.
+    The surface's two facts are computed when first read."""
 
     surface: surfaces.SurfaceModel
     canonical: surfaces.DivisorClass
     kinv: CohVector
     k2inv: CohVector
-    hilbert_ends: tuple[tuple[str, CohInterval], ...]
-    plane_twist: CohInterval | None  # L(-2)^3 on P^2; None on F_e
-    facts: tuple  # abstract_carpet_dim and double_cover_k3_check, or their errors
+    ends: dict[str, CohInterval]
 
     @classmethod
     def of(cls, surface: surfaces.SurfaceModel) -> "SurfaceContext":
         k = surfaces.canonical_class(surface)
         kinv = lc.coh(surface, -1 * k)
         k2inv = lc.coh(surface, -2 * k)
-        ends = [("O", _exact(lc.coh(surface, 0 * k))), ("K_inv", _exact(kinv)),
-                ("K_inv2", _exact(k2inv))]
+        ends = {"O": _exact(lc.coh(surface, 0 * k)), "K_inv": _exact(kinv),
+                "K_inv2": _exact(k2inv)}
         if surface.is_plane:
-            ends.append(("L(1)^3", _exact(lc.coh(surface, surface.divisor(1)).scaled(3))))
-            plane_twist = _exact(lc.coh(surface, surface.divisor(-2)).scaled(3))
+            ends["L(1)^3"] = _exact(lc.coh(surface, surface.divisor(1)).scaled(3))
+            ends["L(-2)^3"] = _exact(lc.coh(surface, surface.divisor(-2)).scaled(3))
         else:
-            ends.append(("T_rel", _exact(lc.coh(surface, surface.divisor(2, surface.e)))))
-            ends.append(("T_base", _exact(lc.coh(surface, surface.divisor(0, 2)))))
-            plane_twist = None
-        # looked up in the module at call time, so a replaced function is the one run
-        facts = tuple(attempt(compute, surface)
-                      for compute in (abstract_carpet_dim, double_cover_k3_check))
-        return cls(surface, k, kinv, k2inv, tuple(ends), plane_twist, facts)
+            ends["T_rel"] = _exact(lc.coh(surface, surface.divisor(2, surface.e)))
+            ends["T_base"] = _exact(lc.coh(surface, surface.divisor(0, 2)))
+        return cls(surface, k, kinv, k2inv, ends)
 
-    @property
+    # the facts look their functions up in the module when read, so a
+    # replaced function is the one run
+    @cached_property
     def abstract_dim(self) -> int:
-        return value_of(self.facts[0])
+        return abstract_carpet_dim(self.surface)
 
-    @property
+    @cached_property
     def double_cover(self) -> "DoubleCoverReport":
-        return value_of(self.facts[1])
+        return double_cover_k3_check(self.surface)
 
 
 @dataclass(frozen=True, eq=False)  # held by identity, never compared
 class PolarizationData:
-    """A very ample class L on the context's surface, with coh(L) and the
-    adjoint coh(L + K_S) computed once.  L embeds S with minimal degree,
-    degree = codimension + 1, iff L^2 = h^0(L) - 2."""
+    """A very ample class L on the context's surface.  Its data are
+    computed when first read: coh(L), the adjoint coh(L + K_S), whether L
+    embeds S with minimal degree (degree = codimension + 1, iff
+    L^2 = h^0(L) - 2), and the Hilbert report of the carpet it embeds."""
 
     context: SurfaceContext
     divisor: surfaces.DivisorClass
-    coh: CohVector = field(init=False, compare=False)
-    adjoint: CohVector = field(init=False, compare=False)
-    minimal_degree: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         surface = self.context.surface
@@ -132,11 +116,24 @@ class PolarizationData:
             raise InvalidGeometryError(
                 f"polarization {self.divisor} on {surface} is not very ample"
             )
-        coh = lc.coh(surface, self.divisor)
-        object.__setattr__(self, "coh", coh)
-        object.__setattr__(self, "adjoint", lc.coh(surface, self.divisor + self.context.canonical))
-        object.__setattr__(self, "minimal_degree",
-                           surfaces.intersect(surface, self.divisor, self.divisor) == coh.h0 - 2)
+
+    @cached_property
+    def coh(self) -> CohVector:
+        return lc.coh(self.context.surface, self.divisor)
+
+    @cached_property
+    def adjoint(self) -> CohVector:
+        return lc.coh(self.context.surface, self.divisor + self.context.canonical)
+
+    @cached_property
+    def minimal_degree(self) -> bool:
+        surface = self.context.surface
+        return surfaces.intersect(surface, self.divisor, self.divisor) == self.coh.h0 - 2
+
+    @cached_property
+    def hilbert(self) -> "HilbertReport":
+        """The report does not depend on N, so every embedding by L shares it."""
+        return hilbert_report(self.complete_series())
 
     def complete_series(self, extra: int = 0) -> "EmbeddingData":
         """Embedding by the full linear series, composed with a linear
@@ -285,7 +282,7 @@ def _normal_twist_cohomology(line: PolarizationData, n_plus_1: int) -> CohVector
     adjoint = _exact(line.adjoint.scaled(n_plus_1))
     if line.context.surface.is_plane:
         out = propagate(_sequence("normal-bundle-twist", ("L(-2)^3", "L(d-3)^(N+1)", "N⊗K"), {
-            "L(-2)^3": line.context.plane_twist, "L(d-3)^(N+1)": adjoint,
+            **line.context.ends, "L(d-3)^(N+1)": adjoint,
         })).c
     else:
         out = propagate(_sequence(
@@ -398,9 +395,8 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
         )
 
     kinv, k2inv = context.kinv, context.k2inv
-    known = dict(context.hilbert_ends)
-    known["L^(N+1)"] = _exact(line.coh.scaled(n_plus_1))
-    known["N⊗K"] = _exact(normal_twist)
+    known = {**context.ends, "L^(N+1)": _exact(line.coh.scaled(n_plus_1)),
+             "N⊗K": _exact(normal_twist)}
     first = _PLANE_TANGENT if context.surface.is_plane else _FE_TANGENT
     table = chain([_sequence(label, names, known) for label, names in (first, *_HILBERT_SEQUENCES)])
 

@@ -9,7 +9,8 @@ is passed.
 
 A sweep builds one `carpets.SurfaceContext` per surface and one
 `carpets.PolarizationData` per polarization, and each row's embedding from
-the latter; it computes each Hilbert report once per polarization: the
+the latter.  Rows read the surface's facts on its context and the Hilbert
+report on its polarization, which compute each once, when first read; the
 report is about the carpet embedded by its own complete series, so it does
 not depend on `--extra`.  Nothing is cached between commands.
 
@@ -319,16 +320,15 @@ SWEEP_COLUMNS = [
 def _sweep_rows(task: tuple) -> list[dict]:
     """The rows of one polarization, one per extra ambient dimension.
 
-    The task carries the surface's context, built once per sweep: a row
+    The task carries the surface's context, built once per sweep; a row
     reads its abstract dimension and double-cover verdict there.  The
-    polarization's data, h^0(L) and h^0(L + K_S) among them, are computed
-    once here, and each row's embedding is derived from them with only its
-    N + 1 >= h^0 check; if the class is not very ample, every row carries
-    that error.  The Hilbert report is computed once, at the first row that
-    reaches it, and reused by the later rows: it is the report of the
-    carpet embedded by its own complete series, N + 1 = h^0(L) + h^0(L + K_S),
-    so it does not depend on the row's extra dimensions.  A row that fails
-    before the Hilbert step keeps its own error.
+    polarization's data are built once here, and each row's embedding is
+    derived from them with only its N + 1 >= h^0 check; if the class is not
+    very ample, every row carries that error.  Each row reads the Hilbert
+    report on the polarization, which holds one for all its rows.  A row
+    that fails before the Hilbert step keeps its own error; a Hilbert report
+    that raises is computed again by each row that reaches it, and each of
+    those rows carries its message.
     """
     context, a, b, d, extra_range = task
     s = context.surface
@@ -337,7 +337,6 @@ def _sweep_rows(task: tuple) -> list[dict]:
         line = carpets.PolarizationData(context, s.divisor(d) if s.is_plane else s.divisor(a, b))
     except carpets.COMPUTATION_ERRORS as err:
         return [{**base, "error": str(err)} for _ in extra_range]
-    hilbert = None
     rows = []
     for extra in extra_range:
         row = dict(base)
@@ -354,9 +353,7 @@ def _sweep_rows(task: tuple) -> list[dict]:
                 abstract_dim=abstract,
             )
             row["k3_cover"] = context.double_cover.is_k3_cover
-            if hilbert is None:
-                hilbert = carpets.attempt(carpets.hilbert_report, emb)
-            report = carpets.value_of(hilbert)
+            report = line.hilbert
             row["smooth"] = report.smooth
             row["h1_carpet_lo"], row["h1_carpet_hi"] = report.h1_normal_carpet
         except carpets.COMPUTATION_ERRORS as err:
@@ -414,7 +411,9 @@ def cmd_sweep(tokens: list[str], out) -> int:
         # time, its pickling and queue traffic would keep the parent busy on
         # the workers' cores.  So each worker gets about four contiguous
         # chunks: few round trips, yet a worker done early takes another.
-        # map keeps task order, so the rows do not depend on the pool.
+        # map keeps task order, so the rows do not depend on the pool.  A
+        # chunk arrives with its own copy of each context, which computes
+        # its facts once for that chunk.
         workers = min(jobs, len(tasks))
         fork = (multiprocessing.get_context("fork")
                 if "fork" in multiprocessing.get_all_start_methods() else None)

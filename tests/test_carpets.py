@@ -429,3 +429,32 @@ def test_chain_decides_every_complete_series_verdict():
         lo, hi = rep.h1_normal_carpet
         assert rep.smooth == (surface.is_plane or surface.e <= 2), (surface, coeffs)
         assert hi == 0 if rep.smooth else lo >= 1, (surface, coeffs, lo, hi)
+
+
+def test_carpet_locus_has_constant_codimension():
+    # the carpets fill no component of the Hilbert scheme: their locus has
+    # dimension h0(N_S) + h0(N_S ⊗ K_S) - 1, a constant 25 (F_e) or 28 (P^2)
+    # below chi(N_carpet) = (N+1)^2 + 18, with the closed forms
+    # h0(N_S) = (N+1) h0(L) - 1 - chi(T_S) and h0(N ⊗ K) = (N+1) h0(L+K) + eps
+    for surface, *coeffs in _complete_series_reports():
+        rep = hilbert_report(complete(surface, *coeffs))
+        line = rep.embedding.line
+        h0_l, h0_adj = line.coh.h0, line.adjoint.h0
+        np1 = rep.hilbert_ambient_n + 1
+        chi_t, eps, codim = (8, 0, 28) if surface.is_plane else (6, 1, 25)
+        h0_twist = embedded_carpet_h0(line.complete_series(h0_adj))
+        case = (surface, coeffs)
+        assert np1 == h0_l + h0_adj, case
+        assert rep.h0_normal_surface == np1 * h0_l - 1 - chi_t, case
+        assert h0_twist == np1 * h0_adj + eps, case
+        assert rep.expected_smooth_dim - (rep.h0_normal_surface + h0_twist - 1) == codim, case
+
+
+def test_infinitely_many_embedded_carpets_unless_minimal_degree():
+    # the paper: an embedding carries a positive-dimensional family of
+    # embedded carpets iff it is not of minimal degree
+    embeddings = [emb for emb, _ in (*battery.fe_embeddings(), *battery.plane_embeddings())]
+    reports = [carpet_report(emb) for emb in embeddings]
+    assert (len(reports), sum(rep.minimal_degree_case for rep in reports)) == (524, 98)
+    for rep in reports:
+        assert (rep.embedded_moduli_dim >= 1) == (not rep.minimal_degree_case), rep.embedding

@@ -342,6 +342,34 @@ def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):
     assert len(calls) == 261  # 260 grid polarizations and the F_3 (2, 8) claim
 
 
+def _fact_calls(monkeypatch):
+    return (_counting(monkeypatch, carpets, "abstract_carpet_dim"),
+            _counting(monkeypatch, carpets, "double_cover_k3_check"))
+
+
+def test_hilbert_query_computes_no_surface_fact(monkeypatch):
+    abstract, cover = _fact_calls(monkeypatch)
+    code, text = run("hilbert", "F3", "2,8")
+    assert code == 0 and "SINGULAR" in text
+    assert (abstract, cover) == ([], [])
+
+
+def test_carpet_query_computes_only_the_fact_it_prints(monkeypatch):
+    abstract, cover = _fact_calls(monkeypatch)
+    code, text = run("carpet", "F3", "2,8")
+    assert code == 0 and "abstract_family_dim" in text
+    assert (abstract, cover) == ([(surfaces.hirzebruch(3),)], [])
+
+
+def test_battery_computes_each_surface_fact_once_per_surface(monkeypatch):
+    # F_0..F_6 and P^2, each asked once by its own claim; the grids' contexts
+    # never read their facts
+    abstract, cover = _fact_calls(monkeypatch)
+    assert all(c.passed for c in battery.run_all())
+    assert len(abstract) == len(cover) == 8
+    assert len(set(abstract)) == len(set(cover)) == 8
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_rows_before_the_hilbert_step_keep_their_errors(jobs):
     code, text = run("sweep", "--e", "0..0", "--a", "1..1", "--db", "1..1",

@@ -578,6 +578,59 @@ def test_chain_matches_rescanning_chain_on_wide_sweep_chains(monkeypatch):
                                                             monkeypatch)
 
 
+def _round_robin_chain(seqs):
+    """Reference for `chain` that shares none of its requeue rule: whole
+    passes of `propagate` over every sequence, in order, each result met
+    into the table, until a pass changes no term.  `propagate` narrows
+    monotonically, and monotone narrowing operators reach the same greatest
+    fixed point in any fair order (Apt, "The essence of constraint
+    propagation", TCS 1999); a sequence stuck on unbounded ranks is retried
+    every pass and raises if it is still stuck at the fixed point."""
+    table = {}
+    for seq in seqs:
+        for name, iv in zip(seq.names, (seq.a, seq.b, seq.c)):
+            table[name] = table[name].meet(iv) if name in table else iv
+    while True:
+        changed, stuck = False, None
+        for seq in seqs:
+            try:
+                out = propagate(LesInstance(*(table[n] for n in seq.names), seq.names))
+            except UnboundedRankError as err:
+                stuck = err
+                continue
+            for name, iv in zip(seq.names, (out.a, out.b, out.c)):
+                met = table[name].meet(iv)
+                changed |= met != table[name]
+                table[name] = met
+        if not changed:
+            if stuck is not None:
+                raise stuck
+            return table
+
+
+def _reference_outcome(seqs):
+    try:
+        return _round_robin_chain(seqs)
+    except (InconsistencyError, UnboundedRankError) as err:
+        return type(err)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_small_chains(), _loose_chains()))
+def test_chain_matches_round_robin_fixed_point(seqs):
+    assert _outcome(seqs) == _reference_outcome(seqs)
+
+
+def test_chain_matches_round_robin_fixed_point_on_hilbert_chains(monkeypatch):
+    chains = []
+    monkeypatch.setattr(carpets, "chain", lambda seqs: chains.append(seqs) or chain(seqs))
+    battery.hilbert_claims()
+    monkeypatch.undo()
+    assert len(chains) == 261
+    for seqs in chains:
+        assert _outcome(seqs) == _reference_outcome(seqs)
+
+
 def test_long_chain_takes_linear_work_a_step(monkeypatch):
     # (T_i, M_i, T_{i+1}) with T_0 and every M_i pinned to (1, 0, 0): once
     # T_i is known a run pins the quotient T_{i+1}, so T_i is (1, 0, 0) for

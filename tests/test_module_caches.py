@@ -1,7 +1,9 @@
 """Results are computed once per surface or per embedding and held by the
 caller, not cached in a module: a scan of the package source for
-`lru_cache` and `cache` decorators, and for hand-rolled memos, module-level
-empty mappings that a function fills in."""
+`lru_cache` and `cache` decorators, and for hand-rolled memos, module- or
+class-level empty mappings that a function fills in.  A value a
+`functools.cached_property` holds on one instance is not a memo: it lives
+as long as the object its caller built."""
 
 import ast
 from pathlib import Path
@@ -119,12 +121,12 @@ def _local_names(function) -> set[str]:
     return bound - declared
 
 
-def _written_mapping(node) -> str | None:
-    """The name of the mapping `node` writes, as `NAME[key] = ...`,
-    `NAME[key] += ...` or `NAME.setdefault(...)`; None otherwise."""
+def _written_mapping(node):
+    """The expression of the mapping `node` writes, as `X[key] = ...`,
+    `X[key] += ...` or `X.setdefault(...)`; None otherwise."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
             and node.func.attr == "setdefault":
-        return getattr(node.func.value, "id", None)
+        return node.func.value
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -132,36 +134,87 @@ def _written_mapping(node) -> str | None:
     else:
         return None
     for target in targets:
-        if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-            return target.value.id
+        if isinstance(target, ast.Subscript):
+            return target.value
     return None
+
+
+def _empty_mappings(body) -> dict[str, int]:
+    """The names a module or class body binds to an empty mapping, with the
+    line of the binding."""
+    mappings = {}
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                and _empty_mapping(node.value):
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target]):
+                if isinstance(target, ast.Name):
+                    mappings[target.id] = node.lineno
+    return mappings
+
+
+def _writes(tree):
+    """(function, written mapping expression) for every mapping write in a
+    function or lambda of `tree`."""
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(function):
+                target = _written_mapping(node)
+                if target is not None:
+                    yield function, target
 
 
 def _module_memos(source: str, module: str) -> list[str]:
     """Every module-level name bound to an empty mapping that some function
     writes, as 'module:line name' strings (the line of the binding)."""
     tree = ast.parse(source)
-    mappings = {}
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
-                and _empty_mapping(node.value):
-            for target in (node.targets if isinstance(node, ast.Assign) else [node.target]):
-                if isinstance(target, ast.Name):
-                    mappings[target.id] = node.lineno
-    written = set()
-    for function in ast.walk(tree):
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            local = _local_names(function)
-            for node in ast.walk(function):
-                name = _written_mapping(node)
-                if name in mappings and name not in local:
-                    written.add(name)
+    mappings = _empty_mappings(tree.body)
+    written = {target.id for function, target in _writes(tree)
+               if isinstance(target, ast.Name) and target.id in mappings
+               and target.id not in _local_names(function)}
     return sorted(f"{module}:{mappings[name]} {name}" for name in written)
+
+
+def _reaches_class(node, through_self: bool) -> bool:
+    """Whether `node`, inside a class body, names the class itself: `cls`,
+    `type(self)`, `self.__class__`, or `self` if `through_self`."""
+    if isinstance(node, ast.Name):
+        return node.id == "cls" or (through_self and node.id == "self")
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "type" and len(node.args) == 1 \
+            and getattr(node.args[0], "id", None) == "self"
+    return isinstance(node, ast.Attribute) and node.attr == "__class__" \
+        and getattr(node.value, "id", None) == "self"
+
+
+def _class_memos(source: str, module: str) -> list[str]:
+    """Every class-level name bound to an empty mapping that some function
+    writes through the class, as 'module:line Class.name' strings (the line
+    of the binding).  A mapping a method binds on `self` is the instance's
+    own, as is a `functools.cached_property`'s value."""
+    tree = ast.parse(source)
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        mappings = _empty_mappings(cls.body)
+        on_instance = {node.attr for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and getattr(node.value, "id", None) == "self"}
+        # through the class's name anywhere, or through `cls` or `self` in
+        # its own methods
+        written = {target.attr for scope, inside in ((tree, False), (cls, True))
+                   for _, target in _writes(scope)
+                   if isinstance(target, ast.Attribute) and target.attr in mappings
+                   and (getattr(target.value, "id", None) == cls.name or inside
+                        and _reaches_class(target.value, target.attr not in on_instance))}
+        found += [f"{module}:{mappings[name]} {cls.name}.{name}" for name in written]
+    return sorted(found)
 
 
 def test_package_source_has_no_module_memos():
     modules = sorted(SRC.glob("*.py"))
-    found = [hit for path in modules for hit in _module_memos(path.read_text(), path.stem)]
+    found = [hit for path in modules for scan in (_module_memos, _class_memos)
+             for hit in scan(path.read_text(), path.stem)]
     assert found == []
 
 
@@ -202,3 +255,49 @@ def test_scan_finds_each_kind_of_memo():
     ]
     global_write = "_CACHE = {}\ndef f(k):\n    global _CACHE\n    _CACHE[k] = 1\n    _CACHE = _CACHE\n"
     assert _module_memos(global_write, "cli") == ["cli:1 _CACHE"]
+
+
+def test_scan_finds_each_kind_of_class_memo():
+    source = (
+        "import functools\n"
+        "class Context:\n"
+        "    _seen = {}\n"
+        "    _by_key: dict = dict()\n"
+        "    _counts = {}\n"
+        "    _mine = {}\n"
+        "    _table = {}\n"
+        "    COLUMNS = {}\n"
+        "    _full = {'a': 1}\n"
+        "    def __init__(self):\n"
+        "        self._mine = {}\n"
+        "    @classmethod\n"
+        "    def of(cls, s):\n"
+        "        return cls._by_key.setdefault(s, cls())\n"
+        "    def count(self, key):\n"
+        "        type(self)._counts[key] = 1\n"
+        "        self._mine[key] = 1\n"
+        "        self._table[key] = 1\n"
+        "    def columns(self):\n"
+        "        return list(self.COLUMNS)\n"
+        "    def fill(self, key):\n"
+        "        self._full[key] = 2\n"
+        "    @functools.cached_property\n"
+        "    def facts(self):\n"
+        "        return {}\n"
+        "def remember(s):\n"
+        "    Context._seen[s] = object()\n"
+        "class Other:\n"
+        "    _seen = {}\n"
+        "    _table = {}\n"
+        "    def read(self, s):\n"
+        "        return self._seen.get(s), self._table.get(s)\n"
+    )
+    # only empty class-level mappings written through their own class: not
+    # one a method rebinds on the instance, a read-only table, a mapping
+    # bound with entries, a cached_property's value, nor another class's
+    # mapping of the same name
+    assert _class_memos(source, "carpets") == [
+        "carpets:3 Context._seen", "carpets:4 Context._by_key", "carpets:5 Context._counts",
+        "carpets:7 Context._table",
+    ]
+    assert _module_memos(source, "carpets") == []
