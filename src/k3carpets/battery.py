@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 
 from . import carpets, cech_oracle, line_cohomology, surfaces
-from .carpets import EmbeddingData
 from .exact_seq import CohInterval, LesInstance, propagate
 
 ORACLE_E_RANGE = range(0, 6)
@@ -248,7 +247,8 @@ def carpet_claims() -> list[Claim]:
                                checked, mismatches))
 
     f0 = surfaces.hirzebruch(0)
-    rep = carpets.carpet_report(EmbeddingData.complete_series(f0, f0.divisor(1, 1)))
+    line = carpets.PolarizationData(carpets.SurfaceContext.of(f0), f0.divisor(1, 1))
+    rep = carpets.carpet_report(line.complete_series())
     out.append(_claim("minimal-degree-unique-carpet",
                       "minimal-degree scroll carries a unique embedded carpet",
                       (rep.embedded_h0, rep.minimal_degree_case, rep.exists_embedded),
@@ -279,7 +279,8 @@ def hilbert_claims() -> list[Claim]:
                                checked, verdict_bad))
 
     f3 = surfaces.hirzebruch(3)
-    rep = carpets.hilbert_report(EmbeddingData.complete_series(f3, f3.divisor(2, 8)))
+    rep = carpets.hilbert_report(
+        carpets.PolarizationData(carpets.SurfaceContext.of(f3), f3.divisor(2, 8)))
     out.append(_claim("hilbert-obstruction-e3",
                       "on F_3 the chain forces h1 of the carpet normal bundle to 1",
                       (rep.smooth, rep.h1_normal_carpet), (False, (1, 1))))

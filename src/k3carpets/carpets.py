@@ -17,14 +17,16 @@ one command run:
 - `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S),
   whether L embeds S with minimal degree, and the Hilbert report, which
   every embedding by L shares.
-- `EmbeddingData`, one per embedding into P^N: only N + 1 >= h^0(L) is
-  checked there.
+- `EmbeddingData`, one per embedding into P^N: a `PolarizationData` and N,
+  with only N + 1 >= h^0(L) checked there.
 The two facts and everything on a `PolarizationData` are computed when
 first read and then held by their object (`functools.cached_property`):
 a query computes only what it reads, and a computation that raised is run
-again by the next reader, with the same message.  `carpet_report` and
-`hilbert_report` take an embedding and read the other two levels through
-it.  No module keeps a cache, so every run sees the modules as they are.
+again by the next reader, with the same message.  `carpet_report` takes
+an embedding and reads the other two levels through it; `hilbert_report`
+takes a `PolarizationData`, because the Hilbert point of the carpet
+embedded by the complete linear series depends on L alone.  No module
+keeps a cache, so every run sees the modules as they are.
 
 Each sequence is data: a label and three term names, with the known
 line-bundle endpoints looked up by name in the context's `ends` and the
@@ -42,7 +44,7 @@ which all rest on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import line_cohomology as lc
@@ -133,49 +135,38 @@ class PolarizationData:
     @cached_property
     def hilbert(self) -> "HilbertReport":
         """The report does not depend on N, so every embedding by L shares it."""
-        return hilbert_report(self.complete_series())
+        return hilbert_report(self)
 
     def complete_series(self, extra: int = 0) -> "EmbeddingData":
         """Embedding by the full linear series, composed with a linear
         embedding into `extra` more ambient dimensions."""
-        return EmbeddingData(self.context.surface, self.divisor, self.coh.h0 - 1 + extra,
-                             line=self)
+        return EmbeddingData(self, self.coh.h0 - 1 + extra)
 
 
 @dataclass(frozen=True)
 class EmbeddingData:
-    """An embedding of S into P^N by a very ample class, N+1 >= h^0.
+    """An embedding of S into P^N by the very ample class of `line`;
+    only N + 1 >= h^0(L) is checked here."""
 
-    `line` is the class's `PolarizationData`; given, only N + 1 >= h^0 is
-    checked, otherwise it is built here with a context of its own."""
-
-    surface: surfaces.SurfaceModel
-    polarization: surfaces.DivisorClass
+    line: PolarizationData
     ambient_n: int
-    line: PolarizationData = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.ambient_n, int) or isinstance(self.ambient_n, bool):
             raise ValueError(f"ambient dimension N must be an integer, got {self.ambient_n!r}")
-        if self.line is None:
-            line = PolarizationData(SurfaceContext.of(self.surface), self.polarization)
-            object.__setattr__(self, "line", line)
-        if self.ambient_n + 1 < self.line.coh.h0:
+        if self.ambient_n + 1 < self.h0:
             raise InvalidGeometryError(
                 f"ambient dimension N = {self.ambient_n} too small: "
-                f"N + 1 must be >= h0 = {self.line.coh.h0}"
+                f"N + 1 must be >= h0 = {self.h0}"
             )
 
-    @classmethod
-    def complete_series(
-        cls,
-        surface: surfaces.SurfaceModel,
-        polarization: surfaces.DivisorClass,
-        extra: int = 0,
-    ) -> "EmbeddingData":
-        """Embedding by the full linear series of the polarization, composed
-        with a linear embedding into `extra` more ambient dimensions."""
-        return PolarizationData(SurfaceContext.of(surface), polarization).complete_series(extra)
+    @property
+    def surface(self) -> surfaces.SurfaceModel:
+        return self.line.context.surface
+
+    @property
+    def polarization(self) -> surfaces.DivisorClass:
+        return self.line.divisor
 
     @property
     def h0(self) -> int:
@@ -216,10 +207,9 @@ class DoubleCoverReport:
 @dataclass(frozen=True)
 class HilbertReport:
     """Hilbert-scheme tangent data of the carpet embedded by the complete
-    linear series of its own very ample bundle (ambient dimension
-    `hilbert_ambient_n`; the input embedding of S is echoed for context)."""
+    linear series of its own very ample bundle, in ambient dimension
+    `hilbert_ambient_n`; a fact about the polarization alone."""
 
-    embedding: EmbeddingData
     hilbert_ambient_n: int
     h0_normal_surface: int
     chi_normal_carpet: int
@@ -374,17 +364,16 @@ _HILBERT_SEQUENCES = (
 )
 
 
-def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
+def hilbert_report(line: PolarizationData) -> HilbertReport:
     """Tangent-space report for the carpet's Hilbert point.
 
     The Hilbert question concerns the carpet embedded by the complete
     linear series of its own very ample bundle; restricting that series to
     S splits off h^0 of the adjoint class, so the relevant ambient
     dimension is N + 1 = h^0(L) + h^0(L + K_S), read from the polarization
-    (the input embedding's N only parametrizes where the carpet-counting of
-    `carpet_report` happens).
+    alone: an embedding's N only parametrizes the carpet count of
+    `carpet_report`.
     """
-    line = embedding.line
     context = line.context
     n_plus_1 = line.coh.h0 + line.adjoint.h0
     normal_twist = _normal_twist_cohomology(line, n_plus_1)
@@ -435,7 +424,6 @@ def hilbert_report(embedding: EmbeddingData) -> HilbertReport:
         )
 
     return HilbertReport(
-        embedding=embedding,
         hilbert_ambient_n=n_plus_1 - 1,
         h0_normal_surface=h0_n_s,
         chi_normal_carpet=nc.chi,

@@ -244,10 +244,11 @@ def cmd_coh(tokens: list[str], out) -> int:
 
 
 def _embedding(surface, divisor, args: _Args) -> EmbeddingData:
+    n = None
     if "--N" in args.options:
         n = _parse_int(args.options["--N"][0], "ambient dimension", args.options["--N"][1])
-        return EmbeddingData(surface, divisor, n)
-    return EmbeddingData.complete_series(surface, divisor)
+    line = carpets.PolarizationData(carpets.SurfaceContext.of(surface), divisor)
+    return line.complete_series() if n is None else EmbeddingData(line, n)
 
 
 def cmd_carpet(tokens: list[str], out) -> int:
@@ -281,14 +282,15 @@ def cmd_hilbert(tokens: list[str], out) -> int:
     surface = _parse_surface(*args.take_positional("surface"))
     divisor = _parse_divisor(surface, *args.take_positional("divisor"))
     args.done()
-    report = carpets.hilbert_report(_embedding(surface, divisor, args))
+    embedding = _embedding(surface, divisor, args)
+    report = embedding.line.hilbert
     h1 = report.h1_normal_carpet
     doc = {
         "command": "hilbert",
         "inputs": {
             "surface": str(surface),
             "divisor": str(divisor),
-            "ambient_n": report.embedding.ambient_n,
+            "ambient_n": embedding.ambient_n,
         },
         "results": {
             "verdict": "SMOOTH" if report.smooth else "SINGULAR",

@@ -85,9 +85,9 @@ def test_criterion_6_hilbert_identity_and_verdicts():
         s, d = emb.surface, emb.polarization
         if s.is_plane and d.degree <= 2:
             with pytest.raises(InvalidGeometryError, match="no embedded carpet"):
-                hilbert_report(emb)
+                hilbert_report(emb.line)
             continue
-        rep = hilbert_report(emb)
+        rep = hilbert_report(emb.line)
         assert rep.expected_smooth_dim == rep.chi_normal_carpet, (str(s), d.coeffs)
         if not s.is_plane and s.e == 3:
             assert rep.h1_normal_carpet == (1, 1), d.coeffs

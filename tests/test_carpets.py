@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from k3carpets import battery, carpets, cli, surfaces
 from k3carpets.carpets import (
     EmbeddingData,
+    PolarizationData,
+    SurfaceContext,
     abstract_carpet_dim,
     carpet_report,
     double_cover_k3_check,
@@ -19,22 +23,28 @@ from k3carpets.surfaces import canonical_class, hirzebruch, projective_plane
 P2 = projective_plane()
 
 
+def polarization(surface, *coeffs):
+    return PolarizationData(SurfaceContext.of(surface), surface.divisor(*coeffs))
+
+
 def complete(surface, *coeffs, extra=0):
-    return EmbeddingData.complete_series(surface, surface.divisor(*coeffs), extra)
+    return polarization(surface, *coeffs).complete_series(extra)
 
 
 def test_embedding_validation():
     f2 = hirzebruch(2)
-    with pytest.raises(ValueError):
-        EmbeddingData(f2, f2.divisor(1, 2), 20)  # not very ample
-    with pytest.raises(ValueError):
-        EmbeddingData(f2, f2.divisor(0, 1), 20)  # fiber class
-    with pytest.raises(ValueError):
-        EmbeddingData(P2, P2.divisor(2), 4)  # N + 1 < h0 = 6
+    with pytest.raises(ValueError, match="^polarization 1,2 on F2 is not very ample$"):
+        polarization(f2, 1, 2)
+    with pytest.raises(ValueError, match="^polarization 0,1 on F2 is not very ample$"):
+        polarization(f2, 0, 1)  # fiber class
+    with pytest.raises(ValueError, match=re.escape("N = 4 too small: N + 1 must be >= h0 = 6")):
+        EmbeddingData(polarization(P2, 2), 4)
     emb = complete(f2, 1, 3)
     assert emb.n_plus_1 == emb.h0 == coh(f2, f2.divisor(1, 3)).h0 == 6
-    # h^0(L) is derived, so it takes no part in equality or hashing
-    assert "h0" not in {f.name for f in fields(EmbeddingData) if f.init or f.compare}
+    assert (emb.surface, emb.polarization) == (f2, f2.divisor(1, 3))
+    # an embedding is its polarization's data plus N; S, L and h^0(L) are
+    # read there, so they cannot disagree with it
+    assert [f.name for f in fields(EmbeddingData)] == ["line", "ambient_n"]
 
 
 @pytest.mark.parametrize("e", range(8))
@@ -162,7 +172,7 @@ def test_double_cover_plane():
 
 def test_hilbert_smooth_cases():
     for e, ab in [(0, (1, 1)), (1, (2, 4)), (2, (2, 5))]:
-        rep = hilbert_report(complete(hirzebruch(e), *ab))
+        rep = hilbert_report(polarization(hirzebruch(e), *ab))
         np1 = rep.hilbert_ambient_n + 1
         assert rep.smooth
         assert rep.chi_normal_carpet == rep.expected_smooth_dim == np1 * np1 + 18
@@ -172,19 +182,17 @@ def test_hilbert_smooth_cases():
 
 def test_hilbert_ambient_is_carpet_complete():
     # the Hilbert chain runs at N + 1 = h0(L) + h0(L + K), the dimension of
-    # the complete series on the carpet; the input ambient is only echoed
+    # the complete series on the carpet, not at h0(L) = 12
     f2 = hirzebruch(2)
     d = f2.divisor(2, 5)
-    for extra in (0, 5):
-        rep = hilbert_report(complete(f2, 2, 5, extra=extra))
-        want = coh(f2, d).h0 + coh(f2, d + canonical_class(f2)).h0
-        assert rep.hilbert_ambient_n + 1 == want == 14
-        assert rep.chi_normal_carpet == 14 * 14 + 18
-        assert rep.embedding.ambient_n == 11 + extra
+    rep = hilbert_report(polarization(f2, 2, 5))
+    want = coh(f2, d).h0 + coh(f2, d + canonical_class(f2)).h0
+    assert rep.hilbert_ambient_n + 1 == want == 14
+    assert rep.chi_normal_carpet == 14 * 14 + 18
 
 
 def test_hilbert_singular_f3():
-    rep = hilbert_report(complete(hirzebruch(3), 2, 8))
+    rep = hilbert_report(polarization(hirzebruch(3), 2, 8))
     assert not rep.smooth
     assert rep.h1_K2inv == 1 and rep.h1_Kinv == 0
     assert rep.h1_normal_carpet == (1, 1)  # forced exactly
@@ -194,11 +202,11 @@ def test_hilbert_singular_f3():
 
 def test_hilbert_interval_for_large_e():
     # both obstruction witnesses are nonzero, so only an interval is honest
-    rep = hilbert_report(complete(hirzebruch(4), 2, 9))
+    rep = hilbert_report(polarization(hirzebruch(4), 2, 9))
     assert not rep.smooth
     assert (rep.h1_Kinv, rep.h1_K2inv) == (1, 3)
     assert rep.h1_normal_carpet == (3, 4)
-    rep = hilbert_report(complete(hirzebruch(6), 3, 19))
+    rep = hilbert_report(polarization(hirzebruch(6), 3, 19))
     assert (rep.h1_Kinv, rep.h1_K2inv) == (3, 8)
     assert rep.h1_normal_carpet == (8, 11)
     assert rep.chi_normal_carpet == rep.expected_smooth_dim
@@ -206,7 +214,7 @@ def test_hilbert_interval_for_large_e():
 
 def test_hilbert_plane_always_smooth():
     for d in range(3, 7):
-        rep = hilbert_report(complete(P2, d))
+        rep = hilbert_report(polarization(P2, d))
         np1 = rep.hilbert_ambient_n + 1
         assert np1 == (d + 2) * (d + 1) // 2 + (d - 1) * (d - 2) // 2
         assert rep.smooth
@@ -217,52 +225,53 @@ def test_hilbert_plane_always_smooth():
 def test_hilbert_surface_normal_bookkeeping():
     # h0 of the surface normal bundle is (N+1) h0(L) - 7 on F_e, - 9 on P^2
     f2 = hirzebruch(2)
-    rep = hilbert_report(complete(f2, 2, 5))
+    rep = hilbert_report(polarization(f2, 2, 5))
     np1 = rep.hilbert_ambient_n + 1
     assert rep.h0_normal_surface == np1 * coh(f2, f2.divisor(2, 5)).h0 - 7
-    rep = hilbert_report(complete(P2, 3))
+    rep = hilbert_report(polarization(P2, 3))
     np1 = rep.hilbert_ambient_n + 1
     assert rep.h0_normal_surface == np1 * coh(P2, P2.divisor(3)).h0 - 9
 
 
 def test_hilbert_requires_existing_carpet():
     with pytest.raises(ValueError, match="no embedded carpet"):
-        hilbert_report(complete(P2, 2))
+        hilbert_report(polarization(P2, 2))
     with pytest.raises(ValueError, match="no embedded carpet"):
-        hilbert_report(complete(P2, 1))
-
-
-def _without_embedding(report):
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "embedding"}
-
-
-def test_hilbert_report_does_not_depend_on_the_input_embedding():
-    # the sweep and the battery compute one report per polarization and
-    # share it between every N the polarization is embedded at
-    polarizations = list(battery.fe_polarizations())
-    polarizations += [(P2, P2.divisor(d)) for d in battery.P2_D_RANGE if d >= 3]
-    assert (hirzebruch(3), hirzebruch(3).divisor(2, 8)) in polarizations
-    assert (P2, P2.divisor(3)) in polarizations
-    for s, d in polarizations:
-        first, second = (
-            hilbert_report(EmbeddingData.complete_series(s, d, extra)) for extra in (0, 5)
-        )
-        assert second.embedding.ambient_n == first.embedding.ambient_n + 5
-        assert _without_embedding(first) == _without_embedding(second), (s, d)
-    f3 = hirzebruch(3)
-    rep = _without_embedding(hilbert_report(complete(f3, 2, 8, extra=5)))
-    assert (rep["smooth"], rep["h1_normal_carpet"]) == (False, (1, 1))
+        hilbert_report(polarization(P2, 1))
 
 
 def test_hilbert_command_does_not_depend_on_N(capsys):
-    outputs = []
-    for n in ("3", "100"):
-        assert cli.main(["hilbert", "F0", "1,1", "--N", n]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert f"ambient_n               : {n}" in lines
-        outputs.append([line for line in lines if not line.startswith("ambient_n ")])
-    assert outputs[0] == outputs[1]
-    assert "verdict                 : SMOOTH" in outputs[0]
+    # the report is read from the polarization; the input embedding's N is
+    # only printed, after its check against h0(L)
+    cases = [("F0", "1,1", 3, "SMOOTH", 0), ("F3", "2,8", 17, "SINGULAR", 1),
+             ("P2", "3", 9, "SMOOTH", 0)]
+    for surface, divisor, n_min, verdict, h1 in cases:
+        outputs = []
+        for n, option in ((n_min, []), (n_min, ["--N", str(n_min)]), (100, ["--N", "100"])):
+            assert cli.main(["hilbert", surface, divisor, *option]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"ambient_n               : {n}" in lines
+            outputs.append([line for line in lines if not line.startswith("ambient_n ")])
+        assert outputs[0] == outputs[1] == outputs[2], surface
+        assert f"verdict                 : {verdict}" in outputs[0]
+        assert f"h1_normal_carpet_lo     : {h1}" in outputs[0]
+        assert f"h1_normal_carpet_hi     : {h1}" in outputs[0]
+
+
+def test_a_polarization_is_freed_without_the_cycle_collector():
+    # the Hilbert report a polarization holds refers back to no embedding,
+    # so no reference cycle keeps the polarization's data alive
+    line = polarization(hirzebruch(3), 2, 8)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert not line.hilbert.smooth
+        ref = weakref.ref(line)
+        del line
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_embedding_rejects_a_non_integer_ambient_dimension():
@@ -270,8 +279,8 @@ def test_embedding_rejects_a_non_integer_ambient_dimension():
     for bad in (11.0, "11", True, None):
         message = f"ambient dimension N must be an integer, got {bad!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            EmbeddingData(f2, f2.divisor(2, 5), bad)
-    assert EmbeddingData(f2, f2.divisor(2, 5), 11).n_plus_1 == 12
+            EmbeddingData(polarization(f2, 2, 5), bad)
+    assert EmbeddingData(polarization(f2, 2, 5), 11).n_plus_1 == 12
 
 
 # Every consistency check of `carpets`, each hit by perturbing one derived
@@ -346,7 +355,8 @@ def test_unforced_branch_restriction_is_an_inconsistency(monkeypatch, surface):
         double_cover_k3_check(surface)
 
 
-_HILBERT_CASES = [complete(hirzebruch(0), 1, 1), complete(hirzebruch(3), 2, 8), complete(P2, 3)]
+_HILBERT_CASES = [polarization(hirzebruch(0), 1, 1), polarization(hirzebruch(3), 2, 8),
+                  polarization(P2, 3)]
 
 
 _CLOSED_FORM_TERMS = [
@@ -357,58 +367,58 @@ _CLOSED_FORM_TERMS = [
 ]
 
 
-@pytest.mark.parametrize("emb", _HILBERT_CASES)
+@pytest.mark.parametrize("line", _HILBERT_CASES)
 @pytest.mark.parametrize("name, change, phrase", [
     ("N_S", _widened, "^surface normal-bundle cohomology"),
     ("N_S", _with_h1, "surface normal"),  # h1 and h2 of N_S must vanish
     *((name, change, "^" + phrase)
       for name, phrase in _CLOSED_FORM_TERMS for change in (_widened, _shifted)),
 ])
-def test_hilbert_closed_form_checks(monkeypatch, emb, name, change, phrase):
+def test_hilbert_closed_form_checks(monkeypatch, line, name, change, phrase):
     _perturb_chain(monkeypatch, name, change)
     with pytest.raises(InconsistencyError, match=phrase):
-        hilbert_report(emb)
+        hilbert_report(line)
 
 
-@pytest.mark.parametrize("emb", _HILBERT_CASES)
-def test_hilbert_carpet_normal_checks(monkeypatch, emb):
+@pytest.mark.parametrize("line", _HILBERT_CASES)
+def test_hilbert_carpet_normal_checks(monkeypatch, line):
     with monkeypatch.context() as m:
         _perturb_chain(m, "Nc", _shifted)
         with pytest.raises(InconsistencyError, match="^chi of the carpet normal bundle"):
-            hilbert_report(emb)
+            hilbert_report(line)
     _perturb_chain(monkeypatch, "Nc", lambda iv: CohInterval(iv.lo, (*iv.hi[:2], 1), iv.chi))
     with pytest.raises(InconsistencyError, match="^h2 of the carpet normal bundle"):
-        hilbert_report(emb)
+        hilbert_report(line)
 
 
-@pytest.mark.parametrize("emb", [_HILBERT_CASES[0], _HILBERT_CASES[2]])
-def test_hilbert_smooth_verdict_checks(monkeypatch, emb):
-    expected = hilbert_report(emb).expected_smooth_dim
+@pytest.mark.parametrize("line", [_HILBERT_CASES[0], _HILBERT_CASES[2]])
+def test_hilbert_smooth_verdict_checks(monkeypatch, line):
+    expected = hilbert_report(line).expected_smooth_dim
     with monkeypatch.context() as m:
         _perturb_chain(m, "Nc", lambda iv: CohInterval.exact(expected + 1, 1, 0))
         with pytest.raises(InconsistencyError, match="^chain verdict singular disagrees"):
-            hilbert_report(emb)
+            hilbert_report(line)
     _perturb_chain(monkeypatch, "Nc",
                    lambda iv: CohInterval((expected - 1, 0, 0), (expected, 0, 0), expected))
     with pytest.raises(InconsistencyError, match="^smooth verdict but h0"):
-        hilbert_report(emb)
+        hilbert_report(line)
 
 
 def test_hilbert_singular_verdict_checks(monkeypatch):
-    emb = _HILBERT_CASES[1]  # F_3 (2,8): h1 = 1
-    expected = hilbert_report(emb).expected_smooth_dim
+    line = _HILBERT_CASES[1]  # F_3 (2,8): h1 = 1
+    expected = hilbert_report(line).expected_smooth_dim
     _perturb_chain(monkeypatch, "Nc", lambda iv: CohInterval.exact(expected, 0, 0))
     with pytest.raises(InconsistencyError, match="^chain verdict smooth disagrees"):
-        hilbert_report(emb)
+        hilbert_report(line)
 
 
-@pytest.mark.parametrize("emb", _HILBERT_CASES)
-def test_hilbert_undecided_h1_is_an_inconsistency(monkeypatch, emb):
-    expected = hilbert_report(emb).expected_smooth_dim
+@pytest.mark.parametrize("line", _HILBERT_CASES)
+def test_hilbert_undecided_h1_is_an_inconsistency(monkeypatch, line):
+    expected = hilbert_report(line).expected_smooth_dim
     _perturb_chain(monkeypatch, "Nc",
                    lambda iv: CohInterval((expected, 0, 0), (expected + 1, 1, 0), expected))
     with pytest.raises(InconsistencyError, match="^h1 of the carpet normal bundle decides no"):
-        hilbert_report(emb)
+        hilbert_report(line)
 
 
 def _complete_series_reports():
@@ -425,7 +435,7 @@ def test_chain_decides_every_complete_series_verdict():
     cases = list(_complete_series_reports())
     assert len(cases) == 261
     for surface, *coeffs in cases:
-        rep = hilbert_report(complete(surface, *coeffs))
+        rep = hilbert_report(polarization(surface, *coeffs))
         lo, hi = rep.h1_normal_carpet
         assert rep.smooth == (surface.is_plane or surface.e <= 2), (surface, coeffs)
         assert hi == 0 if rep.smooth else lo >= 1, (surface, coeffs, lo, hi)
@@ -437,8 +447,8 @@ def test_carpet_locus_has_constant_codimension():
     # below chi(N_carpet) = (N+1)^2 + 18, with the closed forms
     # h0(N_S) = (N+1) h0(L) - 1 - chi(T_S) and h0(N ⊗ K) = (N+1) h0(L+K) + eps
     for surface, *coeffs in _complete_series_reports():
-        rep = hilbert_report(complete(surface, *coeffs))
-        line = rep.embedding.line
+        line = polarization(surface, *coeffs)
+        rep = hilbert_report(line)
         h0_l, h0_adj = line.coh.h0, line.adjoint.h0
         np1 = rep.hilbert_ambient_n + 1
         chi_t, eps, codim = (8, 0, 28) if surface.is_plane else (6, 1, 25)

@@ -210,6 +210,57 @@ def test_hilbert_interval_provenance():
     assert "h1_normal_carpet_hi     : 7" in text
 
 
+# sha256 of "<exit code>\n<stdout>\0<stderr>" of single queries: every output
+# format, with and without --N, a SINGULAR verdict (F3), an h1 interval (F5),
+# the plane, and each way a query is refused, in the order the checks run
+_QUERY_SHA256 = [
+    ("carpet F3 2,8", "552c42ca1e0532c855f4b060eff8b186a3b918f17b481f9b3348c26a6533cae0"),
+    ("carpet F3 2,8 --format json",
+     "38dd59d2c46161d50143619b7659588b83ca67b25962915f654f834a0c695603"),
+    ("carpet F3 2,8 --format csv",
+     "cc0c7b53788be585cccbe74ca10165811234d9df66b3eb3bc876d0a14e6d1b54"),
+    ("carpet F3 2,8 --N 20", "38f92dbbd264ce8dc54d45a1d519c59b41b5435b95cf1e8122d1227589d0f207"),
+    ("carpet F5 2,11 --N 30 --format json",
+     "6b3cbcc21205c85c2880643ce868a7c5f9b45c3458b7f8dc73385b7e84d496b5"),
+    ("carpet P2 3", "6fdf489cdc510f15dccb0a9defb6e4c3d36950235314821db705058d7a9569fa"),
+    ("carpet P2 3 --N 12 --format csv",
+     "1ac9e9a4b71c19c8dba2bbb07631ad55fdd39c44ee6b635722d2fec0988992db"),
+    ("hilbert F3 2,8", "d306beeb2522bd6df41c1e0adfc15b4a83661e7e042caa83908c91fefbeddd4d"),
+    ("hilbert F3 2,8 --format json",
+     "3076a98aff1c93140669a8b08038d547906aa79106d3b440ee9f823d481540ed"),
+    ("hilbert F3 2,8 --format csv",
+     "7e4c9de551a0006593e37ccfe0ac4290a15baec5f8da8a0d447fd549bdfec8da"),
+    ("hilbert F3 2,8 --N 20", "f94366bc960d121de797a78b630835af7ea260ba968946acd391f92fec3c818d"),
+    ("hilbert F5 2,11", "0d42725dd55faa6e669ce48b9343cc66225c92e6c516976bb8ad74bc46d649fe"),
+    ("hilbert F5 2,11 --N 30 --format csv",
+     "397f61cee26d7d317a9eeba2cb6a51c523db2cb067fb298bb2ca833d855d0afd"),
+    ("hilbert P2 3", "be4884ed6236b1a6f1d3fd956c3331164c6dff02d8c11284ef82b1c84eb731e9"),
+    ("hilbert P2 3 --N 12 --format json",
+     "6ae6a3fd9f419db0d204f60deaf0c9804a1a609cf602bd83ac7824b0204cf315"),
+    # not very ample
+    ("carpet F2 1,2", "f68502ba4518f93f45fbe0164b862c36e1a15bc9a90887b451eb7956f7fecce0"),
+    ("hilbert F2 1,2 --N 20", "f68502ba4518f93f45fbe0164b862c36e1a15bc9a90887b451eb7956f7fecce0"),
+    ("hilbert F2 1,2 --N 1", "f68502ba4518f93f45fbe0164b862c36e1a15bc9a90887b451eb7956f7fecce0"),
+    ("carpet F2 1,2 --N x", "64b2f0a0f6ff7643c64d6436de2498dfda2c8e06deed3a6a95587b1d74db4a95"),
+    # N + 1 must be >= h0
+    ("carpet F2 1,3 --N 1", "3091e7b39387ef7683879abf2cf0e5631a44fe160143d64c4c0315a2b7558423"),
+    ("hilbert P2 3 --N 8 --format json",
+     "c54debbae3adf9c5c331091058d7c79fbbbcb971271dc173ca03069cbe350315"),
+    ("hilbert P2 2 --N 3", "5522b7d426857d324841936a89dcb5353811bef908701d42d8b1412de2114d4b"),
+    # no embedded carpet
+    ("hilbert P2 2", "37800318b10967357a093c3526aed2953182ebf53719e42013eaf8c6f4558d18"),
+    ("hilbert P2 2 --N 9", "37800318b10967357a093c3526aed2953182ebf53719e42013eaf8c6f4558d18"),
+]
+
+
+@pytest.mark.parametrize("query, digest", _QUERY_SHA256, ids=[q for q, _ in _QUERY_SHA256])
+def test_single_query_output_snapshot(capsys, query, digest):
+    code = cli.main(query.split())
+    captured = capsys.readouterr()
+    blob = f"{code}\n{captured.out}\0{captured.err}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest, (code, captured.err)
+
+
 def test_sweep_row_count_and_order():
     code, text = run("sweep", "--e", "0..4", "--a", "1..3", "--db", "1..3")
     assert code == 0
@@ -329,7 +380,8 @@ def test_sweep_computes_h0_once_per_polarization(monkeypatch):
 def test_complete_series_computes_h0_once(monkeypatch):
     calls = _counting(monkeypatch, line_cohomology, "coh")
     f2 = surfaces.hirzebruch(2)
-    emb = carpets.EmbeddingData.complete_series(f2, f2.divisor(2, 5), 3)
+    line = carpets.PolarizationData(carpets.SurfaceContext.of(f2), f2.divisor(2, 5))
+    emb = line.complete_series(3)
     assert (emb.h0, emb.ambient_n) == (12, 14)
     assert sum(args == (f2, f2.divisor(2, 5)) for args in calls) == 1
 
@@ -389,9 +441,9 @@ def test_sweep_rows_before_the_hilbert_step_keep_their_errors(jobs):
 def test_sweep_hilbert_error_is_the_error_of_rows_reaching_it(monkeypatch, jobs):
     calls = []
 
-    def broken(embedding):
-        calls.append(embedding)
-        raise InconsistencyError(f"broken on {embedding.polarization}")
+    def broken(line):
+        calls.append(line.divisor)
+        raise InconsistencyError(f"broken on {line.divisor}")
 
     monkeypatch.setattr(carpets, "hilbert_report", broken)
     code, text = run("sweep", "--e", "2..2", "--a", "1..2", "--db", "0..1",

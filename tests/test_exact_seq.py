@@ -659,12 +659,14 @@ def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
     calls, reports = [], []
     monkeypatch.setattr(exact_seq, "propagate", lambda seq: calls.append(seq) or propagate(seq))
     f3 = hirzebruch(3)
-    carpets.hilbert_report(carpets.EmbeddingData.complete_series(f3, f3.divisor(2, 8)))
+    line = carpets.PolarizationData(carpets.SurfaceContext.of(f3), f3.divisor(2, 8))
+    carpets.hilbert_report(line)
     assert len(calls) == 8
 
     calls.clear()
     report = carpets.hilbert_report
-    monkeypatch.setattr(carpets, "hilbert_report", lambda emb: reports.append(emb) or report(emb))
+    monkeypatch.setattr(carpets, "hilbert_report",
+                        lambda line: reports.append(line.divisor) or report(line))
     battery.hilbert_claims()
     assert len(reports) > 200
     assert len(calls) == 8 * len(reports)
