@@ -223,6 +223,9 @@ class HilbertReport:
 
 
 _UNKNOWN = CohInterval.unknown()
+# the fixed terms of the normal-twist pushforward sequence on F_e
+_PUSH_NORMAL_TWIST = CohInterval((0, 0, 0), (None, None, 0))
+_O_BASE = CohInterval.exact(1, 0, 0)
 _exact = CohInterval.from_vector
 
 
@@ -278,8 +281,8 @@ def _normal_twist_cohomology(line: PolarizationData, n_plus_1: int) -> CohVector
         out = propagate(_sequence(
             "normal-twist-pushforward", ("push_adjoint^(N+1)", "push_N⊗K", "O_base"), {
                 "push_adjoint^(N+1)": adjoint,
-                "push_N⊗K": CohInterval((0, 0, 0), (None, None, 0)),
-                "O_base": CohInterval.exact(1, 0, 0),
+                "push_N⊗K": _PUSH_NORMAL_TWIST,
+                "O_base": _O_BASE,
             },
         )).b
     return CohVector(*_forced(out, "twisted normal-bundle cohomology", (out.lo[0], 0, 0)))

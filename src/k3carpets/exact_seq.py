@@ -13,14 +13,14 @@ exactness is equivalent to
 and this rank model is the single source of truth here.  Given per-degree
 integer bounds on the nine dimensions (plus optional exact Euler
 characteristics per term), `propagate` computes the exact minimum and
-maximum of every dimension over all nonnegative rank assignments.  A
-forward and a backward sweep along the path of ranks, with caps from the
-fixed Euler characteristics, bound the ranks.  Without a *watched* Euler
-characteristic (a fixed one on a term the input does not pin) that sweep
-is already exact on the path (Freuder 1982), and an Euler characteristic
-is constant iff no free block of ranks linked by forced dimensions moves
-it (the affine hull of a totally unimodular polytope is cut out by its
-implicit equalities; Schrijver 1986, section 8.2): at most 9 sweeps,
+maximum of every dimension over all nonnegative rank assignments.  One
+forward and one backward pass along the path of ranks bound the ranks.
+Without a *watched* Euler characteristic (a fixed one on a term the input
+does not pin) that is all: the sweep is exact on the path (Freuder 1982),
+and an Euler characteristic is constant iff no free block of ranks linked
+by forced dimensions moves it (the affine hull of a totally unimodular
+polytope is cut out by its implicit equalities; Schrijver 1986, section
+8.2).  Caps from watched ones repeat the sweep at most 9 times,
 whatever the magnitudes.  The matrix of the nine dimensions and the three
 Euler characteristics as functions of the ranks is totally unimodular, so
 over the chains through a fixed rank the running Euler characteristic of
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf
 
 _DEGREE_NAMES = ("h0", "h1", "h2")
 
@@ -171,32 +170,39 @@ class LesInstance:
 
 
 def _term_bounds(seq: LesInstance):
-    """Bounds for t_0..t_8 in long-exact-sequence order (H0A, H0B, ...), inf if none."""
-    lo, hi = [], []
-    for degree in range(3):
-        for iv in (seq.a, seq.b, seq.c):
-            lo.append(iv.lo[degree])
-            hi.append(inf if iv.hi[degree] is None else iv.hi[degree])
-    return lo, hi
+    """Bounds for t_0..t_8 in long-exact-sequence order (H0A, H0B, ...), None if none."""
+    (a, b, c), (x, y, z) = (seq.a.lo, seq.b.lo, seq.c.lo), (seq.a.hi, seq.b.hi, seq.c.hi)
+    return ([a[0], b[0], c[0], a[1], b[1], c[1], a[2], b[2], c[2]],
+            [x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2]])
 
 
 def _sweep(lo, hi):
-    """Exact intervals [r_lo[k], r_hi[k]] of r_0..r_9 over the rank chains
-    with lo_k <= r_k + r_{k+1} <= hi_k, chi ignored; if there is none, the
-    lists stop at the first empty interval.  On a path a forward pass (what
-    r_0..r_{k-1} leave for r_k) and a backward pass (what of it r_{k+1}..r_9
-    can finish) are exact, the image of an interval being an interval:
-    directional arc consistency (Dechter and Pearl 1987, "Network-based
-    heuristics for constraint-satisfaction problems")."""
+    """Exact intervals [r_lo[k], r_hi[k]] of r_0..r_9 (None if unbounded)
+    over the rank chains with lo_k <= r_k + r_{k+1} <= hi_k, chi ignored,
+    capping each hi_k in place at r_hi[k] + r_hi[k+1]; if there is none,
+    the lists stop at the first empty interval.  On a path a forward pass (what r_0..r_{k-1}
+    leave for r_k) and a backward pass (what of it r_{k+1}..r_9 can finish)
+    are exact, the image of an interval being an interval: directional arc
+    consistency (Dechter and Pearl 1987, "Network-based heuristics for
+    constraint-satisfaction problems")."""
     r_lo, r_hi = [0], [0]
     for k in range(9):
-        r_lo.append(max(0, lo[k] - r_hi[k]))
-        r_hi.append(hi[k] - r_lo[k] if k < 8 else min(0, hi[k] - r_lo[k]))
-        if r_hi[-1] < r_lo[-1]:
+        low, high, h = r_lo[k], r_hi[k], hi[k]
+        r_lo.append(lo[k] - high if high is not None and lo[k] > high else 0)
+        r_hi.append(None if h is None else h - low)
+        if h is not None and h < low:
             return r_lo, r_hi
-    for k in range(8, 0, -1):
-        r_lo[k] = max(r_lo[k], lo[k] - r_hi[k + 1])
-        r_hi[k] = min(r_hi[k], hi[k] - r_lo[k + 1])
+    r_hi[9] = 0
+    if r_lo[9]:
+        return r_lo, r_hi
+    for k in range(8, -1, -1):
+        l, h, high, up_lo, up_hi = lo[k], hi[k], r_hi[k], r_lo[k + 1], r_hi[k + 1]
+        if up_hi is not None and l - up_hi > r_lo[k]:
+            r_lo[k] = l - up_hi
+        if h is not None and (high is None or h - up_lo < high):
+            r_hi[k] = high = h - up_lo
+        if high is not None and up_hi is not None and (h is None or high + up_hi < h):
+            hi[k] = high + up_hi
     return r_lo, r_hi
 
 
@@ -216,9 +222,7 @@ def _infeasible(seq: LesInstance) -> InconsistencyError:
         why = (f"exactness at {_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}): the "
                f"incoming rank would have to be negative ({r_hi[-1]})")
     elif r_hi[-1] < r_lo[-1]:
-        # Empty without going negative: before t_8, r_lo[k+1] > r_hi[k+1] >= 0
-        # would need (hi_k - lo_k) + (r_hi[k] - r_lo[k]) < 0, so this is t_8,
-        # where r_9 = 0 and h2(C) = r_8 <= r_hi[8] < lo[8].
+        # without a negative rank the sweep stops only at r_9 = 0: r_hi[8] < lo[8]
         b, c = seq.names[1:]
         why = (f"exactness at h2({c}): h2({b}) -> h2({c}) must be onto, but its "
                f"rank is at most {r_hi[8]} while h2({c}) >= {lo[8]}")
@@ -233,39 +237,40 @@ def _rank_bounds(seq: LesInstance):
     """Bounds (lo, hi, r_lo, r_hi) on the nine dimensions and the ranks
     r_0..r_9 that every feasible rank chain keeps, all finite.
 
-    Repeats {sweep the ranks; let them cap the dimensions; let each fixed
-    chi cap each degree of its term from the other two} only while some
-    dimension goes from unbounded to bounded: at most 9 sweeps whatever the
-    magnitudes, since with all nine unbounded nothing bounds one.  So
-    whether a rank stays unbounded (`UnboundedRankError`) depends only on
-    which bounds are finite and which chi are fixed.  The chi caps only
-    make the ranks finite; `propagate` applies chi exactly.  A term the
-    input pins is skipped: its chi caps each degree at its pinned value."""
-    lo, hi = _term_bounds(seq)
+    Sweeps the ranks, which cap the dimensions, then repeats {let each
+    watched chi cap each degree of its term from the other two; sweep}
+    only while some dimension goes from unbounded to bounded: at most 9
+    sweeps whatever the magnitudes, as with all nine unbounded nothing
+    bounds one.  So whether a rank stays unbounded (`UnboundedRankError`)
+    depends only on which bounds are finite and which chi are fixed.  The
+    chi caps only make the ranks finite; `propagate` applies chi exactly.
+    A pinned term is skipped: its chi caps each degree at its value."""
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     if None not in chis and chis[0] + chis[2] != chis[1]:
         raise _infeasible(seq)
+    lo, hi = _term_bounds(seq)
     capped = [(term, iv.chi) for term, iv in enumerate((seq.a, seq.b, seq.c))
               if iv.chi is not None and not iv.is_forced_all()]
     while True:
         r_lo, r_hi = _sweep(lo, hi)
         if r_hi[-1] < r_lo[-1]:
             raise _infeasible(seq)
-        hi = [min(h, r_hi[k] + r_hi[k + 1]) for k, h in enumerate(hi)]
-        unbounded = hi.count(inf)
+        bounded = False  # whether a chi cap bounds an unbounded dimension
         for term, chi in capped:
-            for d in range(3):
+            for d, i in enumerate(range(term, 9, 3)):
                 # t_d = s_d (chi - sum of s_e t_e), s = (1, -1, 1): a degree of
                 # opposite sign counts at its top, one of equal sign at its bottom
-                hi[term + 3 * d] = min(hi[term + 3 * d], (-chi if d == 1 else chi) + sum(
-                    hi[term + 3 * e] if 1 in (d, e) else -lo[term + 3 * e]
-                    for e in range(3) if e != d))
-        if any(h < l for l, h in zip(lo, hi)):
-            raise _infeasible(seq)
-        if hi.count(inf) == unbounded:
+                parts = [hi[term + 3 * e] if 1 in (d, e) else -lo[term + 3 * e]
+                         for e in range(3) if e != d]
+                cap = None if None in parts else sum(parts) + (-chi if d == 1 else chi)
+                if cap is not None and (hi[i] is None or cap < hi[i]):
+                    if cap < lo[i]:
+                        raise _infeasible(seq)
+                    bounded, hi[i] = bounded or hi[i] is None, cap
+        if not bounded:
             break
-    if inf in r_hi:
-        k = r_hi.index(inf)
+    if None in r_hi:
+        k = r_hi.index(None)
         raise UnboundedRankError(
             f"terms {_DEGREE_NAMES[(k - 1) // 3]}({seq.names[(k - 1) % 3]}) and "
             f"{_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}) are both unbounded")
@@ -294,12 +299,11 @@ def propagate(seq: LesInstance) -> LesInstance:
     every integer value between its min and its max.  The work depends on
     how many chi are watched:
 
-    - none: the sweep of `_rank_bounds` is exact on the path (Freuder 1982,
-      "A sufficient condition for backtrack-free search"), so t_k ranges
-      over [max(lo_k, r_lo[k] + r_lo[k+1]), min(hi_k, r_hi[k] + r_hi[k+1])]
-      and `_constant_chis` reads the chi off the forced ranks and t_k
-      (Schrijver 1986, section 8.2): at most 9 sweeps whatever the
-      magnitudes;
+    - none: `_rank_bounds`' one forward and one backward pass are exact on
+      the path (Freuder 1982, "A sufficient condition for backtrack-free
+      search"), so t_k ranges over [max(lo_k, r_lo[k] + r_lo[k+1]),
+      min(hi_k, r_hi[k] + r_hi[k+1])], and `_constant_chis` reads the chi
+      off the forced ranks and t_k (Schrijver 1986, section 8.2);
     - one: `_one_watched` keeps a rank, or an edge (r_k, r_{k+1}), iff the
       target lies in the sum of the running-chi intervals of the prefixes
       and the suffixes meeting there, and `_constant_chis` with the
@@ -317,17 +321,17 @@ def propagate(seq: LesInstance) -> LesInstance:
                if iv.chi is not None and not iv.is_forced_all()}
     if len(watched) > 1:
         t_min, t_max = _two_watched(seq, lo, hi, r_lo, r_hi, watched)
-        known = watched
+    elif watched:
+        r_lo, r_hi, t_min, t_max, ranks = _one_watched(seq, lo, hi, r_lo, r_hi, watched)
     else:
-        if watched:
-            r_lo, r_hi, t_min, t_max, ranks = _one_watched(seq, lo, hi, r_lo, r_hi, watched)
-        else:
-            t_min = [max(l, r_lo[k] + r_lo[k + 1]) for k, l in enumerate(lo)]
-            t_max = hi  # `_rank_bounds` capped it by the sweep it returns
-            ranks = [0]  # greedy; the sweep is exact, so it never gets stuck
-            for k in range(9):
-                ranks.append(max(r_lo[k + 1], lo[k] - ranks[k]))
-        known = _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched)
+        # hi is capped by the sweep, which is exact: the greedy chain never sticks
+        t_min, t_max, ranks = [], hi, [0]
+        for k, l in enumerate(lo):
+            low, least, r = r_lo[k] + r_lo[k + 1], r_lo[k + 1], l - ranks[k]
+            t_min.append(l if l > low else low)
+            ranks.append(r if r > least else least)
+    known = (watched if len(watched) > 1
+             else _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched))
     a, b, c = (known.get(form) for form in _FORMS)
     if [a, b, c].count(None) == 1:  # chi_B = chi_A + chi_C fixes the third
         a, b, c = (b - c if a is None else a, a + c if b is None else b,
@@ -352,36 +356,31 @@ def _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched) -> dict[tuple[int, 
     implicit equalities (Schrijver 1986, section 8.2): the forced ranks,
     the forced t_k and the watched chi.  The first two leave one move per
     block r_s..r_e of free ranks linked by forced t_s..t_{e-1}: raise r_s,
-    r_{s+2}, ... and lower r_{s+1}, r_{s+3}, ... by one.  Inside the block
-    every t stays put, so the move changes only t_{s-1} (by 1) and t_e (by
-    (-1)^(e-s)).  With a_i and b_i what move i adds to the watched chi and
-    to another, the hull's directions are the sums of lambda_i times move
-    i with sum lambda_i a_i = 0, and the other chi is constant iff b is a
-    multiple of a (zero when nothing is watched); then it has its value at
-    `ranks`."""
-    moves, k = [], 1
+    r_{s+2}, ... and lower r_{s+1}, r_{s+3}, ... by one.  This changes only
+    t_{s-1} (by 1) and t_e (by (-1)^(e-s)), so (chi_A, chi_C) by some v_i.
+    A form is constant iff it vanishes on the sums of lambda_i v_i on
+    which the watched form w (0 if none) does: if the v_i span the plane
+    only w does; if at most a line through v, f does iff f . v = 0 or
+    w . v != 0.  A constant chi has its value at `ranks`."""
+    known, x, y, k = dict(watched), 0, 0, 1  # (x, y): the first nonzero v_i
     while k < 9:
-        start = k
         if r_lo[k] < r_hi[k]:
+            (da, dc), start = _CHI_STEPS[k - 1], k
             while r_lo[k + 1] < r_hi[k + 1] and t_min[k] == t_max[k]:
                 k += 1
-            moves.append((start - 1, k, (-1) ** (k - start)))
+            sign = -1 if (k - start) % 2 else 1
+            da, dc = da + sign * _CHI_STEPS[k][0], dc + sign * _CHI_STEPS[k][1]
+            if x * dc != y * da:
+                return known
+            if not (x or y):
+                x, y = da, dc
         k += 1
-
-    def changes(steps):
-        return [steps[first] + sign * steps[last] for first, last, sign in moves]
-
-    known = dict(watched)
-    a = changes(_STEPS[next(iter(watched))]) if watched else [0] * len(moves)
-    pivot = next((i for i, a_i in enumerate(a) if a_i), None)
+    wa, wc = next(iter(watched), (0, 0))
+    chi_a = ranks[0] + ranks[1] - ranks[3] - ranks[4] + ranks[6] + ranks[7]  # t_0 - t_3 + t_6
+    chi_c = ranks[2] + ranks[3] - ranks[5] - ranks[6] + ranks[8] + ranks[9]  # t_2 - t_5 + t_8
     for form in _FORMS:
-        if form in known:
-            continue
-        steps = _STEPS[form]
-        b = changes(steps)
-        if (not any(b) if pivot is None
-                else all(a_i * b[pivot] == b_i * a[pivot] for a_i, b_i in zip(a, b))):
-            known[form] = sum(w * (ranks[k] + ranks[k + 1]) for k, w in enumerate(steps))
+        if form not in known and (wa * x + wc * y or form[0] * x + form[1] * y == 0):
+            known[form] = form[0] * chi_a + form[1] * chi_c
     return known
 
 
@@ -571,7 +570,7 @@ def _two_watched(seq, lo, hi, r_lo, r_hi, watched):
     t_min, t_max = [0] * 9, [0] * 9
     for k in range(8, -1, -1):
         v, forward, into = steps2[k], layers[k], layers[k + 1]
-        least, most, earlier = inf, -inf, {}
+        least, most, earlier = hi[k] + 1, lo[k] - 1, {}
         for dst, (z_lo, z_hi) in back.items():
             for src in into[dst][2]:
                 t = src[0] + dst[0]

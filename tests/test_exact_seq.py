@@ -984,45 +984,102 @@ def _small_instances(draw):
     return LesInstance(*terms, label=draw(st.sampled_from(("", "small"))))
 
 
+def _chain_hull(lo, hi, crude, chis):
+    """The least and greatest r_k (k = 0..9) and t_k (k = 0..8) over the
+    rank chains with r_k <= crude[k] and lo_k <= t_k <= hi_k (hi_k None if
+    unbounded) that meet each chi in `chis` that is not None, or None if
+    there is none.  A forward and a backward pass over the sets of states
+    (r_k, running chi of A, B and C): polynomial in the crude box, so for
+    boxes too wide to walk chain by chain."""
+
+    def steps(k, state):  # each (t_k, next state) from `state` at r_k
+        for q in range(max(0, lo[k] - state[0]), crude[k + 1] + 1):
+            t = state[0] + q
+            if hi[k] is not None and t > hi[k]:
+                return
+            x = [q, *state[1:]]
+            x[1 + k % 3] += (1, -1, 1)[k // 3] * t
+            yield t, tuple(x)
+
+    layers = [{(0, 0, 0, 0)}]
+    for k in range(9):
+        layers.append({x for state in layers[-1] for _, x in steps(k, state)})
+    alive = {x for x in layers[9] if all(c in (None, v) for c, v in zip(chis, x[1:]))}
+    if not alive:
+        return None
+    r_hull, t_hull = [(0, 0)] * 10, [None] * 9
+    for k in range(8, -1, -1):
+        edges = [(t, state) for state in layers[k] for t, x in steps(k, state) if x in alive]
+        alive = {state for _, state in edges}
+        r_hull[k] = (min(x[0] for x in alive), max(x[0] for x in alive))
+        t_hull[k] = (min(t for t, _ in edges), max(t for t, _ in edges))
+    return r_hull, t_hull
+
+
 @settings(deadline=None, max_examples=200)
-@given(_small_instances())
-def test_rank_box_keeps_every_feasible_chain(seq):
+@given(_small_instances(), st.sets(st.integers(0, 8), max_size=2))
+def test_rank_box_keeps_every_feasible_chain(seq, unbounded):
     """`_enumerated` searches only inside `_rank_bounds`' box, so the box
     must not drop a chain: every rank chain in the crude box
-    r_k <= min(hi_{k-1}, hi_k) that meets the bounds and the fixed chi lies
-    inside it (and without chi the box is exactly their hull)."""
-    terms = (seq.a, seq.b, seq.c)
-    assume(all(None not in iv.hi for iv in terms))
+    r_k <= min(hi_{k-1}, hi_k) that meets the bounds and the watched chi
+    lies inside it (and without one the box is exactly their hull).  The
+    dimensions in `unbounded` lose their upper bounds, and an unbounded one
+    counts as `cap` in the crude box: more than the finite bounds and one
+    chi cap on them allow.  A rank between two unbounded dimensions must
+    raise `UnboundedRankError`, and with no watched chi it reaches `cap`."""
+    terms = [CohInterval(iv.lo, tuple(None if i + 3 * d in unbounded else h
+                                      for d, h in enumerate(iv.hi)), iv.chi)
+             for i, iv in enumerate((seq.a, seq.b, seq.c))]
+    seq = LesInstance(*terms, seq.names, seq.label)
     lo = [terms[k % 3].lo[k // 3] for k in range(9)]
     hi = [terms[k % 3].hi[k // 3] for k in range(9)]
-    crude = [0] + [min(hi[k - 1], hi[k]) for k in range(1, 9)] + [0]
-    feasible = []
-
-    def walk(ranks):
-        k = len(ranks) - 1  # t_k = r_k + r_{k+1} must meet its bounds
-        if k == 9:
-            ts = [ranks[j] + ranks[j + 1] for j in range(9)]
-            if all(iv.chi in (None, ts[i] - ts[i + 3] + ts[i + 6])
-                   for i, iv in enumerate(terms)):
-                feasible.append(ranks)
-            return
-        for r in range(crude[k + 1] + 1):
-            if lo[k] <= ranks[k] + r <= hi[k]:
-                walk(ranks + [r])
-
-    walk([0])
+    watched = [None if iv.is_forced_all() else iv.chi for iv in terms]
+    cap = (3 * max(lo + [h for h in hi if h is not None])
+           + max([abs(iv.chi) for iv in terms if iv.chi is not None], default=0) + 1)
+    crude = [0] + [min(cap if h is None else h for h in hi[k - 1:k + 1])
+                   for k in range(1, 9)] + [0]
+    hull = _chain_hull(lo, hi, crude, watched)
     try:
         box_lo, box_hi, r_lo, r_hi = _rank_bounds(seq)
     except InconsistencyError:
-        assert not feasible
+        assert hull is None
         return
-    for ranks in feasible:
-        assert all(r_lo[k] <= r <= r_hi[k] for k, r in enumerate(ranks))
-        assert all(box_lo[k] <= ranks[k] + ranks[k + 1] <= box_hi[k] for k in range(9))
-    if all(iv.chi is None for iv in terms):
-        assert feasible
-        assert r_lo == [min(ranks[k] for ranks in feasible) for k in range(10)]
-        assert r_hi == [max(ranks[k] for ranks in feasible) for k in range(10)]
+    except UnboundedRankError:
+        between = [k for k in range(1, 9) if hi[k - 1] is None and hi[k] is None]
+        assert between
+        if watched == [None] * 3:
+            assert any(hull[0][k][1] == cap for k in between)
+        return
+    if watched == [None] * 3:
+        assert hull is not None
+        assert hull[0] == list(zip(r_lo, r_hi))
+    if hull is not None:
+        r_hull, t_hull = hull
+        assert all(r_lo[k] <= a and b <= r_hi[k] for k, (a, b) in enumerate(r_hull))
+        assert all(box_lo[k] <= a and b <= box_hi[k] for k, (a, b) in enumerate(t_hull))
+
+
+def _assert_integers(seq: LesInstance) -> None:
+    """`_rank_bounds` and `propagate` compute with ints only: every entry of
+    the four lists is an int, and every returned bound an int or None."""
+    try:
+        lists = _rank_bounds(seq)
+    except (InconsistencyError, UnboundedRankError):
+        return
+    assert all(type(x) is int for values in lists for x in values), lists
+    try:
+        res = propagate(seq)
+    except InconsistencyError:
+        return
+    for iv in (res.a, res.b, res.c):
+        assert all(type(x) is int for x in iv.lo), iv
+        assert all(x is None or type(x) is int for x in (*iv.hi, iv.chi)), iv
+
+
+@settings(deadline=None, max_examples=200)
+@given(_small_instances())
+def test_bounds_stay_integers_on_small_instances(seq):
+    _assert_integers(seq)
 
 
 @settings(deadline=None, max_examples=400)
@@ -1031,7 +1088,9 @@ def test_propagate_matches_enumeration_on_small_instances(seq):
     assert _result(propagate, seq) == _result(_enumerated, seq)
 
 
-def test_propagate_matches_enumeration_on_verify_paper(monkeypatch):
+@pytest.fixture(scope="module")
+def verify_paper_inputs():
+    """The distinct `propagate` inputs of one `verify-paper` run."""
     seen = {}
     original = exact_seq.propagate
 
@@ -1039,13 +1098,22 @@ def test_propagate_matches_enumeration_on_verify_paper(monkeypatch):
         seen[seq] = None
         return original(seq)
 
-    for module in (exact_seq, carpets, battery):  # every module binding the name
-        monkeypatch.setattr(module, "propagate", capture)
-    battery.run_all()
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (exact_seq, carpets, battery):  # every module binding the name
+            patch.setattr(module, "propagate", capture)
+        battery.run_all()
     assert len(seen) > 100
-    for seq in seen:
+    return list(seen)
+
+
+def test_propagate_matches_enumeration_on_verify_paper(verify_paper_inputs):
+    for seq in verify_paper_inputs:
         assert _result(propagate, seq) == _result(_enumerated, seq), seq
+
+
+def test_bounds_stay_integers_on_verify_paper(verify_paper_inputs):
+    for seq in verify_paper_inputs:
+        _assert_integers(seq)
 
 
 @st.composite

@@ -6,13 +6,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "k3carpets"
 
-# modules where `inf` is allowed: `exact_seq` uses it as the unbounded-bound sentinel
-INF_ALLOWED = {"exact_seq"}
-
 
 def _float_uses(source: str, module: str) -> list[str]:
-    """Every float literal, float() call, true division and disallowed use
-    of `inf` in `source`, as 'module:line what' strings."""
+    """Every float literal, float() call, true division and use of `inf`
+    (an unbounded bound is None everywhere) in `source`, as 'module:line
+    what' strings."""
     found = []
 
     class Scan(ast.NodeVisitor):
@@ -40,7 +38,7 @@ def _float_uses(source: str, module: str) -> list[str]:
             self._division(node, node.op)
 
         def _inf(self, node, name):
-            if name == "inf" and module not in INF_ALLOWED:
+            if name == "inf":
                 self.report(node, "inf")
 
         def visit_Name(self, node):
@@ -74,22 +72,7 @@ def test_scan_finds_each_kind_of_float():
         "    a /= b\n"
         "    return float(a) + 1.5 + 2j + math.inf + a / b\n"
     )
-    assert sorted(_float_uses(source, "cech_oracle")) == [
-        "cech_oracle:1 inf",
-        "cech_oracle:3 true division",
-        "cech_oracle:5 true division",
-        "cech_oracle:6 float() call",
-        "cech_oracle:6 inf",
-        "cech_oracle:6 literal 1.5",
-        "cech_oracle:6 literal 2j",
-        "cech_oracle:6 true division",
-    ]
-    # `inf` is allowed in exact_seq only
-    assert sorted(_float_uses(source, "exact_seq")) == [
-        "exact_seq:3 true division",
-        "exact_seq:5 true division",
-        "exact_seq:6 float() call",
-        "exact_seq:6 literal 1.5",
-        "exact_seq:6 literal 2j",
-        "exact_seq:6 true division",
-    ]
+    for module in ("cech_oracle", "exact_seq"):  # `inf` is flagged in every module
+        assert sorted(_float_uses(source, module)) == [f"{module}:{use}" for use in (
+            "1 inf", "3 true division", "5 true division", "6 float() call", "6 inf",
+            "6 literal 1.5", "6 literal 2j", "6 true division")]
