@@ -185,13 +185,15 @@ def render(doc: dict, fmt: str) -> str:
     if doc.get("timestamp"):
         lines.append(f"timestamp: {doc['timestamp']}")
     if rows is not None:
-        widths = [
-            max(len(col), *(len(_cell(row.get(col))) for row in rows)) if rows else len(col)
+        # each cell is formatted once, into its column; equal cells share one
+        # string, so a sweep's table does not raise its peak memory
+        seen: dict[str, str] = {}
+        columns = [
+            [col, *[seen.setdefault(c, c) for c in map(_cell, (row.get(col) for row in rows))]]
             for col in header
         ]
-        lines.append("  ".join(col.ljust(w) for col, w in zip(header, widths)))
-        for row in rows:
-            lines.append("  ".join(_cell(row.get(col)).ljust(w) for col, w in zip(header, widths)))
+        widths = [max(map(len, column)) for column in columns]
+        lines += ("  ".join(map(str.ljust, line, widths)) for line in zip(*columns))
         if "summary" in doc:
             lines.append(doc["summary"])
     else:

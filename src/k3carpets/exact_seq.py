@@ -36,7 +36,8 @@ that collapse (lo == hi) are forced; anything wider is honest partial
 knowledge.
 `chain` runs several sequences that share named terms to a common fixed
 point with a worklist: a sequence is propagated again only when one of its
-terms narrowed since its last run.
+terms narrowed since its last run.  The table keeps the terms `propagate`
+returns as they are, since each already is the meet with its input.
 """
 
 from __future__ import annotations
@@ -599,14 +600,19 @@ def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
 
     Returns the final knowledge per term name.  A worklist (AC-3; Mackworth
     1977, "Consistency in networks of relations"): every sequence is
-    propagated once, in order; each step meets the returned terms into the
+    propagated once, in order; each step stores the returned terms in the
     table and queues, in index order, every sequence not yet queued whose
     terms there differ from what its last run returned (its input, if it
-    was stuck).  Only a step that narrows the table queues anything, and no
-    round cap is needed: `propagate` either raises or returns finite bounds,
-    so every term that changes is bounded from then on and can only narrow
-    a finite number of times.  An unchanged term comes back from
-    `propagate` as the table's own object, whose meet is skipped, so the
+    was stuck).  `propagate` only narrows, so a returned term already is
+    the meet of its input with what the sequence implies (Apt, "The essence
+    of constraint propagation", TCS 1999) and is stored as is; terms are
+    met only where one name has two different values: when the table is
+    built, and for a name that occurs twice in one sequence.  Only a step
+    that narrows the table queues anything, and no round cap is needed:
+    `propagate` either raises or returns finite bounds, so every term that
+    changes is bounded from then on and can only narrow a finite number of
+    times.  A term comes back from `propagate` as the very object the table
+    holds unless it narrowed, and the table keeps returned objects, so the
     rescan is mostly identity tests: O(n) a step for n sequences.  A
     sequence whose ranks are unbounded is retried when a term of it
     narrows, and its `UnboundedRankError` is raised if it is still stuck at
@@ -636,15 +642,19 @@ def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
         i = queue.popleft()
         queued[i] = False
         seq = seqs[i]
-        out = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label)
+        terms = tuple(table[n] for n in seq.names)
+        out = LesInstance(*terms, seq.names, seq.label)
         try:
             out = propagate(out)
         except UnboundedRankError as err:
             stuck[i] = err
         else:
             stuck.pop(i, None)
-            for name, iv in zip(seq.names, (out.a, out.b, out.c)):
-                meet(seq, name, iv)
+            for name, term, iv in zip(seq.names, terms, (out.a, out.b, out.c)):
+                if table[name] is term:
+                    table[name] = iv
+                else:
+                    meet(seq, name, iv)
         last[i] = (out.a, out.b, out.c)
         for j, (x, y, z) in enumerate(names):
             if not queued[j] and (table[x], table[y], table[z]) != last[j]:

@@ -483,10 +483,11 @@ def test_chain_is_an_order_independent_fixed_point(seqs):
 
 
 def _rescanning_chain(seqs):
-    """Reference for `chain`: the same worklist, except that it re-meets
-    every returned term into the table, the table's own object too.  After
-    every step it queues, in index order, every sequence not yet queued
-    whose terms differ from what its last run returned."""
+    """Reference for `chain`: the same worklist, except that it meets every
+    returned term into the table, the table's own object too, where `chain`
+    stores a returned term as is unless its name occurs twice in the
+    sequence.  After every step it queues, in index order, every sequence
+    not yet queued whose terms differ from what its last run returned."""
     table = {}
 
     def meet(seq, name, iv):
@@ -522,13 +523,15 @@ def _rescanning_chain(seqs):
     return table
 
 
-def _traced(solve, seqs, monkeypatch):
+def _traced(solve, seqs, monkeypatch, limit=None):
     """The table (or error class and message) of `solve(seqs)` and the
-    inputs of every `propagate` call it made, in order."""
+    inputs of every `propagate` call it made, in order.  A call past
+    `limit` fails the test, so a solver that never settles cannot hang it."""
     calls = []
 
     def counted(seq):
         calls.append(seq)
+        assert limit is None or len(calls) <= limit, f"more than {limit} propagate calls"
         return propagate(seq)
 
     monkeypatch.setattr(exact_seq, "propagate", counted)
@@ -576,6 +579,31 @@ def test_chain_matches_rescanning_chain_on_wide_sweep_chains(monkeypatch):
     for seqs in chains:
         assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
                                                             monkeypatch)
+
+
+def test_chain_meets_the_two_values_of_a_repeated_name(monkeypatch):
+    # in 0 -> X -> 2X -> X -> 0 the sub X gets h0 = 0 and the quotient X
+    # gets h2 = 0 from the same run; the table must keep both
+    x = CohInterval((0, 0, 0), (2, 2, 2))
+    seqs = [LesInstance(x, CohInterval.exact(0, 2, 0), x, ("X", "2X", "X"), "double")]
+    out = propagate(seqs[0])
+    assert out.a == CohInterval((0, 0, 0), (0, 2, 2))
+    assert out.c == CohInterval((0, 0, 0), (2, 2, 0))
+    reference = _traced(_rescanning_chain, seqs, monkeypatch)
+    traced = _traced(chain, seqs, monkeypatch, limit=len(reference[1]))
+    assert traced[0]["X"] == out.a.meet(out.c) == CohInterval((0, 0, 0), (0, 2, 0))
+    assert traced == reference
+
+
+def test_hilbert_chains_meet_no_terms(monkeypatch):
+    # every shared name in a Hilbert chain starts as one object, and a term
+    # `propagate` returns is stored as is, so a meet here would mean a copy
+    meets = []
+    meet = CohInterval.meet
+    monkeypatch.setattr(CohInterval, "meet",
+                        lambda self, *args, **kw: meets.append(self) or meet(self, *args, **kw))
+    battery.hilbert_claims()
+    assert meets == []
 
 
 def _round_robin_chain(seqs):
