@@ -15,8 +15,9 @@ report is about the carpet embedded by its own complete series, so it does
 not depend on `--extra`.  Nothing is cached between commands.
 
 Exit codes: 0 success / all checks pass, 1 usage error or invalid
-geometry (no such embedding, no embedded carpet), 2 computation
-inconsistency (oracle disagreement, truncation, infeasible constraints),
+geometry (no such embedding, no embedded carpet), 2 computation error,
+any of `carpets.COMPUTATION_ERRORS` that a sweep row would report as its
+own (oracle disagreement, truncation, infeasible constraints),
 3 verification failure.
 """
 
@@ -32,8 +33,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import battery, carpets, cech_oracle, line_cohomology, surfaces
 from .carpets import EmbeddingData, InvalidGeometryError
-from .cech_oracle import TruncationError
-from .exact_seq import InconsistencyError, UnboundedRankError
 
 USAGE = """usage: k3carpets <command> [arguments] [options]
 
@@ -486,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidGeometryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
-    except (TruncationError, InconsistencyError, UnboundedRankError, ArithmeticError, ValueError) as err:
+    except carpets.COMPUTATION_ERRORS as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

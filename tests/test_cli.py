@@ -466,6 +466,21 @@ def test_sweep_hilbert_error_is_the_error_of_rows_reaching_it(monkeypatch, jobs)
         assert len(calls) == 3
 
 
+def test_single_query_and_sweep_row_share_one_error_policy(monkeypatch, capsys):
+    # an error no module names is still a computation error: exit 2 for a
+    # single query, the row's error in a sweep
+    def broken(line):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(carpets, "hilbert_report", broken)
+    assert run("hilbert", "F3", "2,8") == (2, "")
+    assert capsys.readouterr().err == "error: boom\n"
+    code, text = run("sweep", "--e", "3..3", "--a", "2..2", "--db", "2..2", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(text)["rows"]
+    assert (row["b"], row["error"]) == ("8", "boom")
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """An in-process stand-in for ProcessPoolExecutor; returns the lists it
