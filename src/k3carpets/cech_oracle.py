@@ -32,22 +32,23 @@ row is affine in y, so a slab's total is an arithmetic series read off
 its first and last rows.  The work has a bound set by the rays, not by
 the size of the box.
 
-The box is counted once, and certified rather than re-counted.  Every
-character outside it must carry no cohomology, which follows from two
-checks (`_certify`).  The ray inequalities cut the plane along the lines
+The box is derived, counted once, and certified rather than re-counted.
+Every character outside it must carry no cohomology, which follows from
+two facts.  The ray inequalities cut the plane along the lines
 <m, u_rho> = -a_rho, and a pattern is constant on each face of that line
-arrangement.  (a) If the box holds every vertex of the arrangement, it
-holds every bounded face (the hull of its vertices), so a character
-outside it lies on an unbounded face and keeps its pattern along a
-recession direction d of that face.  There the bit of a ray not
-perpendicular to d is the sign of <d, u_rho>, and the bits of the rays
-perpendicular to d follow from the character.  (b) Those patterns at
-infinity are one per open sector between consecutive critical directions
-+-u_rho^perp, and at each critical direction one per feasible choice of
-the perpendicular rays' bits.  Each of them holds infinitely many
-characters, so on a complete toric surface, whose cohomology is finite
-(Cox-Little-Schenck, Toric Varieties, ch. 9), it must have zero
-cohomology, and `_pattern_cohomology` checks that rather than trusting it.
+arrangement.  (a) The box is the smallest one that holds every vertex of
+the arrangement (`default_box`), so it holds every bounded face (the hull
+of its vertices), and a character outside it lies on an unbounded face
+and keeps its pattern along a recession direction d of that face.  There
+the bit of a ray not perpendicular to d is the sign of <d, u_rho>, and
+the bits of the rays perpendicular to d follow from the character.
+(b) Those patterns at infinity are one per open sector between
+consecutive critical directions +-u_rho^perp, and at each critical
+direction one per feasible choice of the perpendicular rays' bits.  Each
+of them holds infinitely many characters, so on a complete toric surface,
+whose cohomology is finite (Cox-Little-Schenck, Toric Varieties, ch. 9),
+it must have zero cohomology, and `_certify` checks that with
+`_pattern_cohomology` rather than trusting it.
 
 Everything here is integer arithmetic; no formula is shared with
 `line_cohomology`.
@@ -66,9 +67,9 @@ from .line_cohomology import CohVector
 
 
 class TruncationError(RuntimeError):
-    """The box's count is not certified to be the whole answer: a vertex of
-    the ray arrangement lies outside the box, or a pattern at infinity has
-    nonzero cohomology."""
+    """The box's count is not certified to be the whole answer: a pattern at
+    infinity has nonzero cohomology, which only a broken fan or a wrong
+    pattern rank can bring about."""
 
 
 @dataclass(frozen=True)
@@ -441,28 +442,10 @@ def _patterns_at_infinity(fan: ToricFan) -> tuple[_Conditional, ...]:
     return tuple(c for c in conditional if any(_pattern_cohomology(fan.max_cones, c[2])))
 
 
-def _ratio(num: int, den: int) -> str:
-    g = math.gcd(num, den) * (-1 if den < 0 else 1)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
-def _certify(fan: ToricFan, t: ToricDivisor, box: int, what: str) -> None:
-    """Raise TruncationError unless the box's count is the whole answer.
-
-    (a) Every vertex of the arrangement <m, u_rho> = -a_rho lies in
-    |m1|, |m2| <= box, tested as |numerator| <= box * |det| by Cramer's rule.
-    (b) Every pattern at infinity that a character realizes has zero
-    cohomology (`_patterns_at_infinity`).
+def _certify(fan: ToricFan, t: ToricDivisor, what: str) -> None:
+    """Raise TruncationError unless every pattern at infinity that a
+    character realizes has zero cohomology (`_patterns_at_infinity`).
     """
-    for (u, a), (v, b) in combinations(zip(fan.rays, t.coeffs), 2):
-        det = u[0] * v[1] - u[1] * v[0]
-        x, y = b * u[1] - a * v[1], a * v[0] - b * u[0]
-        if det and max(abs(x), abs(y)) > box * abs(det):
-            raise TruncationError(
-                f"arrangement vertex ({_ratio(x, det)}, {_ratio(y, det)}), where the "
-                f"lines of rays {u} and {v} meet, lies outside the box |m1|, |m2| <= "
-                f"{box} for {what}"
-            )
     for rho, sigma, mask, both in _patterns_at_infinity(fan):
         total = t.coeffs[rho] + t.coeffs[sigma]
         if (total >= 0) if both else (total <= -2):
@@ -473,34 +456,32 @@ def _certify(fan: ToricFan, t: ToricDivisor, box: int, what: str) -> None:
 
 
 def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
-    """Box bound holding every vertex of the inequality arrangement.
+    """The smallest box |m1|, |m2| <= box that holds every vertex of the
+    arrangement <m, u_rho> = -a_rho.
 
-    The vertices are the pairwise intersections of the lines
-    <m, u_rho> = -a_rho.  On F_e the section lines meet the slanted fiber
-    line at coordinates of order e * max|a_rho|, hence the extra term.  The
-    bound is not trusted: `coh_oracle` certifies every box it counts.
+    Two lines of rays u, v with det = u x v != 0 meet at (x, y) / det by
+    Cramer's rule, and the box is the ceiling of the largest
+    max(|x|, |y|) / |det| over the ray pairs.
     """
-    e = 0 if surface.is_plane else surface.e
-    biggest = max(abs(c) for c in t.coeffs)
-    return e * biggest + sum(abs(c) for c in t.coeffs) + 2
+    fan = fan_for(surface)
+    _check_coeff_count(fan, t)
+    box = 0
+    for (u, a), (v, b) in combinations(zip(fan.rays, t.coeffs), 2):
+        det = abs(u[0] * v[1] - u[1] * v[0])
+        if det:
+            x, y = b * u[1] - a * v[1], a * v[0] - b * u[0]
+            box = max(box, -(-max(abs(x), abs(y)) // det))
+    return box
 
 
-def coh_oracle(
-    surface: surfaces.SurfaceModel,
-    divisor: surfaces.DivisorClass,
-    box: int | None = None,
-) -> CohVector:
+def coh_oracle(surface: surfaces.SurfaceModel, divisor: surfaces.DivisorClass) -> CohVector:
     """Ground-truth (h0, h1, h2) by summing graded pieces over a box.
 
-    Certifies the box (`_certify`), raising TruncationError if it fails,
-    and then counts it once.
+    The box is `default_box`; `_certify` raises TruncationError unless its
+    count is the whole answer, and the box is then counted once.
     """
     fan = fan_for(surface)
     t = divisor_to_toric(surface, divisor)
-    if box is None:
-        box = default_box(surface, t)
-    if box < 0:
-        raise ValueError(f"box bound must be >= 0, got {box}")
     rays = _classify_rays(fan, t)
-    _certify(fan, t, box, f"{divisor} on {surface}")
-    return CohVector(*_box_totals(fan.max_cones, rays, box))
+    _certify(fan, t, f"{divisor} on {surface}")
+    return CohVector(*_box_totals(fan.max_cones, rays, default_box(surface, t)))

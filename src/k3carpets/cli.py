@@ -5,7 +5,7 @@ allowed (`coh F2 -2,-4`).  Output formats: aligned text (default), JSON
 with every integer rendered as a decimal string (dimension formulas grow
 quartically; consumers should not need big-integer JSON), and RFC-4180
 CSV.  Identical inputs produce byte-identical output unless --timestamp
-is passed.
+is passed, which text and JSON carry and CSV refuses as a usage error.
 
 A sweep builds one `carpets.SurfaceContext` per surface and one
 `carpets.PolarizationData` per polarization, and each row's embedding from
@@ -17,7 +17,8 @@ not depend on `--extra`.  Nothing is cached between commands.
 Exit codes: 0 success / all checks pass, 1 usage error or invalid
 geometry (no such embedding, no embedded carpet), 2 computation error,
 any of `carpets.COMPUTATION_ERRORS` that a sweep row would report as its
-own (oracle disagreement, truncation, infeasible constraints),
+own (oracle disagreement, an oracle box that fails its certificate,
+infeasible constraints),
 3 verification failure.
 """
 
@@ -37,7 +38,7 @@ from .carpets import EmbeddingData, InvalidGeometryError
 USAGE = """usage: k3carpets <command> [arguments] [options]
 
 commands:
-  coh <surface> <divisor> [--oracle] [--box B]
+  coh <surface> <divisor> [--oracle]
       cohomology (h0, h1, h2, chi) of a line bundle; --oracle also runs
       the Cech oracle and prints an AGREE/DISAGREE verdict
   carpet <surface> <divisor> [--N n]
@@ -129,15 +130,21 @@ class _Args:
         return self.positional.pop(0)
 
     def done(self):
+        """Refuse leftover arguments and a bad output format; every command
+        calls this before it computes anything."""
         if self.positional:
             tok, pos = self.positional[0]
             raise UsageError(f"argument {pos}: unexpected argument {tok!r}")
+        self.format = _common_format(self)
 
 
 def _common_format(args: _Args) -> str:
     fmt, pos = args.options.get("--format", ("text", 0))
     if fmt not in ("text", "json", "csv"):
         raise UsageError(f"argument {pos}: format must be text, json or csv, got {fmt!r}")
+    if fmt == "csv" and "--timestamp" in args.flags:
+        # a CSV document has no field for it, so it would be dropped
+        raise UsageError(f"argument {pos}: --timestamp does not combine with csv output")
     return fmt
 
 
@@ -206,22 +213,14 @@ def render(doc: dict, fmt: str) -> str:
 def _finish(doc: dict, args: _Args, out) -> None:
     if "--timestamp" in args.flags:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    out.write(render(doc, _common_format(args)))
+    out.write(render(doc, args.format))
 
 
 def cmd_coh(tokens: list[str], out) -> int:
-    args = _Args(tokens, flags={"--oracle", "--timestamp"}, options={"--format", "--box"})
+    args = _Args(tokens, flags={"--oracle", "--timestamp"}, options={"--format"})
     surface = _parse_surface(*args.take_positional("surface"))
     divisor = _parse_divisor(surface, *args.take_positional("divisor"))
     args.done()
-    box = None
-    if "--box" in args.options:
-        tok, pos = args.options["--box"]
-        if "--oracle" not in args.flags:
-            raise UsageError(f"argument {pos - 1}: --box only applies together with --oracle")
-        box = _parse_int(tok, "box bound", pos)
-        if box < 0:
-            raise UsageError(f"argument {pos}: box bound must be >= 0, got {box}")
     vec = line_cohomology.coh(surface, divisor)
     doc = {
         "command": "coh",
@@ -230,16 +229,16 @@ def cmd_coh(tokens: list[str], out) -> int:
     }
     disagree = False
     if "--oracle" in args.flags:
-        oracle = cech_oracle.coh_oracle(surface, divisor, box=box)
+        oracle = cech_oracle.coh_oracle(surface, divisor)
+        disagree = oracle.as_tuple() != vec.as_tuple()
         doc["results"].update(
             {
                 "oracle_h0": oracle.h0,
                 "oracle_h1": oracle.h1,
                 "oracle_h2": oracle.h2,
-                "verdict": "AGREE" if oracle.as_tuple() == vec.as_tuple() else "DISAGREE",
+                "verdict": "DISAGREE" if disagree else "AGREE",
             }
         )
-        disagree = oracle.as_tuple() != vec.as_tuple()
     _finish(doc, args, out)
     return 2 if disagree else 0
 

@@ -1,6 +1,8 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -221,28 +223,28 @@ def test_h0_equals_polytope_point_count():
             assert coh_oracle(surface, d).h0 == count, d
 
 
-def test_truncation_error_on_small_box():
+def test_default_box_is_set_by_the_farthest_vertex():
     f5 = hirzebruch(5)
-    with pytest.raises(TruncationError, match=r"vertex \(40, 8\), where the lines of rays "
-                       r"\(0, 1\) and \(-1, 5\) meet, lies outside the box \|m1\|, \|m2\| <= 15"):
-        coh_oracle(f5, f5.divisor(-8, 0), box=15)
-    with pytest.raises(TruncationError, match=r"vertex \(12, 0\)"):
-        coh_oracle(P2, P2.divisor(-12), box=2)
-    # a vertex with a fractional coordinate is named exactly
-    fan, t = fan_for(f5), ToricDivisor((0, 0, 6, 0))
-    with pytest.raises(TruncationError, match=r"vertex \(0, -6/5\)"):
-        co._certify(fan, t, 1, "t")
-    co._certify(fan, t, 6, "t")
+    # (40, 8), where the lines of rays (0, 1) and (-1, 5) meet
+    assert co.default_box(f5, divisor_to_toric(f5, f5.divisor(-8, 0))) == 40
+    # (12, 0), where the lines of rays (0, 1) and (-1, -1) meet
+    assert co.default_box(P2, divisor_to_toric(P2, P2.divisor(-12))) == 12
+    # (6, 0), where the lines of rays (0, 1) and (-1, 5) meet, is farther
+    # out than the fractional vertex (0, -6/5) of rays (1, 0) and (-1, 5)
+    assert co.default_box(f5, ToricDivisor((0, 0, 6, 0))) == 6
+    # here (0, -6/5) is the farthest, and its coordinate is rounded up
+    assert co.default_box(f5, ToricDivisor((0, 1, 6, -1))) == 2
 
 
 def test_recount_misses_what_the_certificate_catches():
-    # the box and box + 3 counts agree on (0, 0, 0) here; the answer is (0, 22, 2)
+    # the box and box + 3 counts agree on (0, 0, 0) here; the answer is
+    # (0, 22, 2), and the derived box reaches the vertex (18, 6)
     f3 = hirzebruch(3)
     fan, t = fan_for(f3), divisor_to_toric(f3, f3.divisor(-6, -6))
     assert _box_totals(fan, t, 0) == _box_totals(fan, t, 3) == (0, 0, 0)
     assert coh(f3, f3.divisor(-6, -6)).as_tuple() == (0, 22, 2)
-    with pytest.raises(TruncationError, match=r"arrangement vertex \(6, 6\)"):
-        coh_oracle(f3, f3.divisor(-6, -6), box=0)
+    assert co.default_box(f3, t) == 18
+    assert coh_oracle(f3, f3.divisor(-6, -6)).as_tuple() == (0, 22, 2)
 
 
 def _oracle_large_bundles(seed, count=120, max_coeff=1000):
@@ -261,17 +263,39 @@ def _oracle_large_bundles(seed, count=120, max_coeff=1000):
     return out
 
 
-@pytest.mark.parametrize("bundles", [
+_BUNDLE_SETS = [
     pytest.param(list(battery.oracle_grid()), id="battery-grid"),
     pytest.param(_oracle_large_bundles(1), id="oracle-large-seed-1"),
     pytest.param(_oracle_large_bundles(7919), id="oracle-large-seed-7919"),
-])
+]
+
+
+def _arrangement_vertices(fan, t):
+    """Each point where two lines <m, u_rho> = -a_rho meet, as fractions."""
+    for (u, a), (v, b) in combinations(zip(fan.rays, t.coeffs), 2):
+        det = u[0] * v[1] - u[1] * v[0]
+        if det:
+            m = (Fraction(b * u[1] - a * v[1], det), Fraction(a * v[0] - b * u[0], det))
+            assert u[0] * m[0] + u[1] * m[1] == -a and v[0] * m[0] + v[1] * m[1] == -b
+            yield m
+
+
+@pytest.mark.parametrize("bundles", _BUNDLE_SETS)
+def test_default_box_is_the_smallest_holding_every_vertex(bundles):
+    for s, d in bundles:
+        fan, t = fan_for(s), divisor_to_toric(s, d)
+        box = co.default_box(s, t)
+        farthest = max(max(abs(x), abs(y)) for x, y in _arrangement_vertices(fan, t))
+        assert box - 1 < farthest <= box, (s, d)
+
+
+@pytest.mark.parametrize("bundles", _BUNDLE_SETS)
 def test_certified_pass_matches_recount_and_closed_form(bundles):
     # the box + 3 recount is kept here as a reference count
     for s, d in bundles:
         fan, t = fan_for(s), divisor_to_toric(s, d)
         box = co.default_box(s, t)
-        co._certify(fan, t, box, f"{d} on {s}")
+        co._certify(fan, t, f"{d} on {s}")
         once = coh_oracle(s, d).as_tuple()
         assert once == _box_totals(fan, t, box + 3) == coh(s, d).as_tuple(), (s, d)
 

@@ -85,32 +85,28 @@ def test_coh_json_integers_are_strings():
     assert doc["results"] == {"h0": "28", "h1": "3", "h2": "0", "chi": "25"}
 
 
-def test_box_override_surfaces_truncation(capsys):
-    assert cli.main(["coh", "F5", "-8,0", "--oracle", "--box", "15"]) == 2
-    err = capsys.readouterr().err
-    assert "arrangement vertex (40, 8)" in err and "outside the box |m1|, |m2| <= 15" in err
+def test_oracle_box_is_derived_not_an_option(capsys):
+    assert cli.main(["coh", "P2", "3", "--oracle", "--box", "5"]) == 1
+    assert "argument 4: unknown option '--box'" in capsys.readouterr().err
+    # a box of 0 or 1 counts (0, 0, 0) for these, which once read as DISAGREE
+    for surface, divisor in (("F3", "-6,-6"), ("F4", "-9,-16")):
+        code, text = run("coh", surface, divisor, "--oracle")
+        assert code == 0 and "verdict   : AGREE" in text, (surface, divisor)
 
 
-@pytest.mark.parametrize("surface, divisor, box, vertex", [
-    ("F3", "-6,-6", "0", "(6, 6)"),
-    ("F4", "-9,-16", "1", "(16, 9)"),
+@pytest.mark.parametrize("argv", [
+    ["coh", "P2", "3", "--timestamp", "--format", "csv"],
+    ["sweep", "--e", "0..1", "--format", "csv", "--timestamp"],
 ])
-def test_uncertified_box_is_an_error_not_a_disagree(capsys, surface, divisor, box, vertex):
-    # the box and box + 3 counts of these agree on (0, 0, 0), which is wrong
-    assert cli.main(["coh", surface, divisor, "--oracle", "--box", box]) == 2
+def test_timestamp_is_refused_with_csv(capsys, monkeypatch, argv):
+    # refused before anything is computed: the closed form and the sweep
+    # rows would fail if reached
+    monkeypatch.setattr(line_cohomology, "coh", None)
+    monkeypatch.setattr(cli, "_sweep_rows", None)
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert "DISAGREE" not in captured.out
-    assert f"arrangement vertex {vertex}" in captured.err
-    assert f"outside the box |m1|, |m2| <= {box}" in captured.err
-
-
-def test_box_usage_errors(capsys):
-    assert cli.main(["coh", "P2", "3", "--oracle", "--box", "-1"]) == 1
-    assert "argument 5" in capsys.readouterr().err
-    assert cli.main(["coh", "P2", "3", "--oracle", "--box", "abc"]) == 1
-    assert "argument 5" in capsys.readouterr().err
-    assert cli.main(["coh", "F2", "1,1", "--box", "5"]) == 1
-    assert "--oracle" in capsys.readouterr().err
+    assert captured.out == ""
+    assert "--timestamp does not combine with csv output" in captured.err
 
 
 def test_oracle_at_huge_box():
@@ -250,6 +246,15 @@ _QUERY_SHA256 = [
     # no embedded carpet
     ("hilbert P2 2", "37800318b10967357a093c3526aed2953182ebf53719e42013eaf8c6f4558d18"),
     ("hilbert P2 2 --N 9", "37800318b10967357a093c3526aed2953182ebf53719e42013eaf8c6f4558d18"),
+    # coh, closed form alone and against the oracle in every format
+    ("coh F2 -2,-4", "86eccd8a62288ac790a311a59a960435e7b3db85c3691cff2a01df4750181190"),
+    ("coh F5 -8,0 --oracle", "f27fa71a6b07ee0fbf02e3bd978ca38b9e797b5116d28bf2dad7ada60e6e1356"),
+    ("coh F3 -6,-6 --oracle --format json",
+     "0f41a8bdab6dc76161082ca7ceda03cf62ef01236878700e7e09519a77022623"),
+    ("coh P2 -12 --oracle --format csv",
+     "2a7238773f68f7d946c87f757a2d8979e3dab1f01ece673bcb3b50f1d3866799"),
+    ("coh P2 100000000000 --oracle",
+     "4696d9a997c5887d857bea5c34b981955f0139364b14e3e14944c825afed638f"),
 ]
 
 
