@@ -7,13 +7,17 @@ whose computed value is a mismatch count.  The battery is deterministic
 looked up through their modules so that deliberately corrupting a single
 constant (canonical class, intersection form, the fiber sums of
 `line_cohomology`) makes the affected claims fail.
+
+`run_all` hands one `CarpetGrid` to every group, so a run computes each
+surface fact and Hilbert report once.  `cohomology_claims` keeps its own
+loop: reading the grid there would keep it alive through the oracle group.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import carpets, cech_oracle, line_cohomology, surfaces
 from .exact_seq import CohInterval, LesInstance, propagate
@@ -61,26 +65,27 @@ def fe_polarizations():
                 yield s, s.divisor(a, a * e + off)
 
 
-def fe_embeddings():
-    """The F_e grid embedded by the complete series, and by that series
-    followed by `extra` more ambient dimensions.  One context per surface
-    and one `PolarizationData` per class, shared by its extras.  Yields
-    (embedding, extra)."""
-    for s, grid in itertools.groupby(fe_polarizations(), key=lambda pair: pair[0]):
-        context = carpets.SurfaceContext.of(s)
-        for _, d in grid:
-            line = carpets.PolarizationData(context, d)
-            for extra in CARPET_EXTRAS:
-                yield line.complete_series(extra), extra
+class CarpetGrid:
+    """A context per surface, F_0..F_6 then P^2, and a `PolarizationData` per
+    class, F_e then P^2, each built when first read: a failed build fails
+    the group that reads it.  `run_all` drops the grid when it returns."""
 
+    @cached_property
+    def contexts(self) -> dict[surfaces.SurfaceModel, carpets.SurfaceContext]:
+        return {s: carpets.SurfaceContext.of(s)
+                for s in (*map(surfaces.hirzebruch, CARPET_E_RANGE), surfaces.projective_plane())}
 
-def plane_embeddings():
-    """The d-uple planes, with the same extras.  Yields (embedding, extra)."""
-    context = carpets.SurfaceContext.of(surfaces.projective_plane())
-    for deg in P2_D_RANGE:
-        line = carpets.PolarizationData(context, context.surface.divisor(deg))
-        for extra in CARPET_EXTRAS:
-            yield line.complete_series(extra), extra
+    @cached_property
+    def lines(self) -> dict[surfaces.DivisorClass, carpets.PolarizationData]:
+        p2 = surfaces.projective_plane()
+        classes = (*(d for _, d in fe_polarizations()), *map(p2.divisor, P2_D_RANGE))
+        return {d: carpets.PolarizationData(self.contexts[d.surface], d) for d in classes}
+
+    def embeddings(self):
+        """Each class embedded by its complete series, and by that series
+        followed by `extra` more ambient dimensions.  Yields (embedding, extra)."""
+        return ((line.complete_series(extra), extra)
+                for line in self.lines.values() for extra in CARPET_EXTRAS)
 
 
 def oracle_grid():
@@ -96,7 +101,7 @@ def oracle_grid():
         yield p2, p2.divisor(d)
 
 
-def surface_claims() -> list[Claim]:
+def surface_claims(grid: CarpetGrid) -> list[Claim]:
     out = []
     p2 = surfaces.projective_plane()
     for e in CARPET_E_RANGE:
@@ -130,7 +135,7 @@ def surface_claims() -> list[Claim]:
     return out
 
 
-def cohomology_claims() -> list[Claim]:
+def cohomology_claims(grid: CarpetGrid) -> list[Claim]:
     out = []
     p2 = surfaces.projective_plane()
     vals = tuple(
@@ -174,7 +179,7 @@ def cohomology_claims() -> list[Claim]:
     return out
 
 
-def oracle_claims() -> list[Claim]:
+def oracle_claims(grid: CarpetGrid) -> list[Claim]:
     agree, duality, rr = [], [], []
     checked = 0
     for s, d in oracle_grid():
@@ -204,20 +209,20 @@ def oracle_claims() -> list[Claim]:
     return out
 
 
-def carpet_claims() -> list[Claim]:
-    out = []
-    p2 = surfaces.projective_plane()
-    dims = tuple(carpets.abstract_carpet_dim(surfaces.hirzebruch(e)) for e in CARPET_E_RANGE)
-    out.append(_claim("abstract-family-dim-hirzebruch",
-                      "abstract carpet family dimension on F_e, e = 0..6",
-                      dims, (2,) * len(CARPET_E_RANGE)))
-    out.append(_claim("abstract-family-dim-plane", "abstract carpet family dimension on P^2",
-                      carpets.abstract_carpet_dim(p2), 1))
+def carpet_claims(grid: CarpetGrid) -> list[Claim]:
+    *fe, plane = grid.contexts.values()
+    out = [_claim("abstract-family-dim-hirzebruch",
+                  "abstract carpet family dimension on F_e, e = 0..6",
+                  tuple(c.abstract_dim for c in fe), (2,) * len(CARPET_E_RANGE)),
+           _claim("abstract-family-dim-plane", "abstract carpet family dimension on P^2",
+                  plane.abstract_dim, 1)]
 
     mismatches = []
     checked = 0
-    for emb, extra in fe_embeddings():
+    for emb, extra in grid.embeddings():
         s, np1 = emb.surface, emb.n_plus_1
+        if s.is_plane:
+            continue
         (a, b), e = emb.polarization.coeffs, s.e
         checked += 1
         got = carpets.embedded_carpet_h0(emb)
@@ -235,7 +240,9 @@ def carpet_claims() -> list[Claim]:
 
     mismatches = []
     checked = 0
-    for emb, _ in plane_embeddings():
+    for emb, _ in grid.embeddings():
+        if not emb.surface.is_plane:
+            continue
         deg, np1 = emb.polarization.degree, emb.n_plus_1
         checked += 1
         got = carpets.embedded_carpet_h0(emb)
@@ -247,8 +254,7 @@ def carpet_claims() -> list[Claim]:
                                checked, mismatches))
 
     f0 = surfaces.hirzebruch(0)
-    line = carpets.PolarizationData(carpets.SurfaceContext.of(f0), f0.divisor(1, 1))
-    rep = carpets.carpet_report(line.complete_series())
+    rep = carpets.carpet_report(grid.lines[f0.divisor(1, 1)].complete_series())
     out.append(_claim("minimal-degree-unique-carpet",
                       "minimal-degree scroll carries a unique embedded carpet",
                       (rep.embedded_h0, rep.minimal_degree_case, rep.exists_embedded),
@@ -256,11 +262,11 @@ def carpet_claims() -> list[Claim]:
     return out
 
 
-def hilbert_claims() -> list[Claim]:
+def hilbert_claims(grid: CarpetGrid) -> list[Claim]:
     out = []
     chi_bad, verdict_bad = [], []
     checked = 0
-    for emb, _ in itertools.chain(fe_embeddings(), plane_embeddings()):
+    for emb, _ in grid.embeddings():
         s, d = emb.surface, emb.polarization
         if s.is_plane and d.degree <= 2:
             continue  # the Veronese and the plane carry no embedded carpet
@@ -279,32 +285,25 @@ def hilbert_claims() -> list[Claim]:
                                checked, verdict_bad))
 
     f3 = surfaces.hirzebruch(3)
-    rep = carpets.hilbert_report(
-        carpets.PolarizationData(carpets.SurfaceContext.of(f3), f3.divisor(2, 8)))
+    rep = grid.lines[f3.divisor(2, 8)].hilbert
     out.append(_claim("hilbert-obstruction-e3",
                       "on F_3 the chain forces h1 of the carpet normal bundle to 1",
                       (rep.smooth, rep.h1_normal_carpet), (False, (1, 1))))
     return out
 
 
-def double_cover_claims() -> list[Claim]:
-    out = []
-    flags, h1s = [], []
-    for e in CARPET_E_RANGE:
-        rep = carpets.double_cover_k3_check(surfaces.hirzebruch(e))
-        flags.append(rep.is_k3_cover)
-        if rep.is_k3_cover:
-            h1s.append(rep.h1_N_pi)
-    out.append(_claim("double-cover-k3", "branched double cover of F_e is K3 iff e <= 2",
-                      tuple(flags), tuple(e <= 2 for e in CARPET_E_RANGE)))
-    rep = carpets.double_cover_k3_check(surfaces.projective_plane())
-    out.append(_claim("double-cover-k3-plane", "sextic double cover of P^2 is K3",
-                      rep.is_k3_cover, True))
-    h1s.append(rep.h1_N_pi)
-    out.append(_claim("cover-deformation-unobstructed",
-                      "h1 of the cover normal sheaf is 0 whenever the cover exists",
-                      tuple(h1s), (0,) * len(h1s)))
-    return out
+def double_cover_claims(grid: CarpetGrid) -> list[Claim]:
+    *fe, plane = [context.double_cover for context in grid.contexts.values()]
+    h1s = (*(rep.h1_N_pi for rep in fe if rep.is_k3_cover), plane.h1_N_pi)
+    return [
+        _claim("double-cover-k3", "branched double cover of F_e is K3 iff e <= 2",
+               tuple(rep.is_k3_cover for rep in fe), tuple(e <= 2 for e in CARPET_E_RANGE)),
+        _claim("double-cover-k3-plane", "sextic double cover of P^2 is K3",
+               plane.is_k3_cover, True),
+        _claim("cover-deformation-unobstructed",
+               "h1 of the cover normal sheaf is 0 whenever the cover exists",
+               h1s, (0,) * len(h1s)),
+    ]
 
 
 def _random_divisor(rng: random.Random, s: surfaces.SurfaceModel) -> surfaces.DivisorClass:
@@ -314,7 +313,7 @@ def _random_divisor(rng: random.Random, s: surfaces.SurfaceModel) -> surfaces.Di
     return s.divisor(rng.randint(-span, span), rng.randint(-span, span))
 
 
-def exact_seq_claims() -> list[Claim]:
+def exact_seq_claims(grid: CarpetGrid) -> list[Claim]:
     out = []
     one = CohInterval.exact(0, 1, 0)
     forced = propagate(LesInstance(one, CohInterval.unknown(), one)).b
@@ -393,9 +392,10 @@ GROUPS = (
 
 def run_all() -> list[Claim]:
     claims: list[Claim] = []
+    grid = CarpetGrid()
     for name, group in GROUPS:
         try:
-            claims.extend(group())
+            claims.extend(group(grid))
         except Exception as err:  # a corrupted computation must surface as FAIL
             claims.append(
                 _claim(

@@ -243,29 +243,31 @@ def cmd_coh(tokens: list[str], out) -> int:
     return 2 if disagree else 0
 
 
-def _embedding(surface, divisor, args: _Args) -> EmbeddingData:
-    n = None
-    if "--N" in args.options:
-        n = _parse_int(args.options["--N"][0], "ambient dimension", args.options["--N"][1])
-    line = carpets.PolarizationData(carpets.SurfaceContext.of(surface), divisor)
-    return line.complete_series() if n is None else EmbeddingData(line, n)
-
-
-def cmd_carpet(tokens: list[str], out) -> int:
+def _embedding_args(tokens: list[str]) -> tuple[_Args, EmbeddingData]:
+    """The arguments of `carpet` and `hilbert`, and the embedding they name."""
     args = _Args(tokens, flags={"--timestamp"}, options={"--format", "--N"})
     surface = _parse_surface(*args.take_positional("surface"))
     divisor = _parse_divisor(surface, *args.take_positional("divisor"))
     args.done()
-    report = carpets.carpet_report(_embedding(surface, divisor, args))
+    n = None
+    if "--N" in args.options:
+        n = _parse_int(args.options["--N"][0], "ambient dimension", args.options["--N"][1])
+    line = carpets.PolarizationData(carpets.SurfaceContext.of(surface), divisor)
+    return args, line.complete_series() if n is None else EmbeddingData(line, n)
+
+
+def cmd_carpet(tokens: list[str], out) -> int:
+    args, embedding = _embedding_args(tokens)
+    report = carpets.carpet_report(embedding)
     doc = {
         "command": "carpet",
         "inputs": {
-            "surface": str(surface),
-            "divisor": str(divisor),
-            "ambient_n": report.embedding.ambient_n,
+            "surface": str(embedding.surface),
+            "divisor": str(embedding.polarization),
+            "ambient_n": embedding.ambient_n,
         },
         "results": {
-            "abstract_family_dim": report.embedding.line.context.abstract_dim,
+            "abstract_family_dim": embedding.line.context.abstract_dim,
             "embedded_h0": report.embedded_h0,
             "embedded_moduli_dim": report.embedded_moduli_dim,
             "exists_embedded": report.exists_embedded,
@@ -278,18 +280,14 @@ def cmd_carpet(tokens: list[str], out) -> int:
 
 
 def cmd_hilbert(tokens: list[str], out) -> int:
-    args = _Args(tokens, flags={"--timestamp"}, options={"--format", "--N"})
-    surface = _parse_surface(*args.take_positional("surface"))
-    divisor = _parse_divisor(surface, *args.take_positional("divisor"))
-    args.done()
-    embedding = _embedding(surface, divisor, args)
+    args, embedding = _embedding_args(tokens)
     report = embedding.line.hilbert
     h1 = report.h1_normal_carpet
     doc = {
         "command": "hilbert",
         "inputs": {
-            "surface": str(surface),
-            "divisor": str(divisor),
+            "surface": str(embedding.surface),
+            "divisor": str(embedding.polarization),
             "ambient_n": embedding.ambient_n,
         },
         "results": {

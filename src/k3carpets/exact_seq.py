@@ -140,6 +140,8 @@ class CohInterval:
                 f"{what}: chi constraints {self.chi} and {other.chi} disagree"
             )
         chi = self.chi if self.chi is not None else other.chi
+        if chi is not None and lo == hi and lo[0] - lo[1] + lo[2] != chi:
+            raise InconsistencyError(f"{what}: chi = {chi} contradicts pinned dimensions {lo}")
         return CohInterval(lo, hi, chi)
 
     def __str__(self) -> str:

@@ -3,13 +3,12 @@
 The grids and formulas live in `k3carpets.battery`, the claims behind
 `verify-paper`; criteria 1-8 run the battery group that covers them and
 check its claims by id.  The few checks the battery does not make run here
-over the battery's own grid generators.  Every dimension in scope is an
-integer identity, so each check is equality with tolerance zero; the stated
-runtime ceilings are asserted as well.
+over the battery's own carpet grid.  Every dimension in scope is an integer
+identity, so each check is equality with tolerance zero; the stated runtime
+ceilings are asserted as well.
 """
 
 import io
-import itertools
 import time
 
 import pytest
@@ -33,7 +32,8 @@ def _passing(claims, *ids):
 
 def test_criterion_1_embedded_formula_battery():
     start = time.monotonic()
-    (claim,) = _passing(battery.carpet_claims(), "embedded-family-linear-form")
+    (claim,) = _passing(battery.carpet_claims(battery.CarpetGrid()),
+                        "embedded-family-linear-form")
     elapsed = time.monotonic() - start
     assert claim.expected == "756/756 agree"  # 504 embeddings, 252 of them complete
     assert elapsed < 5.0
@@ -42,7 +42,7 @@ def test_criterion_1_embedded_formula_battery():
 
 def test_criterion_2_plane_battery():
     start = time.monotonic()
-    (claim,) = _passing(battery.carpet_claims(), "embedded-family-plane")
+    (claim,) = _passing(battery.carpet_claims(battery.CarpetGrid()), "embedded-family-plane")
     elapsed = time.monotonic() - start
     assert claim.expected == "20/20 agree"
     assert elapsed < 1.0
@@ -51,7 +51,7 @@ def test_criterion_2_plane_battery():
 
 def test_criterion_3_oracle_equivalence():
     start = time.monotonic()
-    (claim,) = _passing(battery.oracle_claims(), "oracle-agreement")
+    (claim,) = _passing(battery.oracle_claims(battery.CarpetGrid()), "oracle-agreement")
     elapsed = time.monotonic() - start
     assert claim.expected == "1759/1759 agree"
     assert elapsed < 60.0
@@ -60,7 +60,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_duality_and_riemann_roch():
     start = time.monotonic()
-    claims = _passing(battery.oracle_claims(), "serre-duality", "riemann-roch")
+    claims = _passing(battery.oracle_claims(battery.CarpetGrid()),
+                      "serre-duality", "riemann-roch")
     assert all(c.expected == "1759/1759 agree" for c in claims)
     _report(4, time.monotonic() - start,
             "Serre duality and Riemann-Roch hold on all 1759 bundles")
@@ -68,7 +69,7 @@ def test_criterion_4_duality_and_riemann_roch():
 
 def test_criterion_5_abstract_carpet_dimensions():
     start = time.monotonic()
-    _passing(battery.carpet_claims(),
+    _passing(battery.carpet_claims(battery.CarpetGrid()),
              "abstract-family-dim-hirzebruch", "abstract-family-dim-plane")
     _report(5, time.monotonic() - start,
             "tangent-twist h1 forced to 2 on every F_e (e <= 6) and 1 on P^2")
@@ -76,12 +77,13 @@ def test_criterion_5_abstract_carpet_dimensions():
 
 def test_criterion_6_hilbert_identity_and_verdicts():
     start = time.monotonic()
-    claims = _passing(battery.hilbert_claims(), "hilbert-tangent-chi",
+    grid = battery.CarpetGrid()
+    claims = _passing(battery.hilbert_claims(grid), "hilbert-tangent-chi",
                       "hilbert-smooth-verdict", "hilbert-obstruction-e3")
     assert claims[0].expected == "520/520 agree"  # 504 on F_e, 16 on P^2
     # beyond the battery: the reported expected dimension, h1 = 1 on all of
     # F_3, and the refusal where no embedded carpet exists
-    for emb, _ in itertools.chain(battery.fe_embeddings(), battery.plane_embeddings()):
+    for emb, _ in grid.embeddings():
         s, d = emb.surface, emb.polarization
         if s.is_plane and d.degree <= 2:
             with pytest.raises(InvalidGeometryError, match="no embedded carpet"):
@@ -97,16 +99,17 @@ def test_criterion_6_hilbert_identity_and_verdicts():
 
 def test_criterion_7_double_cover():
     start = time.monotonic()
-    _passing(battery.double_cover_claims(), "double-cover-k3", "double-cover-k3-plane",
-             "cover-deformation-unobstructed")
+    _passing(battery.double_cover_claims(battery.CarpetGrid()), "double-cover-k3",
+             "double-cover-k3-plane", "cover-deformation-unobstructed")
     _report(7, time.monotonic() - start,
             "double cover is K3 iff e <= 2 (always on P^2) with unobstructed cover")
 
 
 def test_criterion_8_sequence_calculus_properties():
     start = time.monotonic()
-    claims = _passing(battery.exact_seq_claims(), "les-idempotence", "les-split-additivity",
-                      "les-honest-interval", "les-middle-forcing", "les-euler-twist-forcing")
+    claims = _passing(battery.exact_seq_claims(battery.CarpetGrid()), "les-idempotence",
+                      "les-split-additivity", "les-honest-interval", "les-middle-forcing",
+                      "les-euler-twist-forcing")
     assert claims[1].expected == "600/600 agree"
     _report(8, time.monotonic() - start,
             "idempotence, split additivity (600 pairs), soundness, Euler-twist forcing")

@@ -463,7 +463,7 @@ def test_carpet_locus_has_constant_codimension():
 def test_infinitely_many_embedded_carpets_unless_minimal_degree():
     # the paper: an embedding carries a positive-dimensional family of
     # embedded carpets iff it is not of minimal degree
-    embeddings = [emb for emb, _ in (*battery.fe_embeddings(), *battery.plane_embeddings())]
+    embeddings = [emb for emb, _ in battery.CarpetGrid().embeddings()]
     reports = [carpet_report(emb) for emb in embeddings]
     assert (len(reports), sum(rep.minimal_degree_case for rep in reports)) == (524, 98)
     for rep in reports:

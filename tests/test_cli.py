@@ -393,10 +393,12 @@ def test_complete_series_computes_h0_once(monkeypatch):
 
 def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):
     calls = _counting(monkeypatch, carpets, "hilbert_report")
-    claims = battery.hilbert_claims()
+    claims = battery.hilbert_claims(battery.CarpetGrid())
     assert all(c.passed for c in claims)
     assert claims[0].computed == "520/520 agree"
-    assert len(calls) == 261  # 260 grid polarizations and the F_3 (2, 8) claim
+    # one per grid polarization with an embedded carpet; the F_3 (2, 8)
+    # claim reads the report of its grid entry
+    assert len(calls) == 260
 
 
 def _fact_calls(monkeypatch):
@@ -419,12 +421,16 @@ def test_carpet_query_computes_only_the_fact_it_prints(monkeypatch):
 
 
 def test_battery_computes_each_surface_fact_once_per_surface(monkeypatch):
-    # F_0..F_6 and P^2, each asked once by its own claim; the grids' contexts
-    # never read their facts
+    # F_0..F_6 and P^2, each asked once by its own claim on the run's one
+    # grid, which builds one context per surface and one polarization per
+    # class: 252 on F_e and 10 on P^2
     abstract, cover = _fact_calls(monkeypatch)
+    contexts = _counting(monkeypatch, carpets.SurfaceContext, "of")
+    lines = _counting(monkeypatch, carpets.PolarizationData, "__post_init__")
     assert all(c.passed for c in battery.run_all())
     assert len(abstract) == len(cover) == 8
     assert len(set(abstract)) == len(set(cover)) == 8
+    assert (len(contexts), len(lines)) == (8, 262)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -597,9 +603,13 @@ def test_mutated_canonical_class_fails(monkeypatch):
         return surfaces.DivisorClass(surface, d.coeffs[:-1] + (d.coeffs[-1] - 1,))
 
     monkeypatch.setattr(surfaces, "canonical_class", skewed)
-    fails = _first_fail_ids()
-    assert fails
-    assert any("canonical" in cid for cid in fails)
+    assert _first_fail_ids() == [
+        *(f"canonical-square-F{e}" for e in range(7)), "canonical-square-P2",
+        "canonical-class-F0", "canonical-class-F3", "canonical-class-P2",
+        "anticanonical-double-bpf", "base-tangent-twist", "very-ample-section-counts",
+        "oracle-agreement-error", "carpet-families-error", "hilbert-points-error",
+        "double-cover-k3", "double-cover-k3-plane",
+    ]
     code, _ = run("verify-paper")
     assert code == 3
 
@@ -639,7 +649,10 @@ def test_mutated_intersection_form_fails(monkeypatch):
         return value
 
     monkeypatch.setattr(surfaces, "intersect", skewed)
-    assert _first_fail_ids()
+    assert _first_fail_ids() == [
+        *(f"canonical-square-F{e}" for e in range(7)), "section-self-intersection",
+        "oracle-agreement-error", "minimal-degree-unique-carpet",
+    ]
 
 
 def test_mutated_fiber_sums_fails(monkeypatch):
@@ -650,6 +663,24 @@ def test_mutated_fiber_sums_fails(monkeypatch):
         return original(e, a, b + 1)
 
     monkeypatch.setattr(line_cohomology, "_fiber_sums", skewed)
-    fails = _first_fail_ids()
-    assert "oracle-agreement" in fails
-    assert "riemann-roch" in fails
+    assert _first_fail_ids() == [
+        "fiber-tangent-twist", "base-tangent-twist", "canonical-cohomology",
+        "very-ample-section-counts", "oracle-agreement", "riemann-roch",
+        "abstract-family-dim-hirzebruch", "embedded-family-linear-form",
+        "minimal-degree-unique-carpet", "hilbert-points-error", "double-cover-k3",
+        "les-honest-interval",
+    ]
+
+
+def test_raising_very_ample_test_fails_each_group_that_asks_it(monkeypatch):
+    # the intersection-theory claims ask it directly, and the grid's
+    # polarizations when they are built; each such group fails on its own
+    def broken(surface, divisor):
+        raise RuntimeError("very-ampleness test broken")
+
+    monkeypatch.setattr(surfaces, "is_very_ample", broken)
+    claims = [c for c in battery.run_all() if not c.passed]
+    assert [c.claim_id for c in claims] == [
+        "intersection-theory-error", "carpet-families-error", "hilbert-points-error",
+    ]
+    assert {c.computed for c in claims} == {"RuntimeError: very-ampleness test broken"}

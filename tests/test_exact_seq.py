@@ -86,6 +86,11 @@ def test_meet():
     assert m.lo == (2, 1, 0) and m.hi == (5, 4, 2) and m.chi == 1
     with pytest.raises(InconsistencyError):
         a.meet(CohInterval((6, 0, 0), (8, None, None)))
+    # the met bounds pin every degree, and the kept chi disagrees with them
+    pinned = CohInterval((1, 0, 0), (1, 0, None))
+    with pytest.raises(InconsistencyError) as err:
+        pinned.meet(CohInterval((0, 0, 0), (None, None, 0), chi=5), what="X")
+    assert str(err.value) == "X: chi = 5 contradicts pinned dimensions (1, 0, 0)"
 
 
 def test_middle_term_forced_by_h1_endpoints():
@@ -407,6 +412,21 @@ def test_chain_inconsistency_names_sequence():
                               " but chi(A) + chi(C) = 2")
 
 
+def test_chain_names_sequence_and_term_when_a_met_chi_contradicts_pinned_bounds():
+    # "first" bounds X to h0 = 1, h1 = 0 and "second" to h2 = 0 with chi = 5:
+    # the meet that builds the table pins X to (1, 0, 0) against chi = 5
+    seqs = [
+        LesInstance(CohInterval((1, 0, 0), (1, 0, None)), CohInterval.unknown(),
+                    CohInterval.unknown(), names=("X", "Y", "Z"), label="first"),
+        LesInstance(CohInterval((0, 0, 0), (None, None, 0), chi=5), CohInterval.unknown(),
+                    CohInterval.unknown(), names=("X", "V", "W"), label="second"),
+    ]
+    with pytest.raises(InconsistencyError) as err:
+        chain(seqs)
+    assert str(err.value) == ("sequence 'second': term 'X': chi = 5 contradicts"
+                              " pinned dimensions (1, 0, 0)")
+
+
 NAMES = ("A", "B", "C", "D", "E")
 
 
@@ -563,7 +583,7 @@ def test_chain_matches_rescanning_chain_on_hilbert_chains(monkeypatch):
         return chain(seqs)
 
     monkeypatch.setattr(carpets, "chain", capture)
-    battery.hilbert_claims()
+    battery.hilbert_claims(battery.CarpetGrid())
     monkeypatch.undo()
     assert len(chains) > 200
     for seqs in chains:
@@ -605,7 +625,7 @@ def test_hilbert_chains_meet_no_terms(monkeypatch):
     meet = CohInterval.meet
     monkeypatch.setattr(CohInterval, "meet",
                         lambda self, *args, **kw: meets.append(self) or meet(self, *args, **kw))
-    battery.hilbert_claims()
+    battery.hilbert_claims(battery.CarpetGrid())
     assert meets == []
 
 
@@ -655,9 +675,9 @@ def test_chain_matches_round_robin_fixed_point(seqs):
 def test_chain_matches_round_robin_fixed_point_on_hilbert_chains(monkeypatch):
     chains = []
     monkeypatch.setattr(carpets, "chain", lambda seqs: chains.append(seqs) or chain(seqs))
-    battery.hilbert_claims()
+    battery.hilbert_claims(battery.CarpetGrid())
     monkeypatch.undo()
-    assert len(chains) == 261
+    assert len(chains) == 260
     for seqs in chains:
         assert _outcome(seqs) == _reference_outcome(seqs)
 
@@ -722,8 +742,8 @@ def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
 
     calls.clear()
     chains.clear()
-    battery.hilbert_claims()
-    assert len(chains) == 261
+    battery.hilbert_claims(battery.CarpetGrid())
+    assert len(chains) == 260
     assert {len(seqs) for seqs in chains} == {8}
     assert calls == [seq.label for seqs in chains for seq in seqs]
 
