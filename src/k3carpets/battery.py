@@ -335,6 +335,9 @@ def exact_seq_claims(grid: CarpetGrid) -> list[Claim]:
                       (res.is_forced_all(), res.lo),
                       (True, (np1 * adj.h0, 1, 0))))
 
+    # the tangent sequence of F_3 without the vector-field-lifting bound
+    # that `SurfaceContext.tangent` adds: a check of the calculus alone,
+    # which leaves T_S an honest interval
     f3 = surfaces.hirzebruch(3)
     seq = LesInstance(
         CohInterval.from_vector(line_cohomology.coh(f3, f3.divisor(2, 3))),

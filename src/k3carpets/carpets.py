@@ -12,14 +12,15 @@ chain's h^1 of the carpet normal bundle.
 The data sit on three levels, one object each, built by the caller for
 one command run:
 - `SurfaceContext`, one per surface: K, the cohomology of K^-1 and K^-2,
-  `ends`, the named line-bundle terms the sequences start from, and the
-  surface's two facts, `abstract_carpet_dim` and `double_cover_k3_check`.
+  `ends`, the named line-bundle terms the sequences start from, h^*(T_S)
+  (`tangent`), and the surface's two facts, `abstract_carpet_dim` and
+  `double_cover_k3_check`.
 - `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S),
   whether L embeds S with minimal degree, and the Hilbert report, which
   every embedding by L shares.
 - `EmbeddingData`, one per embedding into P^N: a `PolarizationData` and N,
   with only N + 1 >= h^0(L) checked there.
-The two facts and everything on a `PolarizationData` are computed when
+T_S, the two facts and everything on a `PolarizationData` are computed when
 first read and then held by their object (`functools.cached_property`):
 a query computes only what it reads, and a computation that raised is run
 again by the next reader, with the same message.  `carpet_report` takes
@@ -33,7 +34,11 @@ line-bundle endpoints looked up by name in the context's `ends` and the
 report's own terms, so every endpoint is written once per surface or per
 report.  Each derived term is checked once, where it is read: `_forced`
 raises `InconsistencyError` unless the term is pinned and equal to its
-closed form.
+closed form.  The surface's tangent sequence runs once per surface, so the
+Hilbert report starts from a pinned T_S and chains the same seven
+sequences on P^2 and on F_e.  On F_e exactness alone leaves T_S an
+interval; one named bound on a single rank, that every vector field of
+P^1 lifts, pins it.
 
 One step is not derivable inside the calculus: on F_e the pushforward of
 N_{S/P^N} ⊗ K_S to P^1 sits in a short exact sequence over the pushforward
@@ -49,7 +54,7 @@ from functools import cached_property
 
 from . import line_cohomology as lc
 from . import surfaces
-from .exact_seq import CohInterval, InconsistencyError, LesInstance, chain, propagate
+from .exact_seq import CohInterval, InconsistencyError, LesInstance, RankBound, chain, propagate
 from .line_cohomology import CohVector
 
 
@@ -65,9 +70,8 @@ COMPUTATION_ERRORS = (ValueError, RuntimeError, ArithmeticError)
 class SurfaceContext:
     """What every polarization of one surface reads.  `of` computes K,
     h^*(K^-1), h^*(K^-2) and `ends`, the named line-bundle terms the
-    sequences start from: O, K^-1, K^-2 and the ends of the tangent
-    sequence (T_rel and T_base on F_e, L(1)^3 on P^2), and L(-2)^3 on P^2.
-    The surface's two facts are computed when first read."""
+    sequences start from: O, K^-1, K^-2, and L(-2)^3 on P^2.  T_S and the
+    surface's two facts are computed when first read."""
 
     surface: surfaces.SurfaceModel
     canonical: surfaces.DivisorClass
@@ -83,12 +87,34 @@ class SurfaceContext:
         ends = {"O": _exact(lc.coh(surface, 0 * k)), "K_inv": _exact(kinv),
                 "K_inv2": _exact(k2inv)}
         if surface.is_plane:
-            ends["L(1)^3"] = _exact(lc.coh(surface, surface.divisor(1)).scaled(3))
             ends["L(-2)^3"] = _exact(lc.coh(surface, surface.divisor(-2)).scaled(3))
-        else:
-            ends["T_rel"] = _exact(lc.coh(surface, surface.divisor(2, surface.e)))
-            ends["T_base"] = _exact(lc.coh(surface, surface.divisor(0, 2)))
         return cls(surface, k, kinv, k2inv, ends)
+
+    @cached_property
+    def tangent(self) -> CohInterval:
+        """h^*(T_S), forced by the surface's tangent sequence: the Euler
+        sequence on P^2, and on F_e the sequence of the ruling
+        0 -> T_rel -> T_S -> T_base -> 0 with its connecting map
+        H^0(T_base) -> H^1(T_rel) zero, the rank bound r_3 = 0.  That map
+        vanishes because every vector field on P^1 lifts to F_e
+        (Aut(F_e) -> Aut(P^1) is onto; Kodaira and Spencer, Ann. of Math.
+        1958); without it the calculus leaves T_S the interval
+        [(6, 0, 0), (e + 5, e - 1, 0)] with chi = 6."""
+        surface = self.surface
+        if surface.is_plane:
+            out = propagate(_sequence("surface-euler", ("O", "L(1)^3", "T_S"), {
+                "O": self.ends["O"],
+                "L(1)^3": _exact(lc.coh(surface, surface.divisor(1)).scaled(3)),
+            })).c
+            expected = (8, 0, 0)
+        else:
+            out = propagate(_sequence("tangent-fibration", ("T_rel", "T_S", "T_base"), {
+                "T_rel": _exact(lc.coh(surface, surface.divisor(2, surface.e))),
+                "T_base": _exact(lc.coh(surface, surface.divisor(0, 2))),
+            }, _VECTOR_FIELD_LIFTING)).b
+            expected = (max(surface.e + 5, 6), max(surface.e - 1, 0), 0)
+        _forced(out, "tangent-bundle cohomology", expected)
+        return out
 
     # the facts look their functions up in the module when read, so a
     # replaced function is the one run
@@ -223,6 +249,8 @@ class HilbertReport:
 
 
 _UNKNOWN = CohInterval.unknown()
+# on F_e every vector field of the base lifts: H^0(T_base) -> H^1(T_rel) is zero
+_VECTOR_FIELD_LIFTING = (RankBound(3, 0, 0, "vector-field lifting"),)
 # the fixed terms of the normal-twist pushforward sequence on F_e
 _PUSH_NORMAL_TWIST = CohInterval((0, 0, 0), (None, None, 0))
 _O_BASE = CohInterval.exact(1, 0, 0)
@@ -230,11 +258,12 @@ _exact = CohInterval.from_vector
 
 
 def _sequence(
-    label: str, names: tuple[str, str, str], known: dict[str, CohInterval]
+    label: str, names: tuple[str, str, str], known: dict[str, CohInterval],
+    ranks: tuple[RankBound, ...] = (),
 ) -> LesInstance:
     """The sequence 0 -> A -> B -> C -> 0 over the named terms, each known
-    from `known` or else unknown."""
-    return LesInstance(*(known.get(n, _UNKNOWN) for n in names), names, label)
+    from `known` or else unknown, with the bounds `ranks` on single ranks."""
+    return LesInstance(*(known.get(n, _UNKNOWN) for n in names), names, label, ranks)
 
 
 def _forced(
@@ -349,13 +378,11 @@ def double_cover_k3_check(surface: surfaces.SurfaceModel) -> DoubleCoverReport:
     )
 
 
-# The sequences tying the carpet normal bundle to line-bundle endpoints,
-# after the surface's own tangent sequence.  H is the sheaf
+# The sequences tying the carpet normal bundle to line-bundle endpoints and
+# the surface's T_S.  H is the sheaf
 # Hom(I_carpet/I_S^2, O_S); Nc the normal bundle of the embedded carpet, and
 # Nc_O, Nc_K its restriction to S twisted by O resp. K; K_inv and K_inv2 are
 # K^-1 and K^-2.
-_PLANE_TANGENT = ("surface-euler", ("O", "L(1)^3", "T_S"))
-_FE_TANGENT = ("tangent-fibration", ("T_rel", "T_S", "T_base"))
 _HILBERT_SEQUENCES = (
     ("ambient-euler", ("O", "L^(N+1)", "T_amb")),
     ("normal-bundle", ("T_S", "T_amb", "N_S")),
@@ -387,10 +414,9 @@ def hilbert_report(line: PolarizationData) -> HilbertReport:
         )
 
     kinv, k2inv = context.kinv, context.k2inv
-    known = {**context.ends, "L^(N+1)": _exact(line.coh.scaled(n_plus_1)),
-             "N⊗K": _exact(normal_twist)}
-    first = _PLANE_TANGENT if context.surface.is_plane else _FE_TANGENT
-    table = chain([_sequence(label, names, known) for label, names in (first, *_HILBERT_SEQUENCES)])
+    known = {**context.ends, "T_S": context.tangent,
+             "L^(N+1)": _exact(line.coh.scaled(n_plus_1)), "N⊗K": _exact(normal_twist)}
+    table = chain([_sequence(label, names, known) for label, names in _HILBERT_SEQUENCES])
 
     # every forced intermediate is checked against its closed form
     n_s = table["N_S"]

@@ -12,9 +12,11 @@ exactness is equivalent to
 
 and this rank model is the single source of truth here.  Given per-degree
 integer bounds on the nine dimensions (plus optional exact Euler
-characteristics per term), `propagate` computes the exact minimum and
-maximum of every dimension over all nonnegative rank assignments.  One
-forward and one backward pass along the path of ranks bound the ranks.
+characteristics per term, and optional named bounds on single ranks,
+`RankBound`), `propagate` computes the exact minimum and maximum of every
+dimension over all nonnegative rank assignments.  One forward and one
+backward pass along the path of ranks bound the ranks; a bound on a single
+rank meets that rank in the forward pass.
 Without a *watched* Euler characteristic (a fixed one on a term the input
 does not pin) that is all: the sweep is exact on the path (Freuder 1982),
 and an Euler characteristic is constant iff no free block of ranks linked
@@ -22,7 +24,8 @@ by forced dimensions moves it (the affine hull of a totally unimodular
 polytope is cut out by its implicit equalities; Schrijver 1986, section
 8.2).  Caps from watched ones repeat the sweep at most 9 times,
 whatever the magnitudes.  The matrix of the nine dimensions and the three
-Euler characteristics as functions of the ranks is totally unimodular, so
+Euler characteristics as functions of the ranks, with an identity row for
+each bounded rank, is totally unimodular, so
 over the chains through a fixed rank the running Euler characteristic of
 the prefixes, or of the suffixes, fills an interval.  With one watched, a
 table of those intervals in each direction decides every rank and every
@@ -158,11 +161,37 @@ class CohInterval:
 
 
 @dataclass(frozen=True)
+class RankBound:
+    """A named bound lo <= r_k <= hi (hi None = unbounded) on r_k, the rank
+    of the map into the k-th term of the long exact sequence (1 <= k <= 8):
+    a fact about one map that exactness alone does not give, such as a
+    connecting map known to vanish."""
+
+    k: int
+    lo: int = 0
+    hi: int | None = None
+    name: str = ""
+
+    def __post_init__(self):
+        k, lo, hi = self.k, self.lo, self.hi
+        if type(k) is not int or not 1 <= k <= 8:
+            raise ValueError(f"a rank bound is on one of r_1..r_8, got r_{k!r}")
+        if type(lo) is not int or lo < 0:
+            raise ValueError(f"rank lower bounds must be integers >= 0, got {lo!r}")
+        if hi is not None and (type(hi) is not int or hi < lo):
+            raise ValueError(f"rank upper bounds must be integers >= {lo} or None, got {hi!r}")
+
+    def __str__(self) -> str:
+        return _span(f"r_{self.k}", self.lo, self.hi)
+
+
+@dataclass(frozen=True)
 class LesInstance:
     """One short exact sequence 0 -> A -> B -> C -> 0 with current knowledge.
 
     `names` identifies the three sheaves when several sequences are chained;
-    `label` names the sequence itself in error messages.
+    `label` names the sequence itself in error messages; `ranks` holds
+    bounds on single ranks beyond exactness.
     """
 
     a: CohInterval
@@ -170,6 +199,14 @@ class LesInstance:
     c: CohInterval
     names: tuple[str, str, str] = ("A", "B", "C")
     label: str = ""
+    ranks: tuple[RankBound, ...] = ()
+
+
+def _span(what: str, lo: int, hi: int | None) -> str:
+    """`what` = lo, `what` >= lo or lo <= `what` <= hi."""
+    if hi is None:
+        return f"{what} >= {lo}"
+    return f"{what} = {lo}" if lo == hi else f"{lo} <= {what} <= {hi}"
 
 
 def _term_bounds(seq: LesInstance):
@@ -179,22 +216,47 @@ def _term_bounds(seq: LesInstance):
             [x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2]])
 
 
-def _sweep(lo, hi):
+_NO_LIMITS = ((0,) * 9, (None,) * 9)  # `_rank_limits(())`
+
+
+def _rank_limits(ranks: tuple[RankBound, ...]):
+    """The bounds that `ranks` give on r_1..r_9, met per rank: two
+    sequences, entry k - 1 for r_k, 0 and None where there is none."""
+    if not ranks:
+        return _NO_LIMITS
+    b_lo, b_hi = [0] * 9, [None] * 9
+    for bound in ranks:
+        k, top = bound.k - 1, b_hi[bound.k - 1]
+        if bound.lo > b_lo[k]:
+            b_lo[k] = bound.lo
+        if bound.hi is not None and (top is None or bound.hi < top):
+            b_hi[k] = bound.hi
+    return b_lo, b_hi
+
+
+def _sweep(lo, hi, limits):
     """Exact intervals [r_lo[k], r_hi[k]] of r_0..r_9 (None if unbounded)
     over the rank chains with lo_k <= r_k + r_{k+1} <= hi_k, chi ignored,
     capping each hi_k in place at r_hi[k] + r_hi[k+1]; if there is none,
-    the lists stop at the first empty interval.  On a path a forward pass (what r_0..r_{k-1}
+    the lists stop at the first empty interval.  `limits`, from
+    `_rank_limits`, bounds single ranks; the forward pass meets each rank
+    with its bound.  On a path a forward pass (what r_0..r_{k-1}
     leave for r_k) and a backward pass (what of it r_{k+1}..r_9 can finish)
     are exact, the image of an interval being an interval: directional arc
     consistency (Dechter and Pearl 1987, "Network-based heuristics for
     constraint-satisfaction problems")."""
     r_lo, r_hi = [0], [0]
-    for k in range(9):
-        low, high, h = r_lo[k], r_hi[k], hi[k]
-        r_lo.append(lo[k] - high if high is not None and lo[k] > high else 0)
-        r_hi.append(None if h is None else h - low)
-        if h is not None and h < low:
+    low = high = 0
+    for l, h, least, most in zip(lo, hi, *limits):
+        if high is not None and l - high > least:
+            least = l - high
+        if h is not None and (most is None or h - low < most):
+            most = h - low
+        r_lo.append(least)
+        r_hi.append(most)
+        if most is not None and most < least:
             return r_lo, r_hi
+        low, high = least, most
     r_hi[9] = 0
     if r_lo[9]:
         return r_lo, r_hi
@@ -212,11 +274,14 @@ def _sweep(lo, hi):
 def _infeasible(seq: LesInstance) -> InconsistencyError:
     """The error for an infeasible instance, naming a violated relation
     when chi additivity or the sweep of its own bounds shows one.  When that
-    sweep is not empty the bounds alone admit rank chains; without a watched
-    chi the sweep is exact, so then the error names the watched chi."""
+    sweep is not empty the bounds alone admit rank chains, and it gives
+    each rank its exact range over them: the error names a rank bound that
+    misses its rank's range, or the rank bounds if only together they
+    leave no chain.  Without a watched chi the sweep is exact, so else the
+    error names the watched chi."""
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     lo, hi = _term_bounds(seq)
-    r_lo, r_hi = _sweep(lo, hi)
+    r_lo, r_hi = _sweep(lo, hi, _NO_LIMITS)
     k = len(r_hi) - 2  # the term the last swept rank leaves
     if None not in chis and chis[0] + chis[2] != chis[1]:
         why = (f"chi additivity: chi({seq.names[1]}) = {chis[1]} but "
@@ -230,10 +295,32 @@ def _infeasible(seq: LesInstance) -> InconsistencyError:
         why = (f"exactness at h2({c}): h2({b}) -> h2({c}) must be onto, but its "
                f"rank is at most {r_hi[8]} while h2({c}) >= {lo[8]}")
     else:
-        why = "no rank chain within the bounds meets " + " and ".join(
-            f"chi({name}) = {iv.chi}" for name, iv in zip(seq.names, (seq.a, seq.b, seq.c))
-            if iv.chi is not None and not iv.is_forced_all())
+        why = _rank_bound_conflict(seq, lo, hi, r_lo, r_hi)
+        if why is None:
+            why = "no rank chain within the bounds meets " + " and ".join(
+                f"chi({name}) = {iv.chi}" for name, iv in zip(seq.names, (seq.a, seq.b, seq.c))
+                if iv.chi is not None and not iv.is_forced_all())
     return InconsistencyError((f"sequence {seq.label!r}: " if seq.label else "") + why)
+
+
+def _rank_bound_conflict(seq: LesInstance, lo, hi, r_lo, r_hi) -> str | None:
+    """What the rank bounds violate, given the exact ranges r_lo..r_hi of
+    the ranks over the chains within the term bounds: a rank bound that
+    misses its rank's range, or else all of them if together they leave no
+    chain; None if they leave one."""
+    for bound in seq.ranks:
+        k = bound.k
+        if (bound.hi is not None and bound.hi < r_lo[k]
+                or r_hi[k] is not None and bound.lo > r_hi[k]):
+            return (f"the bounds leave only {_span(f'r_{k}', r_lo[k], r_hi[k])} for the rank "
+                    f"of {_DEGREE_NAMES[(k - 1) // 3]}({seq.names[(k - 1) % 3]}) -> "
+                    f"{_DEGREE_NAMES[k // 3]}({seq.names[k % 3]}), but the rank bound "
+                    f"{bound.name!r} requires {bound}")
+    r_lo, r_hi = _sweep(lo, hi, _rank_limits(seq.ranks))
+    if r_hi[-1] < r_lo[-1]:
+        return "no rank chain within the bounds meets the rank bounds " + " and ".join(
+            f"{bound.name!r} ({bound})" for bound in seq.ranks)
+    return None
 
 
 def _rank_bounds(seq: LesInstance):
@@ -245,17 +332,19 @@ def _rank_bounds(seq: LesInstance):
     only while some dimension goes from unbounded to bounded: at most 9
     sweeps whatever the magnitudes, as with all nine unbounded nothing
     bounds one.  So whether a rank stays unbounded (`UnboundedRankError`)
-    depends only on which bounds are finite and which chi are fixed.  The
-    chi caps only make the ranks finite; `propagate` applies chi exactly.
-    A pinned term is skipped: its chi caps each degree at its value."""
+    depends only on which bounds are finite, which ranks `seq.ranks`
+    bounds and which chi are fixed.  The chi caps only make the ranks
+    finite; `propagate` applies chi exactly.  A pinned term is skipped: its
+    chi caps each degree at its value."""
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     if None not in chis and chis[0] + chis[2] != chis[1]:
         raise _infeasible(seq)
     lo, hi = _term_bounds(seq)
     capped = [(term, iv.chi) for term, iv in enumerate((seq.a, seq.b, seq.c))
               if iv.chi is not None and not iv.is_forced_all()]
+    limits = _rank_limits(seq.ranks)
     while True:
-        r_lo, r_hi = _sweep(lo, hi)
+        r_lo, r_hi = _sweep(lo, hi, limits)
         if r_hi[-1] < r_lo[-1]:
             raise _infeasible(seq)
         bounded = False  # whether a chi cap bounds an unbounded dimension
@@ -284,23 +373,27 @@ def propagate(seq: LesInstance) -> LesInstance:
     """Tighten every dimension of a long exact sequence to its exact range.
 
     Each dimension's returned range is the exact min/max over all rank
-    chains r_1..r_8 compatible with the bounds and chi constraints, and a
-    term whose Euler characteristic is constant over them gets its chi
-    pinned; a term that comes out unchanged is returned as the input
-    object.  A fixed chi on a term the input does not pin is *watched*: it
-    ties ranks far apart on the path of constraints t_k = r_k + r_{k+1}.
+    chains r_1..r_8 compatible with the bounds, the rank bounds
+    (`seq.ranks`) and the chi constraints, and a term whose Euler
+    characteristic is constant over them gets its chi pinned; a term that
+    comes out unchanged is returned as the input object.  A fixed chi on a
+    term the input does not pin is *watched*: it ties ranks far apart on
+    the path of constraints t_k = r_k + r_{k+1}.
 
     Exactness rests on one fact: the 12 x 8 matrix whose rows are t_0..t_8
-    and chi_A, chi_B, chi_C as functions of r_1..r_8 is totally unimodular
-    (Ghouila-Houri's column-bicolouring criterion, checked on all 255
-    column subsets by `test_rank_and_chi_matrix_is_totally_unimodular` in
-    tests/test_exact_seq.py).  So bounds on the ranks and the t_k, fixed
-    ranks and fixed values of up to two chi cut out integral polytopes
-    (Hoffman and Kruskal 1956; Schrijver 1986, "Theory of linear and
-    integer programming", section 19), and on their integer points a rank,
-    a chi or a running chi over a prefix or a suffix of the path takes
-    every integer value between its min and its max.  The work depends on
-    how many chi are watched:
+    and chi_A, chi_B, chi_C as functions of r_1..r_8 is totally unimodular,
+    and stays so with the 8 identity rows r_k appended (Ghouila-Houri's
+    column-bicolouring criterion, checked on all 255 column subsets by
+    `test_rank_and_chi_matrix_is_totally_unimodular` in
+    tests/test_exact_seq.py; appending a unit row keeps any matrix
+    totally unimodular).  So bounds on the ranks and
+    the t_k, fixed ranks and fixed values of up to two chi cut out integral
+    polytopes (Hoffman and Kruskal 1956; Schrijver 1986, "Theory of linear
+    and integer programming", section 19), and on their integer points a
+    rank, a chi or a running chi over a prefix or a suffix of the path
+    takes every integer value between its min and its max.  The steps
+    below read the rank bounds only through the ranges r_lo..r_hi that
+    `_rank_bounds` returns.  The work depends on how many chi are watched:
 
     - none: `_rank_bounds`' one forward and one backward pass are exact on
       the path (Freuder 1982, "A sufficient condition for backtrack-free
@@ -350,7 +443,7 @@ def propagate(seq: LesInstance) -> LesInstance:
         term_lo, term_hi = tuple(t_min[i::3]), tuple(t_max[i::3])
         terms.append(iv if term_lo == iv.lo and term_hi == iv.hi and chi == iv.chi
                      else CohInterval(term_lo, term_hi, chi))
-    return LesInstance(*terms, seq.names, seq.label)
+    return LesInstance(*terms, seq.names, seq.label, seq.ranks)
 
 
 def _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched) -> dict[tuple[int, int], int]:
@@ -647,7 +740,7 @@ def chain(seqs: list[LesInstance]) -> dict[str, CohInterval]:
             if terms == last[i]:
                 continue
             ran = True
-            out = LesInstance(*terms, seq.names, seq.label)
+            out = LesInstance(*terms, seq.names, seq.label, seq.ranks)
             try:
                 out = propagate(out)
             except UnboundedRankError as err:

@@ -56,6 +56,17 @@ def test_abstract_dimension_plane():
     assert abstract_carpet_dim(P2) == 1
 
 
+@pytest.mark.parametrize("e", [*range(1, 13), 100, 10**6])
+def test_tangent_cohomology_is_forced_by_vector_field_lifting(e):
+    # h^*(T_{F_e}) = (e + 5, e - 1, 0): forced by propagate with r_3 = 0
+    assert SurfaceContext.of(hirzebruch(e)).tangent == CohInterval.exact(e + 5, e - 1, 0)
+
+
+def test_tangent_cohomology_of_f0_and_the_plane():
+    assert SurfaceContext.of(hirzebruch(0)).tangent == CohInterval.exact(6, 0, 0)
+    assert SurfaceContext.of(P2).tangent == CohInterval.exact(8, 0, 0)
+
+
 def test_minimal_degree_unique_carpet():
     for e, b in [(0, 1), (1, 2), (2, 4)]:
         s = hirzebruch(e)
@@ -306,7 +317,7 @@ def _perturb_propagate(monkeypatch, name, change):
     def perturbed(seq):
         out = real(seq)
         terms = (change(t) if n == name else t for n, t in zip(out.names, (out.a, out.b, out.c)))
-        return LesInstance(*terms, out.names, out.label)
+        return LesInstance(*terms, out.names, out.label, out.ranks)
 
     monkeypatch.setattr(carpets, "propagate", perturbed)
 
@@ -327,6 +338,14 @@ def test_unforced_tangent_twist_is_an_inconsistency(monkeypatch, surface, name):
     _perturb_propagate(monkeypatch, name, _widened)
     with pytest.raises(InconsistencyError, match="^tangent-twist cohomology"):
         abstract_carpet_dim(surface)
+
+
+@pytest.mark.parametrize("surface", [P2, hirzebruch(0), hirzebruch(3)])
+@pytest.mark.parametrize("change", [_widened, _shifted])
+def test_tangent_cohomology_checks(monkeypatch, surface, change):
+    _perturb_propagate(monkeypatch, "T_S", change)
+    with pytest.raises(InconsistencyError, match="^tangent-bundle cohomology"):
+        SurfaceContext.of(surface).tangent
 
 
 @pytest.mark.parametrize("emb, name", [

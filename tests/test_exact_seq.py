@@ -13,6 +13,7 @@ from k3carpets.exact_seq import (
     CohInterval,
     InconsistencyError,
     LesInstance,
+    RankBound,
     UnboundedRankError,
     _infeasible,
     _rank_bounds,
@@ -129,6 +130,53 @@ def test_honest_interval_for_tangent_bundle_of_f3():
     assert res.b.hi == (8, 2, 0)
     assert res.b.chi == 6
     assert not res.b.is_forced(0)
+
+
+def _f3_tangent(t_s, ranks=carpets._VECTOR_FIELD_LIFTING):
+    f3 = hirzebruch(3)
+    return LesInstance(CohInterval.from_vector(coh(f3, f3.divisor(2, 3))), t_s,
+                       CohInterval.from_vector(coh(f3, f3.divisor(0, 2))),
+                       ("T_rel", "T_S", "T_base"), "tangent-fibration", ranks)
+
+
+def test_rank_bound_pins_the_honest_interval():
+    # r_3 = 0, the connecting map h0(T_base) -> h1(T_rel), leaves one chain
+    res = propagate(_f3_tangent(CohInterval.unknown()))
+    assert res.b == exact(8, 2, 0)
+    assert res.ranks == carpets._VECTOR_FIELD_LIFTING
+    # r_3 <= 1 cuts the interval [(6, 0, 0), (8, 2, 0)] to its top two points
+    res = propagate(_f3_tangent(CohInterval.unknown(), (RankBound(3, 0, 1),)))
+    assert (res.b.lo, res.b.hi, res.b.chi) == ((7, 1, 0), (8, 2, 0), 6)
+
+
+def test_rank_bound_inconsistency_names_the_rank_and_the_bound():
+    with pytest.raises(InconsistencyError) as err:
+        propagate(_f3_tangent(exact(7, 1, 0)))
+    assert str(err.value) == (
+        "sequence 'tangent-fibration': the bounds leave only r_3 = 1 for the rank of "
+        "h0(T_base) -> h1(T_rel), but the rank bound 'vector-field lifting' requires r_3 = 0")
+    # each bound alone admits a chain, the two together none
+    # (h0(B) = r_1 + r_2 <= 2)
+    upto2 = CohInterval((0, 0, 0), (2, 0, 0))
+    ranks = (RankBound(1, 1, None, "first"), RankBound(2, 2, None, "second"))
+    for bounds in ranks:
+        propagate(LesInstance(upto2, upto2, upto2, ranks=(bounds,)))
+    with pytest.raises(InconsistencyError) as err:
+        propagate(LesInstance(upto2, upto2, upto2, ranks=ranks))
+    assert str(err.value) == ("no rank chain within the bounds meets the rank bounds "
+                              "'first' (r_1 >= 1) and 'second' (r_2 >= 2)")
+    # in a chain the error carries the label once
+    with pytest.raises(InconsistencyError, match="^sequence 'tangent-fibration': the bounds"):
+        chain([_f3_tangent(exact(7, 1, 0))])
+
+
+def test_rank_bound_validation():
+    for bad, message in [((0,), "one of r_1..r_8"), ((9,), "one of r_1..r_8"),
+                         ((True,), "one of r_1..r_8"), ((2, -1), "integers >= 0"),
+                         ((2, 3, 2), "integers >= 3 or None"), ((2, 0, 1.0), "or None")]:
+        with pytest.raises(ValueError, match=message):
+            RankBound(*bad)
+    assert str(RankBound(4, 1, 3)) == "1 <= r_4 <= 3"
 
 
 def test_pinned_term_without_chi_gets_its_alternating_sum():
@@ -280,6 +328,9 @@ def test_rank_and_chi_matrix_is_totally_unimodular():
     assert chis == [[1, 0, -1, -1, 0, 1, 1, 0], [1, 1, 0, -1, -1, 0, 1, 1],
                     [0, 1, 1, 0, -1, -1, 0, 1]]
     assert _ghouila_houri(path + chis)
+    # a bound on one rank is an identity row: all eight keep the matrix TU
+    identity = [[int(j == k) for j in range(8)] for k in range(8)]
+    assert _ghouila_houri(path + chis + identity)
     # the criterion rejects what it must: an odd cycle (determinant 2), and
     # the path with a row t_0 + t_2 = r_1 + r_2 + r_3 and chi_A, which on
     # the columns r_1 and r_3 have determinant -2
@@ -737,15 +788,44 @@ def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
     f3 = hirzebruch(3)
     line = carpets.PolarizationData(carpets.SurfaceContext.of(f3), f3.divisor(2, 8))
     carpets.hilbert_report(line)
-    assert len(calls) == 8
+    assert len(calls) == 7
     assert calls == [seq.label for seq in chains[0]]
 
     calls.clear()
     chains.clear()
     battery.hilbert_claims(battery.CarpetGrid())
     assert len(chains) == 260
-    assert {len(seqs) for seqs in chains} == {8}
+    assert {len(seqs) for seqs in chains} == {7}
     assert calls == [seq.label for seqs in chains for seq in seqs]
+
+
+def test_hilbert_chains_watch_no_chi_and_derive_t_s_once_per_surface(monkeypatch, capsys):
+    # T_S is pinned once per surface, so no Hilbert step is left with a
+    # watched chi: not in verify-paper's Hilbert group, nor on a sweep
+    watched, tangents = [], []
+
+    def counted(seq):
+        if seq.label in ("tangent-fibration", "surface-euler"):
+            tangents.append(seq.label)
+        if _watches(seq):
+            watched.append(seq.label)
+        return propagate(seq)
+
+    for module in (exact_seq, carpets):
+        monkeypatch.setattr(module, "propagate", counted)
+    contexts = []
+    of = carpets.SurfaceContext.of.__func__
+    monkeypatch.setattr(carpets.SurfaceContext, "of",
+                        classmethod(lambda cls, s: contexts.append(s) or of(cls, s)))
+    assert all(c.passed for c in battery.hilbert_claims(battery.CarpetGrid()))
+    assert watched == [] and len(contexts) == 8
+    assert sorted(tangents) == ["surface-euler"] + ["tangent-fibration"] * 7
+    tangents.clear()
+    contexts.clear()
+    code = cli.main(["sweep", "--e", "0..6", "--a", "1..3", "--db", "1..3", "--jobs", "1"])
+    assert code == 0 and capsys.readouterr().out.endswith("63 rows\n")
+    assert watched == [] and len(contexts) == 7
+    assert tangents == ["tangent-fibration"] * 7
 
 
 @pytest.mark.parametrize("chi", [None, 0])
@@ -785,17 +865,66 @@ def test_wide_triples_answer_promptly(watched):
     assert elapsed < (1.0 if len(watched) < 2 else 2.0)
 
 
+def _rank_caps(seq: LesInstance) -> list[int | None]:
+    """Loose caps on r_0..r_9 (None where none) from the instance's own
+    bounds, without `_sweep`: r_k is at most t_{k-1}, t_k and its rank
+    bounds' tops, t_k at most r_k + r_{k+1}, and a fixed chi caps each
+    degree of its term by the other two, repeated while a dimension gains
+    its first cap.  Every chain meeting the bounds and the chi lies inside."""
+    lo, hi = exact_seq._term_bounds(seq)
+    caps = [0] + [None] * 8 + [0]
+    for bound in seq.ranks:
+        if bound.hi is not None:
+            caps[bound.k] = bound.hi if caps[bound.k] is None else min(caps[bound.k], bound.hi)
+    fixed = [(term, iv.chi) for term, iv in enumerate((seq.a, seq.b, seq.c))
+             if iv.chi is not None]
+    while True:
+        for k in range(1, 9):
+            caps[k] = min((c for c in (caps[k], hi[k - 1], hi[k]) if c is not None), default=None)
+        new = [k for k in range(9)
+               if hi[k] is None and caps[k] is not None and caps[k + 1] is not None]
+        for k in new:
+            hi[k] = caps[k] + caps[k + 1]
+        for term, chi in fixed:
+            # chi = t_0 - t_1 + t_2 on the term's degrees 0, 1, 2
+            t0, t1, t2 = range(term, 9, 3)
+            for i, parts in ((t0, (chi, hi[t1], -lo[t2])), (t1, (-chi, hi[t0], hi[t2])),
+                             (t2, (chi, hi[t1], -lo[t0]))):
+                if hi[i] is None and None not in parts:
+                    hi[i] = sum(parts)
+                    new.append(i)
+        if not new:
+            return caps
+
+
 def _enumerated(seq: LesInstance) -> LesInstance:
     """Reference for `propagate`: every rank chain r_1..r_8 inside the box
-    of `_rank_bounds`, enumerated one by one (exponential in the widths, so
-    for small instances only)."""
-    lo, hi, r_min, r_max = _rank_bounds(seq)
+    of `_rank_bounds` for the instance without its rank bounds, enumerated
+    one by one (exponential in the widths, so for small instances only).
+    A chain is kept if it meets the rank bounds, checked here and not by
+    `_sweep`, so a wrong clamp there shows.  When only a rank bound bounds
+    the ranks, the box is `_rank_caps`', which `_sweep` does not build."""
+    try:
+        lo, hi, r_min, r_max = _rank_bounds(LesInstance(seq.a, seq.b, seq.c, seq.names))
+    except InconsistencyError:
+        raise _infeasible(seq) from None
+    except UnboundedRankError:
+        if not seq.ranks:
+            raise
+        r_max = _rank_caps(seq)
+        if None in r_max:
+            _rank_bounds(seq)  # raises the error `propagate` raises
+            pytest.fail(f"`_rank_bounds` bounds a rank that nothing caps: {seq}")
+        lo, hi = exact_seq._term_bounds(seq)
+        r_min = [0] * 10
     chis = (seq.a.chi, seq.b.chi, seq.c.chi)
     t_min, t_max = [None] * 9, [None] * 9
     chi_seen: list[set[int]] = [set(), set(), set()]
     ranks = [0] * 10
 
     def record():
+        if any(ranks[b.k] < b.lo or b.hi is not None and ranks[b.k] > b.hi for b in seq.ranks):
+            return
         ts = [ranks[k] + ranks[k + 1] for k in range(9)]
         values = [ts[term] - ts[term + 3] + ts[term + 6] for term in range(3)]
         if any(want is not None and value != want for want, value in zip(chis, values)):
@@ -826,13 +955,14 @@ def _enumerated(seq: LesInstance) -> LesInstance:
         if chi is None and len(chi_seen[term]) == 1:
             chi = next(iter(chi_seen[term]))
         terms.append(CohInterval(tuple(t_min[term::3]), tuple(t_max[term::3]), chi))
-    return LesInstance(*terms, seq.names, seq.label)
+    return LesInstance(*terms, seq.names, seq.label, seq.ranks)
 
 
 def _full_state_dp(seq: LesInstance) -> LesInstance:
     """Second reference for `propagate`: a forward/backward DP whose state
     is r_k and the running chi of both A and C, whatever is watched
-    (polynomial, so for instances too wide to enumerate)."""
+    (polynomial, so for instances too wide to enumerate).  Rank bounds
+    enter through the ranges `_rank_bounds` gives the ranks."""
     lo, hi, r_lo, r_hi = _rank_bounds(seq)
     ca, cb, cc = (None if iv.is_forced_all() else iv.chi for iv in (seq.a, seq.b, seq.c))
     watched = (ca, cb, cc) != (None, None, None)
@@ -886,14 +1016,15 @@ def _full_state_dp(seq: LesInstance) -> LesInstance:
     terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]),
                          min(seen) if len(seen) == 1 else None)
              for i, seen in enumerate(chi_seen))
-    return LesInstance(*terms, seq.names, seq.label)
+    return LesInstance(*terms, seq.names, seq.label, seq.ranks)
 
 
 def _running_chi_dp(seq: LesInstance) -> LesInstance:
     """Third reference for `propagate` when a chi is watched: a
     forward/backward DP whose state holds the rank and the running value of
     one watched chi, or of two (its work grows with the values a running
-    chi can take, so for moderate instances)."""
+    chi can take, so for moderate instances).  Rank bounds enter through
+    the ranges `_rank_bounds` gives the ranks."""
     lo, hi, r_lo, r_hi = _rank_bounds(seq)
     watched = {_FORMS[term]: iv.chi for term, iv in enumerate((seq.a, seq.b, seq.c))
                if iv.chi is not None and not iv.is_forced_all()}
@@ -904,7 +1035,7 @@ def _running_chi_dp(seq: LesInstance) -> LesInstance:
                    b - a if c is None else c)
     terms = (CohInterval(tuple(t_min[i::3]), tuple(t_max[i::3]), chi)
              for i, chi in enumerate((a, b, c)))
-    return LesInstance(*terms, seq.names, seq.label)
+    return LesInstance(*terms, seq.names, seq.label, seq.ranks)
 
 
 def _suffix_table(seq, lo, hi, r_lo, r_hi, steps):
@@ -1017,6 +1148,11 @@ def _chi_dp(seq, lo, hi, r_lo, r_hi, watched):
         t_min[k], t_max[k] = min(ts), max(ts)
         alive = {src for dst in alive for src in edges[k][dst]}
     return t_min, t_max, known
+
+
+def _watches(seq):
+    """Whether a fixed chi sits on a term the input does not pin."""
+    return any(iv.chi is not None and not iv.is_forced_all() for iv in (seq.a, seq.b, seq.c))
 
 
 def _result(solve, seq):
@@ -1234,5 +1370,50 @@ def test_propagate_matches_full_state_dp_on_wide_instances(seq):
 @settings(deadline=None, max_examples=300)
 @given(_wide_instances())
 def test_propagate_matches_running_chi_dp_on_wide_instances(seq):
-    assume(any(iv.chi is not None and not iv.is_forced_all() for iv in (seq.a, seq.b, seq.c)))
+    assume(_watches(seq))
     assert _result(propagate, seq) == _result(_running_chi_dp, seq)
+
+
+@st.composite
+def _with_rank_bounds(draw, instances, top):
+    """An instance from `instances` with 0-2 bounds on single ranks, each
+    with a lower end in 0..top and an upper end 0, 1 or 3 above it or none."""
+    seq = draw(instances)
+    ranks = []
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(0, top))
+        hi = draw(st.sampled_from((None, lo, lo + 1, lo + 3)))
+        ranks.append(RankBound(draw(st.integers(1, 8)), lo, hi, draw(st.sampled_from(("", "b")))))
+    return LesInstance(seq.a, seq.b, seq.c, seq.names, seq.label, tuple(ranks))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_with_rank_bounds(_small_instances(), 3))
+def test_propagate_meets_rank_bounds_on_small_instances(seq):
+    expected = _result(_enumerated, seq)
+    assert _result(propagate, seq) == expected
+    assert _result(_full_state_dp, seq) == expected
+    if _watches(seq):
+        assert _result(_running_chi_dp, seq) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(_small_instances(), st.integers(1, 8), st.integers(0, 3), st.sampled_from((0, 1, 3)))
+def test_propagate_meets_a_rank_bound_that_alone_bounds_its_rank(seq, k, lo, width):
+    """The dimensions on both sides of r_k lose their upper bounds and a
+    rank bound lo <= r_k <= lo + width is all that bounds r_k, so
+    `_enumerated` walks `_rank_caps`' box, not one `_sweep` built."""
+    terms = [CohInterval(iv.lo, tuple(None if i + 3 * d in (k - 1, k) else h
+                                      for d, h in enumerate(iv.hi)), iv.chi)
+             for i, iv in enumerate((seq.a, seq.b, seq.c))]
+    seq = LesInstance(*terms, seq.names, seq.label, (RankBound(k, lo, lo + width, "alone"),))
+    assert _result(propagate, seq) == _result(_enumerated, seq)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_with_rank_bounds(_wide_instances(), 8))
+def test_propagate_meets_rank_bounds_on_wide_instances(seq):
+    expected = _result(_full_state_dp, seq)
+    assert _result(propagate, seq) == expected
+    if _watches(seq):
+        assert _result(_running_chi_dp, seq) == expected
