@@ -47,8 +47,9 @@ consecutive critical directions +-u_rho^perp, and at each critical
 direction one per feasible choice of the perpendicular rays' bits.  Each
 of them holds infinitely many characters, so on a complete toric surface,
 whose cohomology is finite (Cox-Little-Schenck, Toric Varieties, ch. 9),
-it must have zero cohomology, and `_certify` checks that with
-`_pattern_cohomology` rather than trusting it.
+it must have zero cohomology, and `_certify` checks that in the fan's
+table of `_pattern_cohomology` (`ToricFan.mask_cohomology`) rather than
+trusting it.
 
 Everything here is integer arithmetic; no formula is shared with
 `line_cohomology`.
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
@@ -74,7 +75,8 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToricFan:
-    """A complete smooth fan in Z^2: primitive rays plus maximal cones."""
+    """A complete smooth fan in Z^2: primitive rays plus maximal cones, and
+    what the oracle reads of them alone, built when first read."""
 
     rays: tuple[tuple[int, int], ...]
     max_cones: tuple[tuple[int, ...], ...]
@@ -96,6 +98,20 @@ class ToricFan:
             u, v = self.rays[i], self.rays[j]
             if abs(u[0] * v[1] - u[1] * v[0]) != 1:
                 raise ValueError(f"cone {cone} with rays {u}, {v} is not smooth")
+
+    @cached_property
+    def ray_pairs(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
+        """(i, j, x_i, y_i, x_j, y_j, |det|) for each pair i < j of rays
+        (x_i, y_i), (x_j, y_j) that are not parallel."""
+        return tuple([(i, j, x, y, u, v, abs(x * v - y * u))
+                      for (i, (x, y)), (j, (u, v)) in combinations(enumerate(self.rays), 2)
+                      if x * v != y * u])
+
+    @cached_property
+    def mask_cohomology(self) -> tuple[tuple[int, int, int], ...]:
+        """(h0, h1, h2) of `_pattern_cohomology` for every pattern mask, by mask."""
+        cones = self.max_cones
+        return tuple([_pattern_cohomology(cones, mask)[:3] for mask in range(1 << len(self.rays))])
 
 
 @dataclass(frozen=True)
@@ -366,15 +382,17 @@ def _pattern_counts(rays: _RayClasses, box: int) -> dict[int, int]:
     return counts
 
 
-def _box_totals(
-    cone_key: tuple[tuple[int, ...], ...], rays: _RayClasses, box: int
-) -> tuple[int, int, int]:
-    totals = [0, 0, 0]
+def _box_totals(fan: ToricFan, rays: _RayClasses, box: int) -> tuple[int, int, int]:
+    """(h0, h1, h2) summed over the box: each pattern's count times its
+    cohomology in `fan.mask_cohomology`."""
+    table = fan.mask_cohomology
+    h0 = h1 = h2 = 0
     for mask, count in _pattern_counts(rays, box).items():
-        hs = _pattern_cohomology(cone_key, mask)
-        for i in range(3):
-            totals[i] += count * hs[i]
-    return tuple(totals)
+        a, b, c = table[mask]
+        h0 += count * a
+        h1 += count * b
+        h2 += count * c
+    return h0, h1, h2
 
 
 def _positive_mask(fan: ToricFan, d: tuple[int, int]) -> int:
@@ -419,40 +437,41 @@ def _patterns_at_infinity(fan: ToricFan) -> tuple[_Conditional, ...]:
     dirs = sorted(
         {d for p, q in fan.rays for d in ((-q, p), (q, -p))}, key=cmp_to_key(_counterclockwise)
     )
-    always, conditional = [], []
+    always, conditional = [], []  # always: (mask, d, the next direction if in a sector)
     for d, after in zip(dirs, dirs[1:] + dirs[:1]):
-        sector = _positive_mask(fan, (d[0] + after[0], d[1] + after[1]))
-        always.append((sector, f"in the sector between directions {d} and {after}"))
+        always.append((_positive_mask(fan, (d[0] + after[0], d[1] + after[1])), d, after))
         base = _positive_mask(fan, d)
         perp = [rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] == 0]
-        always += [(base | 1 << rho, f"at direction {d}") for rho in perp]
+        always += [(base | 1 << rho, d, None) for rho in perp]
         if len(perp) == 1:
-            always.append((base, f"at direction {d}"))
+            always.append((base, d, None))
         else:
             rho, sigma = perp
             both = base | 1 << rho | 1 << sigma
             conditional += [(rho, sigma, both, True), (rho, sigma, base, False)]
-    for mask, where in always:
-        hs = _pattern_cohomology(fan.max_cones, mask)
-        if any(hs):
+    table = fan.mask_cohomology
+    for mask, d, after in always:
+        if any(table[mask]):
+            where = (f"at direction {d}" if after is None
+                     else f"in the sector between directions {d} and {after}")
             raise TruncationError(
-                f"pattern at infinity {mask:#b} {where} has cohomology {hs[:3]}, "
+                f"pattern at infinity {mask:#b} {where} has cohomology {table[mask]}, "
                 f"for the fan with rays {fan.rays}"
             )
-    return tuple(c for c in conditional if any(_pattern_cohomology(fan.max_cones, c[2])))
+    return tuple(c for c in conditional if any(table[c[2]]))
 
 
-def _certify(fan: ToricFan, t: ToricDivisor, what: str) -> None:
-    """Raise TruncationError unless every pattern at infinity that a
-    character realizes has zero cohomology (`_patterns_at_infinity`).
+def _certify(fan: ToricFan, t: ToricDivisor, surface: surfaces.SurfaceModel,
+             divisor: surfaces.DivisorClass) -> None:
+    """Raise TruncationError, naming `divisor` on `surface`, unless every
+    pattern at infinity that a character realizes has zero cohomology
+    (`_patterns_at_infinity`).
     """
     for rho, sigma, mask, both in _patterns_at_infinity(fan):
         total = t.coeffs[rho] + t.coeffs[sigma]
         if (total >= 0) if both else (total <= -2):
-            hs = _pattern_cohomology(fan.max_cones, mask)
-            raise TruncationError(
-                f"pattern at infinity {mask:#b} has cohomology {hs[:3]} for {what}"
-            )
+            raise TruncationError(f"pattern at infinity {mask:#b} has cohomology "
+                                  f"{fan.mask_cohomology[mask]} for {divisor} on {surface}")
 
 
 def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
@@ -461,16 +480,17 @@ def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
 
     Two lines of rays u, v with det = u x v != 0 meet at (x, y) / det by
     Cramer's rule, and the box is the ceiling of the largest
-    max(|x|, |y|) / |det| over the ray pairs.
+    max(|x|, |y|) / |det| over the ray pairs (`ToricFan.ray_pairs`).
     """
     fan = fan_for(surface)
     _check_coeff_count(fan, t)
-    box = 0
-    for (u, a), (v, b) in combinations(zip(fan.rays, t.coeffs), 2):
-        det = abs(u[0] * v[1] - u[1] * v[0])
-        if det:
-            x, y = b * u[1] - a * v[1], a * v[0] - b * u[0]
-            box = max(box, -(-max(abs(x), abs(y)) // det))
+    coeffs, box = t.coeffs, 0
+    for i, j, xi, yi, xj, yj, det in fan.ray_pairs:
+        a, b = coeffs[i], coeffs[j]
+        x, y = abs(b * yi - a * yj), abs(a * xj - b * xi)
+        side = -(-(x if x > y else y) // det)
+        if side > box:
+            box = side
     return box
 
 
@@ -483,5 +503,5 @@ def coh_oracle(surface: surfaces.SurfaceModel, divisor: surfaces.DivisorClass) -
     fan = fan_for(surface)
     t = divisor_to_toric(surface, divisor)
     rays = _classify_rays(fan, t)
-    _certify(fan, t, f"{divisor} on {surface}")
-    return CohVector(*_box_totals(fan.max_cones, rays, default_box(surface, t)))
+    _certify(fan, t, surface, divisor)
+    return CohVector(*_box_totals(fan, rays, default_box(surface, t)))

@@ -6,6 +6,8 @@ with every integer rendered as a decimal string (dimension formulas grow
 quartically; consumers should not need big-integer JSON), and RFC-4180
 CSV.  Identical inputs produce byte-identical output unless --timestamp
 is passed, which text and JSON carry and CSV refuses as a usage error.
+An integer argument has at most `MAX_DIGITS` digits, so that every exact
+answer can be printed, and an option may be given once.
 
 A sweep builds one `carpets.SurfaceContext` per surface and one
 `carpets.PolarizationData` per polarization, and each row's embedding from
@@ -62,7 +64,17 @@ class UsageError(Exception):
     pass
 
 
+# The largest answers grow as the sixth power of the inputs (a sweep's
+# moduli dimension on F_e with e, a and db all large: 3,600 digits from
+# 600-digit inputs), so with this bound each stays below Python's
+# 4,300-digit limit on int/str conversion and can be printed.
+MAX_DIGITS = 600
+
+
 def _parse_int(token: str, what: str, pos: int) -> int:
+    if sum(map(str.isdigit, token)) > MAX_DIGITS:
+        # not echoed: it would flood the terminal
+        raise UsageError(f"argument {pos}: {what} has more than {MAX_DIGITS} digits")
     try:
         return int(token)
     except ValueError:
@@ -114,6 +126,10 @@ class _Args:
             if tok in flags:
                 self.flags.add(tok)
             elif tok in options:
+                if tok in self.options:
+                    first = self.options[tok][1] - 1
+                    raise UsageError(
+                        f"argument {pos}: {tok} is given again, first at argument {first}")
                 if i + 1 >= len(tokens):
                     raise UsageError(f"argument {pos}: {tok} needs a value")
                 self.options[tok] = (tokens[i + 1], pos + 1)

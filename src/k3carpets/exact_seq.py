@@ -323,9 +323,18 @@ def _rank_bound_conflict(seq: LesInstance, lo, hi, r_lo, r_hi) -> str | None:
     return None
 
 
-def _rank_bounds(seq: LesInstance):
+def _watched_terms(seq: LesInstance) -> list[tuple[int, int]]:
+    """(term, chi) for each *watched* chi, a fixed chi on a term the input
+    does not pin: a pinned term has its chi on every chain within the
+    bounds, so only a watched one constrains the ranks further."""
+    return [(term, iv.chi) for term, iv in enumerate((seq.a, seq.b, seq.c))
+            if iv.chi is not None and iv.lo != iv.hi]
+
+
+def _rank_bounds(seq: LesInstance, capped: list[tuple[int, int]]):
     """Bounds (lo, hi, r_lo, r_hi) on the nine dimensions and the ranks
-    r_0..r_9 that every feasible rank chain keeps, all finite.
+    r_0..r_9 that every feasible rank chain keeps, all finite; `capped`
+    is `_watched_terms(seq)`.
 
     Sweeps the ranks, which cap the dimensions, then repeats {let each
     watched chi cap each degree of its term from the other two; sweep}
@@ -340,8 +349,6 @@ def _rank_bounds(seq: LesInstance):
     if None not in chis and chis[0] + chis[2] != chis[1]:
         raise _infeasible(seq)
     lo, hi = _term_bounds(seq)
-    capped = [(term, iv.chi) for term, iv in enumerate((seq.a, seq.b, seq.c))
-              if iv.chi is not None and not iv.is_forced_all()]
     limits = _rank_limits(seq.ranks)
     while True:
         r_lo, r_hi = _sweep(lo, hi, limits)
@@ -376,7 +383,8 @@ def propagate(seq: LesInstance) -> LesInstance:
     chains r_1..r_8 compatible with the bounds, the rank bounds
     (`seq.ranks`) and the chi constraints, and a term whose Euler
     characteristic is constant over them gets its chi pinned; a term that
-    comes out unchanged is returned as the input object.  A fixed chi on a
+    comes out unchanged is returned as the input object, and only a term
+    that changed is built anew (`chain` relies on both).  A fixed chi on a
     term the input does not pin is *watched*: it ties ranks far apart on
     the path of constraints t_k = r_k + r_{k+1}.
 
@@ -395,11 +403,14 @@ def propagate(seq: LesInstance) -> LesInstance:
     below read the rank bounds only through the ranges r_lo..r_hi that
     `_rank_bounds` returns.  The work depends on how many chi are watched:
 
-    - none: `_rank_bounds`' one forward and one backward pass are exact on
-      the path (Freuder 1982, "A sufficient condition for backtrack-free
-      search"), so t_k ranges over [max(lo_k, r_lo[k] + r_lo[k+1]),
-      min(hi_k, r_hi[k] + r_hi[k+1])], and `_constant_chis` reads the chi
-      off the forced ranks and t_k (Schrijver 1986, section 8.2);
+    - none, the path of every call from `sweep` and of all but one from
+      `verify-paper`: `_rank_bounds`' one forward and one backward pass
+      are exact on the path (Freuder 1982, "A sufficient condition for
+      backtrack-free search"), so t_k ranges over
+      [max(lo_k, r_lo[k] + r_lo[k+1]), min(hi_k, r_hi[k] + r_hi[k+1])];
+      one pass over the nine bounds gives those t_k and the chain of least
+      ranks, and `_constant_chis` reads the chi off the forced ranks and
+      t_k (Schrijver 1986, section 8.2);
     - one: `_one_watched` keeps a rank, or an edge (r_k, r_{k+1}), iff the
       target lies in the sum of the running-chi intervals of the prefixes
       and the suffixes meeting there, and `_constant_chis` with the
@@ -416,34 +427,39 @@ def propagate(seq: LesInstance) -> LesInstance:
       running chi), each carrying the interval of the second: at most
       9 (R + 1)^2 X edges, for X <= 3 H + 1 the values the first running
       chi can take and H the largest dimension bound."""
-    lo, hi, r_lo, r_hi = _rank_bounds(seq)
-    # a term the input pins has its chi on every chain within the bounds;
-    # the fixed chi of the others are watched
-    watched = {_FORMS[term]: iv.chi for term, iv in enumerate((seq.a, seq.b, seq.c))
-               if iv.chi is not None and not iv.is_forced_all()}
+    capped = _watched_terms(seq)
+    lo, hi, r_lo, r_hi = _rank_bounds(seq, capped)
+    watched = {_FORMS[term]: chi for term, chi in capped} if capped else {}
     if len(watched) > 1:
         t_min, t_max = _two_watched(seq, lo, hi, r_lo, r_hi, watched)
     elif watched:
         r_lo, r_hi, t_min, t_max, ranks = _one_watched(seq, lo, hi, r_lo, r_hi, watched)
     else:
         # hi is capped by the sweep, which is exact: the greedy chain never sticks
-        t_min, t_max, ranks = [], hi, [0]
-        for k, l in enumerate(lo):
-            low, least, r = r_lo[k] + r_lo[k + 1], r_lo[k + 1], l - ranks[k]
-            t_min.append(l if l > low else low)
-            ranks.append(r if r > least else least)
+        t_min, t_max, ranks, r, low = [], hi, [0], 0, 0
+        for l, least in zip(lo, r_lo[1:]):
+            bottom = low + least
+            t_min.append(l if l > bottom else bottom)
+            r = l - r if l - r > least else least
+            ranks.append(r)
+            low = least
     known = (watched if len(watched) > 1
              else _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched))
-    a, b, c = (known.get(form) for form in _FORMS)
-    if [a, b, c].count(None) == 1:  # chi_B = chi_A + chi_C fixes the third
+    a, b, c = map(known.get, _FORMS)
+    if len(known) == 2:  # chi_B = chi_A + chi_C fixes the third
         a, b, c = (b - c if a is None else a, a + c if b is None else b,
                    b - a if c is None else c)
-    terms = []
-    for i, (iv, chi) in enumerate(zip((seq.a, seq.b, seq.c), (a, b, c))):
-        term_lo, term_hi = tuple(t_min[i::3]), tuple(t_max[i::3])
-        terms.append(iv if term_lo == iv.lo and term_hi == iv.hi and chi == iv.chi
-                     else CohInterval(term_lo, term_hi, chi))
-    return LesInstance(*terms, seq.names, seq.label, seq.ranks)
+    a0, b0, c0, a1, b1, c1, a2, b2, c2 = t_min
+    x0, y0, z0, x1, y1, z1, x2, y2, z2 = t_max
+    return LesInstance(_narrowed(seq.a, (a0, a1, a2), (x0, x1, x2), a),
+                       _narrowed(seq.b, (b0, b1, b2), (y0, y1, y2), b),
+                       _narrowed(seq.c, (c0, c1, c2), (z0, z1, z2), c),
+                       seq.names, seq.label, seq.ranks)
+
+
+def _narrowed(iv: CohInterval, lo, hi, chi) -> CohInterval:
+    """`iv` itself if it already has these bounds and chi, else a new term."""
+    return iv if lo == iv.lo and hi == iv.hi and chi == iv.chi else CohInterval(lo, hi, chi)
 
 
 def _constant_chis(ranks, r_lo, r_hi, t_min, t_max, watched) -> dict[tuple[int, int], int]:

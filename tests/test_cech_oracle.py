@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3carpets import battery
+from k3carpets import battery, surfaces
 from k3carpets import cech_oracle as co
 from k3carpets.cech_oracle import (
     ToricDivisor,
@@ -140,7 +140,7 @@ def test_oracle_deep_negative_twist():
 
 
 def _box_totals(fan, t, box):
-    return co._box_totals(fan.max_cones, co._classify_rays(fan, t), box)
+    return co._box_totals(fan, co._classify_rays(fan, t), box)
 
 
 def _pattern_counts(fan, t, box):
@@ -295,7 +295,7 @@ def test_certified_pass_matches_recount_and_closed_form(bundles):
     for s, d in bundles:
         fan, t = fan_for(s), divisor_to_toric(s, d)
         box = co.default_box(s, t)
-        co._certify(fan, t, f"{d} on {s}")
+        co._certify(fan, t, s, d)
         once = coh_oracle(s, d).as_tuple()
         assert once == _box_totals(fan, t, box + 3) == coh(s, d).as_tuple(), (s, d)
 
@@ -304,9 +304,9 @@ def test_oracle_counts_the_box_once(monkeypatch):
     boxes = []
     real = co._box_totals
 
-    def counted(cone_key, rays, box):
+    def counted(fan, rays, box):
         boxes.append(box)
-        return real(cone_key, rays, box)
+        return real(fan, rays, box)
 
     monkeypatch.setattr(co, "_box_totals", counted)
     f5 = hirzebruch(5)
@@ -314,11 +314,65 @@ def test_oracle_counts_the_box_once(monkeypatch):
     assert boxes == [co.default_box(f5, divisor_to_toric(f5, f5.divisor(-8, 0)))]
 
 
+# every surface of the oracle's benchmark queries, and so of its fans
+_ORACLE_SURFACES = [P2, *(hirzebruch(e) for e in range(13))]
+
+
+def _real_mask_table(fan):
+    return tuple(co._pattern_cohomology(fan.max_cones, mask)[:3]
+                 for mask in range(1 << len(fan.rays)))
+
+
+def test_mask_table_matches_pattern_cohomology():
+    for surface in _ORACLE_SURFACES:
+        fan = fan_for(surface)
+        assert fan.mask_cohomology == _real_mask_table(fan), surface
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ORACLE_SURFACES), st.data())
+def test_pair_table_box_holds_the_farthest_vertex(surface, data):
+    # every coefficient free, so that every ray pair of the fan sets a vertex
+    fan = fan_for(surface)
+    coeffs = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(fan.rays),
+                                max_size=len(fan.rays)))
+    t = ToricDivisor(tuple(coeffs))
+    assert len(fan.ray_pairs) == sum(1 for _ in _arrangement_vertices(fan, t))
+    farthest = max(max(abs(x), abs(y)) for x, y in _arrangement_vertices(fan, t))
+    box = co.default_box(surface, t)
+    assert box - 1 < farthest <= box
+
+
+def test_certified_call_formats_neither_divisor_nor_surface(monkeypatch):
+    # a deterministic guard on per-call work: the certificate names the
+    # bundle only in the error it raises
+    formatted = []
+
+    def counted(self):
+        formatted.append(self)
+        return "?"
+
+    monkeypatch.setattr(surfaces.SurfaceModel, "__str__", counted)
+    monkeypatch.setattr(surfaces.DivisorClass, "__str__", counted)
+    for s, d in battery.oracle_grid():
+        coh_oracle(s, d)
+    assert formatted == []
+    f3 = hirzebruch(3)
+    monkeypatch.setattr(co, "_patterns_at_infinity", lambda fan: ((0, 2, 0b0101, True),))
+    with pytest.raises(TruncationError, match=r"for \? on \?$"):
+        coh_oracle(f3, f3.divisor(1, 1))
+    assert len(formatted) == 2
+
+
 @pytest.fixture
 def fake_cohomology(monkeypatch):
-    """Gives one pattern mask the cohomology (0, 1, 0); the fans' cached
-    patterns at infinity are cleared before and after."""
+    """Gives one pattern mask the cohomology (0, 1, 0).  The fans of
+    `fan_for`, which hold their pattern tables, and their cached patterns
+    at infinity are dropped before and after, and the fans built after the
+    test must hold the real tables: no table built under the fake outlives
+    the test."""
     real = co._pattern_cohomology
+    fan_for.cache_clear()
     co._patterns_at_infinity.cache_clear()
 
     def fake(fake_mask):
@@ -329,7 +383,11 @@ def fake_cohomology(monkeypatch):
 
     yield fake
     monkeypatch.undo()
+    fan_for.cache_clear()
     co._patterns_at_infinity.cache_clear()
+    for surface in _ORACLE_SURFACES:
+        fan = fan_for(surface)
+        assert fan.mask_cohomology == _real_mask_table(fan), surface
 
 
 def test_sector_pattern_with_cohomology_is_refused(fake_cohomology):
@@ -353,6 +411,8 @@ def test_critical_pattern_is_checked_where_a_character_realizes_it(
     f0 = hirzebruch(0)
     fake_cohomology(mask)
     assert coh_oracle(f0, f0.divisor(0, -1)).as_tuple() == (0, 0, 0)
+    # that count read the fake: the fan's table was built under it
+    assert fan_for(f0).mask_cohomology[mask] == (0, 1, 0)
     for b in realized_at:
         with pytest.raises(TruncationError, match=f"pattern at infinity {mask:#b} has cohomology"):
             coh_oracle(f0, f0.divisor(0, b))

@@ -48,6 +48,50 @@ def test_usage_errors_carry_position(capsys):
     assert cli.main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--e", "0..1", "--e", "5..5"],
+     "argument 3: --e is given again, first at argument 1"),
+    (["carpet", "F3", "2,8", "--N", "40", "--N", "30"],
+     "argument 5: --N is given again, first at argument 3"),
+    (["coh", "P2", "3", "--format", "json", "--timestamp", "--format", "json"],
+     "argument 6: --format is given again, first at argument 3"),
+])
+def test_repeated_option_is_a_usage_error(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, message", [
+    # an exact h0 of 4,400 digits
+    (["coh", "P2", "9" * 2200], "argument 2: divisor coefficient"),
+    # past Python's own 4,300-digit limit
+    (["coh", "P2", "9" * 4400], "argument 2: divisor coefficient"),
+    (["coh", "F2", "1," + "9" * 601], "argument 2: divisor coefficient"),
+    (["hilbert", "F" + "1" * 601, "1,1"], "argument 1: Hirzebruch parameter"),
+])
+def test_integers_past_the_digit_bound_are_usage_errors(capsys, argv, message, fmt):
+    assert cli.main([*argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} has more than {cli.MAX_DIGITS} digits\n"
+
+
+def test_integers_at_the_digit_bound_print_exactly():
+    d = 10 ** cli.MAX_DIGITS - 1
+    code, text = run("coh", "P2", str(d), "--format", "json")
+    assert code == 0
+    assert json.loads(text)["results"]["h0"] == str((d + 1) * (d + 2) // 2)
+    # the sweep grows fastest: its moduli dimension is sixth-degree in e, a and db
+    code, text = run("sweep", *(arg for name in ("--e", "--a", "--db") for arg in (name, str(d))),
+                     "--format", "json")
+    assert code == 0
+    (row,) = json.loads(text)["rows"]
+    assert "error" not in row and 3500 < len(row["moduli_dim"]) < 4300
+
+
 def test_coh_text_snapshot():
     code, text = run("coh", "F2", "-2,-4")
     assert code == 0

@@ -1,3 +1,4 @@
+import io
 import random
 import time
 from itertools import combinations, product
@@ -17,6 +18,7 @@ from k3carpets.exact_seq import (
     UnboundedRankError,
     _infeasible,
     _rank_bounds,
+    _watched_terms,
     chain,
     propagate,
 )
@@ -905,7 +907,8 @@ def _enumerated(seq: LesInstance) -> LesInstance:
     `_sweep`, so a wrong clamp there shows.  When only a rank bound bounds
     the ranks, the box is `_rank_caps`', which `_sweep` does not build."""
     try:
-        lo, hi, r_min, r_max = _rank_bounds(LesInstance(seq.a, seq.b, seq.c, seq.names))
+        bare = LesInstance(seq.a, seq.b, seq.c, seq.names)
+        lo, hi, r_min, r_max = _rank_bounds(bare, _watched_terms(bare))
     except InconsistencyError:
         raise _infeasible(seq) from None
     except UnboundedRankError:
@@ -913,7 +916,7 @@ def _enumerated(seq: LesInstance) -> LesInstance:
             raise
         r_max = _rank_caps(seq)
         if None in r_max:
-            _rank_bounds(seq)  # raises the error `propagate` raises
+            _rank_bounds(seq, _watched_terms(seq))  # raises the error `propagate` raises
             pytest.fail(f"`_rank_bounds` bounds a rank that nothing caps: {seq}")
         lo, hi = exact_seq._term_bounds(seq)
         r_min = [0] * 10
@@ -963,7 +966,7 @@ def _full_state_dp(seq: LesInstance) -> LesInstance:
     is r_k and the running chi of both A and C, whatever is watched
     (polynomial, so for instances too wide to enumerate).  Rank bounds
     enter through the ranges `_rank_bounds` gives the ranks."""
-    lo, hi, r_lo, r_hi = _rank_bounds(seq)
+    lo, hi, r_lo, r_hi = _rank_bounds(seq, _watched_terms(seq))
     ca, cb, cc = (None if iv.is_forced_all() else iv.chi for iv in (seq.a, seq.b, seq.c))
     watched = (ca, cb, cc) != (None, None, None)
 
@@ -1025,7 +1028,7 @@ def _running_chi_dp(seq: LesInstance) -> LesInstance:
     one watched chi, or of two (its work grows with the values a running
     chi can take, so for moderate instances).  Rank bounds enter through
     the ranges `_rank_bounds` gives the ranks."""
-    lo, hi, r_lo, r_hi = _rank_bounds(seq)
+    lo, hi, r_lo, r_hi = _rank_bounds(seq, _watched_terms(seq))
     watched = {_FORMS[term]: iv.chi for term, iv in enumerate((seq.a, seq.b, seq.c))
                if iv.chi is not None and not iv.is_forced_all()}
     t_min, t_max, known = _chi_dp(seq, lo, hi, r_lo, r_hi, watched)
@@ -1252,7 +1255,7 @@ def test_rank_box_keeps_every_feasible_chain(seq, unbounded):
                    for k in range(1, 9)] + [0]
     hull = _chain_hull(lo, hi, crude, watched)
     try:
-        box_lo, box_hi, r_lo, r_hi = _rank_bounds(seq)
+        box_lo, box_hi, r_lo, r_hi = _rank_bounds(seq, _watched_terms(seq))
     except InconsistencyError:
         assert hull is None
         return
@@ -1275,7 +1278,7 @@ def _assert_integers(seq: LesInstance) -> None:
     """`_rank_bounds` and `propagate` compute with ints only: every entry of
     the four lists is an int, and every returned bound an int or None."""
     try:
-        lists = _rank_bounds(seq)
+        lists = _rank_bounds(seq, _watched_terms(seq))
     except (InconsistencyError, UnboundedRankError):
         return
     assert all(type(x) is int for values in lists for x in values), lists
@@ -1300,9 +1303,8 @@ def test_propagate_matches_enumeration_on_small_instances(seq):
     assert _result(propagate, seq) == _result(_enumerated, seq)
 
 
-@pytest.fixture(scope="module")
-def verify_paper_inputs():
-    """The distinct `propagate` inputs of one `verify-paper` run."""
+def _propagate_inputs(run) -> list[LesInstance]:
+    """The distinct `propagate` inputs of `run()`, in first-call order."""
     seen = {}
     original = exact_seq.propagate
 
@@ -1313,14 +1315,51 @@ def verify_paper_inputs():
     with pytest.MonkeyPatch.context() as patch:
         for module in (exact_seq, carpets, battery):  # every module binding the name
             patch.setattr(module, "propagate", capture)
-        battery.run_all()
-    assert len(seen) > 100
+        run()
     return list(seen)
 
 
-def test_propagate_matches_enumeration_on_verify_paper(verify_paper_inputs):
-    for seq in verify_paper_inputs:
+@pytest.fixture(scope="module")
+def verify_paper_inputs():
+    """The distinct `propagate` inputs of one `verify-paper` run."""
+    seen = _propagate_inputs(battery.run_all)
+    assert len(seen) > 100
+    return seen
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs():
+    """The distinct `propagate` inputs of a sweep that reaches what
+    `verify-paper` does not: extra ambient dimensions 1..2 and degrees
+    11..12 on P^2."""
+    tokens = "--e 0..6 --a 1..3 --db 1..3 --extra 0..2 --d 1..12".split()
+    seen = _propagate_inputs(lambda: cli.cmd_sweep(tokens, io.StringIO()))
+    assert len(seen) == 537
+    return seen
+
+
+def test_propagate_matches_enumeration_on_verify_paper(verify_paper_inputs, sweep_inputs):
+    for seq in verify_paper_inputs + sweep_inputs:
         assert _result(propagate, seq) == _result(_enumerated, seq), seq
+
+
+def test_propagate_builds_a_term_only_where_one_changed(verify_paper_inputs, monkeypatch):
+    """A deterministic guard on `propagate`'s work per call: one
+    `CohInterval` built per term whose bounds or chi changed, none else."""
+    built = []
+    real = exact_seq.CohInterval
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact_seq, "CohInterval", counted)
+    for seq in verify_paper_inputs:
+        built.clear()
+        out = propagate(seq)
+        changed = sum((new.lo, new.hi, new.chi) != (old.lo, old.hi, old.chi)
+                      for old, new in zip((seq.a, seq.b, seq.c), (out.a, out.b, out.c)))
+        assert len(built) == changed, seq
 
 
 def test_bounds_stay_integers_on_verify_paper(verify_paper_inputs):
@@ -1417,3 +1456,19 @@ def test_propagate_meets_rank_bounds_on_wide_instances(seq):
     assert _result(propagate, seq) == expected
     if _watches(seq):
         assert _result(_running_chi_dp, seq) == expected
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(_small_instances(), _wide_instances(), _with_rank_bounds(_small_instances(), 3),
+                 _with_rank_bounds(_wide_instances(), 8)))
+def test_propagate_returns_a_term_as_is_iff_it_is_unchanged(seq):
+    """`chain` stores a returned term as is when it is the table's own
+    object, so `propagate` must return the input object exactly for a term
+    whose bounds and chi did not change, and a new `CohInterval` else."""
+    try:
+        out = propagate(seq)
+    except (InconsistencyError, UnboundedRankError):
+        return
+    for old, new in zip((seq.a, seq.b, seq.c), (out.a, out.b, out.c)):
+        assert type(new) is CohInterval
+        assert (new is old) == ((new.lo, new.hi, new.chi) == (old.lo, old.hi, old.chi))
