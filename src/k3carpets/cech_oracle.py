@@ -18,19 +18,16 @@ the sum over all m in a large box.
 
 That complex depends on m only through the pattern of ray inequalities m
 satisfies, an integer bitmask whose bit rho is set iff
-<m, u_rho> >= -a_rho.  So each fan has at most 2^(#rays) distinct
-per-degree complexes; their ranks are computed once by exact Gaussian
-elimination, and the box only has to be counted per pattern.  Every ray
-of these fans has x-component in {-1, 0, 1}, so once per divisor each ray
-is classified as x-independent or as a cut: along a row m2 = y its bit
-flips once, between x - 1 and x at an x affine in y.  A lower ray
-(x-component 1) is satisfied from its cut on; an upper ray (-1) is
-satisfied up to its threshold, so its cut sits one past it.  The box
-splits into a few y-slabs between the rows where two cuts cross or an
-x-independent ray changes sign; inside a slab each pattern's count per
-row is affine in y, so a slab's total is an arithmetic series read off
-its first and last rows.  The work has a bound set by the rays, not by
-the size of the box.
+<m, u_rho> >= -a_rho, so the box is counted per pattern.  Every ray of
+these fans has x-component in {-1, 0, 1}, so each ray is x-independent
+or a cut: along a row m2 = y its bit flips once, between x - 1 and x at
+an x affine in y.  A lower ray (x-component 1) is satisfied from its cut
+on; an upper ray (-1) is satisfied up to its threshold, so its cut sits
+one past it.  The box splits into a few y-slabs between the rows where
+two cuts cross or an x-independent ray changes sign; inside a slab each
+pattern's count per row is affine in y, so a slab's total is an
+arithmetic series read off its first and last rows.  The work has a
+bound set by the rays, not by the size of the box.
 
 The box is derived, counted once, and certified rather than re-counted.
 Every character outside it must carry no cohomology, which follows from
@@ -48,8 +45,12 @@ direction one per feasible choice of the perpendicular rays' bits.  Each
 of them holds infinitely many characters, so on a complete toric surface,
 whose cohomology is finite (Cox-Little-Schenck, Toric Varieties, ch. 9),
 it must have zero cohomology, and `_certify` checks that in the fan's
-table of `_pattern_cohomology` (`ToricFan.mask_cohomology`) rather than
-trusting it.
+pattern table rather than trusting it.
+
+Built once when first read: per cone structure, the pattern table
+(`_pattern_cohomology`), shared by every fan with those cones; per fan
+(`fan_for` keeps 256), its ray pairs, ray classes and patterns at
+infinity.  Per call: the intercepts, the box, its slabs, the certificate.
 
 Everything here is integer arithmetic; no formula is shared with
 `line_cohomology`.
@@ -109,9 +110,28 @@ class ToricFan:
 
     @cached_property
     def mask_cohomology(self) -> tuple[tuple[int, int, int], ...]:
-        """(h0, h1, h2) of `_pattern_cohomology` for every pattern mask, by mask."""
-        cones = self.max_cones
-        return tuple([_pattern_cohomology(cones, mask)[:3] for mask in range(1 << len(self.rays))])
+        """(h0, h1, h2) of every pattern mask, by mask, shared by the fans
+        with these cones."""
+        return _pattern_cohomology(self.max_cones, len(self.rays))
+
+    @cached_property
+    def ray_classes(self) -> _RayClasses:
+        """`_classify_rays` for the fan alone: each intercept's place holds its ray's rho."""
+        fixed, cuts = [], []
+        for rho, (ux, uy) in enumerate(self.rays):
+            if ux not in (-1, 0, 1):
+                raise ValueError(f"ray {(ux, uy)} has x-component {ux}; the oracle's box count "
+                                 "needs every ray's x-component in {-1, 0, 1}")
+            if ux == 0:
+                fixed.append((1 << rho, uy, rho))
+            else:
+                cuts.append((1 << rho, uy if ux < 0 else -uy, rho, ux < 0))
+        return tuple(fixed), tuple(cuts)
+
+    @cached_property
+    def at_infinity(self) -> tuple[_Conditional, ...]:
+        """The fan's part of the certificate (`_patterns_at_infinity`)."""
+        return _patterns_at_infinity(self)
 
 
 @dataclass(frozen=True)
@@ -138,9 +158,10 @@ def hirzebruch_fan(e: int) -> ToricFan:
     return ToricFan(((1, 0), (0, 1), (-1, e), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def fan_for(surface: surfaces.SurfaceModel) -> ToricFan:
-    """The fan of `surface`, built once per P^2 and per e."""
+    """The fan of `surface`, built once per P^2 and per e while it is among
+    the last 256 asked for; an evicted fan is built again, equal."""
     if surface.is_plane:
         return p2_fan()
     return hirzebruch_fan(surface.e)
@@ -164,81 +185,61 @@ def divisor_to_toric(
 
 
 def _rank(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free integer row elimination."""
-    mat = [row for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        pivot_entry = prow[col]
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            if factor:
-                mat[r] = [pivot_entry * x - factor * y for x, y in zip(mat[r], prow)]
+    """Rank over Q by fraction-free integer elimination: each step takes a
+    nonzero row as pivot, clears its first nonzero column from the other
+    rows, and drops the rows that become zero."""
+    rank, rows = 0, [row for row in rows if any(row)]
+    while rows:
+        pivot = rows.pop()
+        col = next(c for c, x in enumerate(pivot) if x)
+        p = pivot[col]
+        rows = [[p * x - r[col] * y for x, y in zip(r, pivot)] if r[col] else r for r in rows]
+        rows = [row for row in rows if any(row)]
         rank += 1
-        col += 1
     return rank
 
 
-@lru_cache(maxsize=None)
-def _pattern_cohomology(cone_key: tuple[tuple[int, ...], ...], mask: int) -> tuple[int, ...]:
-    """Cohomology ranks of the Cech complex for one ray-inequality pattern.
+@lru_cache(maxsize=256)
+def _pattern_cohomology(cones: tuple[tuple[int, ...], ...],
+                        nrays: int) -> tuple[tuple[int, int, int], ...]:
+    """(h0, h1, h2) of the Cech complex of each mask of `nrays` rays, by
+    mask, for every fan whose maximal cones are `cones`.
 
-    Bit rho of `mask` is set iff <m, u_rho> >= -a_rho holds; a chart subset
+    Bit rho of a mask is set iff <m, u_rho> >= -a_rho holds; a chart subset
     is admissible iff every ray of its common face (the AND of its cones'
-    ray masks) is satisfied.  Returns one rank per degree 0..(#charts - 1);
-    degrees >= 3 must come out 0 (the surface has cohomological dimension
-    2) and are checked, not assumed.
+    ray masks) is satisfied.  The nerve (each chart subset, its face mask
+    and its signed faces) is built once; each mask's complex is ranked on
+    its admissible rows and columns.  Degrees >= 3 must come out 0 (the
+    surface has cohomological dimension 2) and are checked, not assumed.
     """
-    ncharts = len(cone_key)
-    cone_masks = [sum(1 << rho for rho in cone) for cone in cone_key]
-    admissible = [
-        [
-            subset
-            for subset in combinations(range(ncharts), size)
-            if reduce(and_, (cone_masks[i] for i in subset)) & ~mask == 0
-        ]
-        for size in range(1, ncharts + 1)
-    ]
-    index = [{s: i for i, s in enumerate(level)} for level in admissible]
-
-    ranks_d = []
-    for p in range(ncharts - 1):
-        rows = []
-        for subset in admissible[p + 1]:
-            row = [0] * len(admissible[p])
-            for t in range(len(subset)):
-                face = subset[:t] + subset[t + 1 :]
-                j = index[p].get(face)
-                if j is not None:
-                    row[j] = -1 if t % 2 else 1
-            rows.append(row)
-        if admissible[p] and rows:
-            ranks_d.append(_rank(rows))
-        else:
-            ranks_d.append(0)
-    ranks_d.append(0)  # no differential out of the top degree
-
-    hs = []
-    for p in range(ncharts):
-        dim = len(admissible[p])
-        incoming = ranks_d[p - 1] if p > 0 else 0
-        hs.append(dim - ranks_d[p] - incoming)
-    if any(h < 0 for h in hs):
-        raise ArithmeticError(f"negative Cech rank for pattern {mask:#b}: {hs}")
-    if any(hs[3:]):
-        raise ArithmeticError(
-            f"nonzero cohomology above degree 2 for pattern {mask:#b}: {hs}"
-        )
-    return tuple(hs)
+    ray_masks = [sum(1 << rho for rho in cone) for cone in cones]
+    levels = [list(combinations(range(len(cones)), size)) for size in range(1, len(cones) + 1)]
+    faces = [[reduce(and_, [ray_masks[i] for i in s]) for s in level] for level in levels]
+    coboundary = []  # [p][r][k]: the sign of face k of subset r of level p + 1
+    for level, above in zip(levels, levels[1:]):
+        index = {s: k for k, s in enumerate(level)}
+        coboundary.append(rows := [[0] * len(level) for _ in above])
+        for row, s in zip(rows, above):
+            for t in range(len(s)):
+                row[index[s[:t] + s[t + 1:]]] = -1 if t % 2 else 1
+    ranked, table = {}, []  # ranked: by (degree, admissible columns, admissible rows)
+    for mask in range(1 << nrays):
+        admissible = [tuple([k for k, face in enumerate(level) if face & ~mask == 0])
+                      for level in faces]
+        ranks = [0]  # ranks[p]: the rank of the differential into degree p
+        for p, signs in enumerate(coboundary):
+            key = (p, admissible[p], admissible[p + 1])
+            if key not in ranked:
+                ranked[key] = _rank([[signs[r][k] for k in key[1]] for r in key[2]])
+            ranks.append(ranked[key])
+        ranks.append(0)  # no differential out of the top degree
+        hs = [len(level) - ranks[p] - ranks[p + 1] for p, level in enumerate(admissible)]
+        if any(h < 0 for h in hs):
+            raise ArithmeticError(f"negative Cech rank for pattern {mask:#b}: {hs}")
+        if any(hs[3:]):
+            raise ArithmeticError(f"nonzero cohomology above degree 2 for pattern {mask:#b}: {hs}")
+        table.append((*hs, 0, 0)[:3])
+    return tuple(table)
 
 
 def _check_coeff_count(fan: ToricFan, t: ToricDivisor) -> None:
@@ -251,13 +252,9 @@ def _check_coeff_count(fan: ToricFan, t: ToricDivisor) -> None:
 def graded_piece(fan: ToricFan, t: ToricDivisor, m: tuple[int, int]) -> CohVector:
     """Contribution of the character m to the cohomology of O(T)."""
     _check_coeff_count(fan, t)
-    mask = sum(
-        1 << rho
-        for rho, (u, a) in enumerate(zip(fan.rays, t.coeffs))
-        if u[0] * m[0] + u[1] * m[1] >= -a
-    )
-    hs = _pattern_cohomology(fan.max_cones, mask)
-    return CohVector(hs[0], hs[1], hs[2] if len(hs) > 2 else 0)
+    mask = sum(1 << rho for rho, (u, a) in enumerate(zip(fan.rays, t.coeffs))
+               if u[0] * m[0] + u[1] * m[1] >= -a)
+    return CohVector(*fan.mask_cohomology[mask])
 
 
 # An x-independent ray along a row m2 = y: (bit, slope, intercept), with
@@ -275,24 +272,15 @@ def _classify_rays(fan: ToricFan, t: ToricDivisor) -> _RayClasses:
     The inequality of ray rho on a row m2 = y reads ux * x + uy * y + a >= 0,
     so with ux in {-1, 0, 1} it holds always or never (ux = 0), from the
     cut x = -(uy * y + a) on (ux = 1), or up to x = uy * y + a (ux = -1),
-    whose cut is one past that.
+    whose cut is one past that.  The rays' classes and slopes are the
+    fan's (`ToricFan.ray_classes`); a call reads only the intercepts.
     """
-    for u in fan.rays:
-        if u[0] not in (-1, 0, 1):
-            raise ValueError(
-                f"ray {u} has x-component {u[0]}; the oracle's box count needs "
-                "every ray's x-component in {-1, 0, 1}"
-            )
+    fixed, cuts = fan.ray_classes
     _check_coeff_count(fan, t)
-    fixed, cuts = [], []
-    for rho, ((ux, uy), a) in enumerate(zip(fan.rays, t.coeffs)):
-        if ux == 0:
-            fixed.append((1 << rho, uy, a))
-        elif ux > 0:
-            cuts.append((1 << rho, -uy, -a, False))
-        else:
-            cuts.append((1 << rho, uy, a + 1, True))
-    return tuple(fixed), tuple(cuts)
+    a = t.coeffs
+    return (tuple([(bit, slope, a[rho]) for bit, slope, rho in fixed]),
+            tuple([(bit, slope, a[rho] + 1 if upper else -a[rho], upper)
+                   for bit, slope, rho, upper in cuts]))
 
 
 def _row_segments(rays: _RayClasses, box: int, y: int) -> tuple[list[int], list[int]]:
@@ -395,11 +383,6 @@ def _box_totals(fan: ToricFan, rays: _RayClasses, box: int) -> tuple[int, int, i
     return h0, h1, h2
 
 
-def _positive_mask(fan: ToricFan, d: tuple[int, int]) -> int:
-    """Mask of the rays with <d, u_rho> > 0."""
-    return sum(1 << rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] > 0)
-
-
 def _counterclockwise(d: tuple[int, int], e: tuple[int, int]) -> int:
     """Order of two directions counterclockwise from the positive x-axis,
     by half-plane and then by the sign of their cross product."""
@@ -416,48 +399,60 @@ def _counterclockwise(d: tuple[int, int], e: tuple[int, int]) -> int:
 _Conditional = tuple[int, int, int, bool]
 
 
-@lru_cache(maxsize=None)
 def _patterns_at_infinity(fan: ToricFan) -> tuple[_Conditional, ...]:
-    """The fan's part of the certificate, computed once per fan.
+    """The fan's part of the certificate (`ToricFan.at_infinity`).
 
-    The critical directions +-u_rho^perp are sorted counterclockwise.  The
-    pattern of the open sector after a direction d is read off the sum of
-    d and the next direction.  At d, the rays with <d, u_rho> > 0 are
+    The critical directions +-u_rho^perp are sorted counterclockwise, the
+    upper half-plane's and then their opposites, and each <d, u_rho> is
+    computed once for d and -d.  At d, the rays with <d, u_rho> > 0 are
     satisfied, and the rays perpendicular to d are one ray w, or w and -w;
     with k = <m, w>, which takes every integer value, the bit of w asks for
     k >= -a_w and the bit of -w for k <= a_(-w).  A single bit, and two
     different bits, are realized whatever the divisor.  Both set needs
-    a_w + a_(-w) >= 0, and both unset needs a_w + a_(-w) <= -2.
+    a_w + a_(-w) >= 0, and both unset a_w + a_(-w) <= -2.  In the sector
+    after d a ray has its sign at d, or at the next direction if it is
+    perpendicular to d.
 
     Raises TruncationError if a pattern that every divisor realizes has
     nonzero cohomology.  Returns the patterns that only some divisors
     realize and that have nonzero cohomology, for `_certify` to test
     against the divisor; a correct fan has none.
     """
-    dirs = sorted(
-        {d for p, q in fan.rays for d in ((-q, p), (q, -p))}, key=cmp_to_key(_counterclockwise)
-    )
+    upper = sorted({(-q, p) if p > 0 or (p == 0 and q < 0) else (q, -p) for p, q in fan.rays},
+                   key=cmp_to_key(_counterclockwise))
+    dirs, opposite = [], []  # (d, mask of <d, u_rho> > 0, perpendicular rays, their mask)
+    for x, y in upper:
+        positive = negative = on = 0
+        perp = []
+        for rho, (p, q) in enumerate(fan.rays):
+            dot = p * x + q * y
+            if dot > 0:
+                positive |= 1 << rho
+            elif dot < 0:
+                negative |= 1 << rho
+            else:
+                on |= 1 << rho
+                perp.append(rho)
+        dirs.append(((x, y), positive, perp, on))
+        opposite.append(((-x, -y), negative, perp, on))
+    dirs += opposite
     always, conditional = [], []  # always: (mask, d, the next direction if in a sector)
-    for d, after in zip(dirs, dirs[1:] + dirs[:1]):
-        always.append((_positive_mask(fan, (d[0] + after[0], d[1] + after[1])), d, after))
-        base = _positive_mask(fan, d)
-        perp = [rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] == 0]
-        always += [(base | 1 << rho, d, None) for rho in perp]
+    for (d, base, perp, on), (after, next_base, _, _) in zip(dirs, dirs[1:] + dirs[:1]):
+        always.append((base | (on & next_base), d, after))
+        for rho in perp:
+            always.append((base | 1 << rho, d, None))
         if len(perp) == 1:
             always.append((base, d, None))
         else:
             rho, sigma = perp
-            both = base | 1 << rho | 1 << sigma
-            conditional += [(rho, sigma, both, True), (rho, sigma, base, False)]
+            conditional += [(rho, sigma, base | on, True), (rho, sigma, base, False)]
     table = fan.mask_cohomology
     for mask, d, after in always:
         if any(table[mask]):
             where = (f"at direction {d}" if after is None
                      else f"in the sector between directions {d} and {after}")
-            raise TruncationError(
-                f"pattern at infinity {mask:#b} {where} has cohomology {table[mask]}, "
-                f"for the fan with rays {fan.rays}"
-            )
+            raise TruncationError(f"pattern at infinity {mask:#b} {where} has cohomology "
+                                  f"{table[mask]}, for the fan with rays {fan.rays}")
     return tuple(c for c in conditional if any(table[c[2]]))
 
 
@@ -465,9 +460,8 @@ def _certify(fan: ToricFan, t: ToricDivisor, surface: surfaces.SurfaceModel,
              divisor: surfaces.DivisorClass) -> None:
     """Raise TruncationError, naming `divisor` on `surface`, unless every
     pattern at infinity that a character realizes has zero cohomology
-    (`_patterns_at_infinity`).
-    """
-    for rho, sigma, mask, both in _patterns_at_infinity(fan):
+    (`ToricFan.at_infinity`)."""
+    for rho, sigma, mask, both in fan.at_infinity:
         total = t.coeffs[rho] + t.coeffs[sigma]
         if (total >= 0) if both else (total <= -2):
             raise TruncationError(f"pattern at infinity {mask:#b} has cohomology "
@@ -476,15 +470,17 @@ def _certify(fan: ToricFan, t: ToricDivisor, surface: surfaces.SurfaceModel,
 
 def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
     """The smallest box |m1|, |m2| <= box that holds every vertex of the
-    arrangement <m, u_rho> = -a_rho.
-
-    Two lines of rays u, v with det = u x v != 0 meet at (x, y) / det by
-    Cramer's rule, and the box is the ceiling of the largest
-    max(|x|, |y|) / |det| over the ray pairs (`ToricFan.ray_pairs`).
-    """
+    arrangement <m, u_rho> = -a_rho."""
     fan = fan_for(surface)
     _check_coeff_count(fan, t)
-    coeffs, box = t.coeffs, 0
+    return _vertex_box(fan, t.coeffs)
+
+
+def _vertex_box(fan: ToricFan, coeffs: tuple[int, ...]) -> int:
+    """Two lines of rays u, v with det = u x v != 0 meet at (x, y) / det by
+    Cramer's rule, and the box is the ceiling of the largest
+    max(|x|, |y|) / |det| over the ray pairs (`ToricFan.ray_pairs`)."""
+    box = 0
     for i, j, xi, yi, xj, yj, det in fan.ray_pairs:
         a, b = coeffs[i], coeffs[j]
         x, y = abs(b * yi - a * yj), abs(a * xj - b * xi)
@@ -497,11 +493,12 @@ def default_box(surface: surfaces.SurfaceModel, t: ToricDivisor) -> int:
 def coh_oracle(surface: surfaces.SurfaceModel, divisor: surfaces.DivisorClass) -> CohVector:
     """Ground-truth (h0, h1, h2) by summing graded pieces over a box.
 
-    The box is `default_box`; `_certify` raises TruncationError unless its
-    count is the whole answer, and the box is then counted once.
+    The box is `default_box`'s, the coefficient count checked once (by
+    `_classify_rays`); `_certify` raises TruncationError unless its count
+    is the whole answer, and the box is then counted once.
     """
     fan = fan_for(surface)
     t = divisor_to_toric(surface, divisor)
     rays = _classify_rays(fan, t)
     _certify(fan, t, surface, divisor)
-    return CohVector(*_box_totals(fan, rays, default_box(surface, t)))
+    return CohVector(*_box_totals(fan, rays, _vertex_box(fan, t.coeffs)))

@@ -1,11 +1,13 @@
 """Command-line front end: single queries, sweeps, verification battery.
 
 Surface/divisor grammar: `P2 d` and `F<e> a,b` with negative integers
-allowed (`coh F2 -2,-4`).  Output formats: aligned text (default), JSON
-with every integer rendered as a decimal string (dimension formulas grow
-quartically; consumers should not need big-integer JSON), and RFC-4180
-CSV.  Identical inputs produce byte-identical output unless --timestamp
-is passed, which text and JSON carry and CSV refuses as a usage error.
+allowed (`coh F2 -2,-4`); an integer is ASCII `-?[0-9]+`, and `F<e>`
+takes e as `str` writes it (not `F03`).  Output formats: aligned text
+(default), JSON with every integer rendered as a decimal string
+(dimension formulas grow quartically; consumers should not need
+big-integer JSON), and RFC-4180 CSV.  Identical inputs produce
+byte-identical output unless --timestamp is passed, which text and JSON
+carry and CSV refuses as a usage error.
 An integer argument has at most `MAX_DIGITS` digits, so that every exact
 answer can be printed, and an option may be given once.
 
@@ -55,6 +57,7 @@ commands:
 
 surfaces:  P2  or  F<e> (e >= 0), e.g. F0, F2
 divisors:  a single integer d on P2; a,b on F_e (negatives allowed)
+integers:  ASCII digits with an optional leading '-'
 options:   --format text|json|csv    --timestamp    --N n (ambient P^N,
            default complete linear series)
 """
@@ -69,27 +72,42 @@ class UsageError(Exception):
 # 600-digit inputs), so with this bound each stays below Python's
 # 4,300-digit limit on int/str conversion and can be printed.
 MAX_DIGITS = 600
+ECHO_CHARS = 32
+
+
+def _echo(token: str, quote: bool = True) -> str:
+    """`token` as a message shows it: quoted unless `quote` is false, and
+    past ECHO_CHARS characters cut to a quoted prefix and its length."""
+    if len(token) > ECHO_CHARS:
+        return f"{token[:ECHO_CHARS]!r}... ({len(token)} characters)"
+    return repr(token) if quote else token
 
 
 def _parse_int(token: str, what: str, pos: int) -> int:
-    if sum(map(str.isdigit, token)) > MAX_DIGITS:
-        # not echoed: it would flood the terminal
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"argument {pos}: {what} must be an integer, got {_echo(token)}")
+    if len(digits) > MAX_DIGITS:
         raise UsageError(f"argument {pos}: {what} has more than {MAX_DIGITS} digits")
-    try:
-        return int(token)
-    except ValueError:
-        raise UsageError(f"argument {pos}: {what} must be an integer, got {token!r}") from None
+    return int(token)
+
+
+def _at_least(value: int, low: int, what: str, pos: int) -> int:
+    if value < low:
+        shown = _echo(str(value), quote=False)
+        raise UsageError(f"argument {pos}: {what} must be >= {low}, got {shown}")
+    return value
 
 
 def _parse_surface(token: str, pos: int) -> surfaces.SurfaceModel:
     if token == "P2":
         return surfaces.projective_plane()
     if token.startswith("F"):
-        e = _parse_int(token[1:], "Hirzebruch parameter", pos)
-        if e < 0:
-            raise UsageError(f"argument {pos}: Hirzebruch parameter must be >= 0, got {e}")
-        return surfaces.hirzebruch(e)
-    raise UsageError(f"argument {pos}: surface must be P2 or F<e>, got {token!r}")
+        e = _at_least(_parse_int(token[1:], "Hirzebruch parameter", pos), 0,
+                      "Hirzebruch parameter", pos)
+        if token == f"F{e}":
+            return surfaces.hirzebruch(e)
+    raise UsageError(f"argument {pos}: surface must be P2 or F<e>, got {_echo(token)}")
 
 
 def _parse_divisor(surface, token: str, pos: int) -> surfaces.DivisorClass:
@@ -97,8 +115,8 @@ def _parse_divisor(surface, token: str, pos: int) -> surfaces.DivisorClass:
     want = surface.picard_rank
     if len(parts) != want:
         raise UsageError(
-            f"argument {pos}: {surface} needs {want} comma-separated "
-            f"coefficient(s), got {token!r}"
+            f"argument {pos}: {_echo(str(surface), quote=False)} needs {want} comma-separated "
+            f"coefficient(s), got {_echo(token)}"
         )
     coeffs = tuple(_parse_int(p, "divisor coefficient", pos) for p in parts)
     return surface.divisor(*coeffs)
@@ -135,7 +153,7 @@ class _Args:
                 self.options[tok] = (tokens[i + 1], pos + 1)
                 i += 1
             elif tok.startswith("--"):
-                raise UsageError(f"argument {pos}: unknown option {tok!r}")
+                raise UsageError(f"argument {pos}: unknown option {_echo(tok)}")
             else:
                 self.positional.append((tok, pos))
             i += 1
@@ -150,14 +168,14 @@ class _Args:
         calls this before it computes anything."""
         if self.positional:
             tok, pos = self.positional[0]
-            raise UsageError(f"argument {pos}: unexpected argument {tok!r}")
+            raise UsageError(f"argument {pos}: unexpected argument {_echo(tok)}")
         self.format = _common_format(self)
 
 
 def _common_format(args: _Args) -> str:
     fmt, pos = args.options.get("--format", ("text", 0))
     if fmt not in ("text", "json", "csv"):
-        raise UsageError(f"argument {pos}: format must be text, json or csv, got {fmt!r}")
+        raise UsageError(f"argument {pos}: format must be text, json or csv, got {_echo(fmt)}")
     if fmt == "csv" and "--timestamp" in args.flags:
         # a CSV document has no field for it, so it would be dropped
         raise UsageError(f"argument {pos}: --timestamp does not combine with csv output")
@@ -392,9 +410,8 @@ def cmd_sweep(tokens: list[str], out) -> int:
         return default
 
     e_range = get_range("--e", range(0))
-    if e_range.start < 0:
-        pos = args.options["--e"][1]
-        raise UsageError(f"argument {pos}: Hirzebruch parameter must be >= 0, got {e_range.start}")
+    if "--e" in args.options:
+        _at_least(e_range.start, 0, "Hirzebruch parameter", args.options["--e"][1])
     a_range = get_range("--a", range(1, 2))
     db_range = get_range("--db", range(1, 2))
     d_range = get_range("--d", range(0))
@@ -402,9 +419,7 @@ def cmd_sweep(tokens: list[str], out) -> int:
     jobs = 1
     if "--jobs" in args.options:
         tok, pos = args.options["--jobs"]
-        jobs = _parse_int(tok, "worker count", pos)
-        if jobs < 1:
-            raise UsageError(f"argument {pos}: --jobs must be >= 1, got {jobs}")
+        jobs = _at_least(_parse_int(tok, "worker count", pos), 1, "--jobs", pos)
 
     tasks = []  # one per polarization; each yields a row per extra dimension
     for e in e_range:
@@ -491,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     command, rest = argv[0], argv[1:]
     if command not in COMMANDS:
-        sys.stderr.write(f"unknown command {command!r}\n{USAGE}")
+        sys.stderr.write(f"unknown command {_echo(command)}\n{USAGE}")
         return 1
     try:
         return COMMANDS[command](rest, out)

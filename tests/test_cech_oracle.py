@@ -1,8 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,13 +199,60 @@ def _cycle_cohomology(cones, mask):
     return (0, len(off) - joins - 1, 0)
 
 
+def _reference_pattern_cohomology(cone_key, mask):
+    """Cohomology ranks of the Cech complex for one pattern, one rank per
+    degree 0..(#charts - 1), built and ranked for that mask alone: the
+    reference for the oracle's table of all masks."""
+    ncharts = len(cone_key)
+    cone_masks = [sum(1 << rho for rho in cone) for cone in cone_key]
+    admissible = [
+        [
+            subset
+            for subset in combinations(range(ncharts), size)
+            if reduce(and_, (cone_masks[i] for i in subset)) & ~mask == 0
+        ]
+        for size in range(1, ncharts + 1)
+    ]
+    index = [{s: i for i, s in enumerate(level)} for level in admissible]
+
+    ranks_d = []
+    for p in range(ncharts - 1):
+        rows = []
+        for subset in admissible[p + 1]:
+            row = [0] * len(admissible[p])
+            for t in range(len(subset)):
+                face = subset[:t] + subset[t + 1 :]
+                j = index[p].get(face)
+                if j is not None:
+                    row[j] = -1 if t % 2 else 1
+            rows.append(row)
+        if admissible[p] and rows:
+            ranks_d.append(co._rank(rows))
+        else:
+            ranks_d.append(0)
+    ranks_d.append(0)  # no differential out of the top degree
+
+    hs = []
+    for p in range(ncharts):
+        dim = len(admissible[p])
+        incoming = ranks_d[p - 1] if p > 0 else 0
+        hs.append(dim - ranks_d[p] - incoming)
+    assert all(h >= 0 for h in hs), (bin(mask), hs)
+    return tuple(hs)
+
+
+# every cone structure of the oracle's fans, each fan also reflected
+_TABLE_FANS = [p2_fan(), *(hirzebruch_fan(e) for e in range(6))]
+_TABLE_FANS += [_reflected(fan) for fan in _TABLE_FANS]
+
+
 def test_pattern_table_matches_cycle_cohomology():
-    fans = [p2_fan(), *(hirzebruch_fan(e) for e in range(6))]
-    for fan in [*fans, *map(_reflected, fans)]:
+    for fan in _TABLE_FANS:
         for mask in range(1 << len(fan.rays)):
-            hs = co._pattern_cohomology(fan.max_cones, mask)
+            hs = _reference_pattern_cohomology(fan.max_cones, mask)
             assert hs[:3] == _cycle_cohomology(fan.max_cones, mask), (fan, bin(mask))
             assert not any(hs[3:])
+            assert fan.mask_cohomology[mask] == hs[:3], (fan, bin(mask))
 
 
 def test_h0_equals_polytope_point_count():
@@ -319,7 +372,7 @@ _ORACLE_SURFACES = [P2, *(hirzebruch(e) for e in range(13))]
 
 
 def _real_mask_table(fan):
-    return tuple(co._pattern_cohomology(fan.max_cones, mask)[:3]
+    return tuple(_reference_pattern_cohomology(fan.max_cones, mask)[:3]
                  for mask in range(1 << len(fan.rays)))
 
 
@@ -358,7 +411,7 @@ def test_certified_call_formats_neither_divisor_nor_surface(monkeypatch):
         coh_oracle(s, d)
     assert formatted == []
     f3 = hirzebruch(3)
-    monkeypatch.setattr(co, "_patterns_at_infinity", lambda fan: ((0, 2, 0b0101, True),))
+    monkeypatch.setitem(vars(fan_for(f3)), "at_infinity", ((0, 2, 0b0101, True),))
     with pytest.raises(TruncationError, match=r"for \? on \?$"):
         coh_oracle(f3, f3.divisor(1, 1))
     assert len(formatted) == 2
@@ -367,24 +420,23 @@ def test_certified_call_formats_neither_divisor_nor_surface(monkeypatch):
 @pytest.fixture
 def fake_cohomology(monkeypatch):
     """Gives one pattern mask the cohomology (0, 1, 0).  The fans of
-    `fan_for`, which hold their pattern tables, and their cached patterns
-    at infinity are dropped before and after, and the fans built after the
+    `fan_for`, which hold their pattern tables and their patterns at
+    infinity, are dropped before and after, and the fans built after the
     test must hold the real tables: no table built under the fake outlives
     the test."""
     real = co._pattern_cohomology
     fan_for.cache_clear()
-    co._patterns_at_infinity.cache_clear()
 
     def fake(fake_mask):
         monkeypatch.setattr(
             co, "_pattern_cohomology",
-            lambda key, mask: (0, 1, 0, 0) if mask == fake_mask else real(key, mask),
+            lambda cones, nrays: tuple((0, 1, 0) if mask == fake_mask else hs
+                                       for mask, hs in enumerate(real(cones, nrays))),
         )
 
     yield fake
     monkeypatch.undo()
     fan_for.cache_clear()
-    co._patterns_at_infinity.cache_clear()
     for surface in _ORACLE_SURFACES:
         fan = fan_for(surface)
         assert fan.mask_cohomology == _real_mask_table(fan), surface
@@ -572,3 +624,177 @@ def test_row_evaluations_do_not_depend_on_box(monkeypatch):
             _pattern_counts(fan, t, box)
             per_box.append(len(rows))
         assert max(per_box) <= 20 and per_box[1] == per_box[2] == per_box[3], (d, per_box)
+
+
+def _reference_patterns_at_infinity(fan):
+    """The certificate's fan part as first written: every critical
+    direction sorted counterclockwise, and each pattern read off the sum of
+    two directions.  The reference for `co._patterns_at_infinity`."""
+
+    def positive(d):
+        return sum(1 << rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] > 0)
+
+    dirs = sorted({d for p, q in fan.rays for d in ((-q, p), (q, -p))},
+                  key=co.cmp_to_key(co._counterclockwise))
+    always, conditional = [], []
+    for d, after in zip(dirs, dirs[1:] + dirs[:1]):
+        always.append((positive((d[0] + after[0], d[1] + after[1])), d, after))
+        base = positive(d)
+        perp = [rho for rho, u in enumerate(fan.rays) if u[0] * d[0] + u[1] * d[1] == 0]
+        always += [(base | 1 << rho, d, None) for rho in perp]
+        if len(perp) == 1:
+            always.append((base, d, None))
+        else:
+            rho, sigma = perp
+            both = base | 1 << rho | 1 << sigma
+            conditional += [(rho, sigma, both, True), (rho, sigma, base, False)]
+    table = fan.mask_cohomology
+    for mask, d, after in always:
+        if any(table[mask]):
+            where = (f"at direction {d}" if after is None
+                     else f"in the sector between directions {d} and {after}")
+            raise TruncationError(
+                f"pattern at infinity {mask:#b} {where} has cohomology {table[mask]}, "
+                f"for the fan with rays {fan.rays}"
+            )
+    return tuple(c for c in conditional if any(table[c[2]]))
+
+
+def _reference_classify_rays(fan, t):
+    """`_classify_rays` as first written, every ray classified per call."""
+    for u in fan.rays:
+        if u[0] not in (-1, 0, 1):
+            raise ValueError(f"ray {u} has x-component {u[0]}")
+    co._check_coeff_count(fan, t)
+    fixed, cuts = [], []
+    for rho, ((ux, uy), a) in enumerate(zip(fan.rays, t.coeffs)):
+        if ux == 0:
+            fixed.append((1 << rho, uy, a))
+        elif ux > 0:
+            cuts.append((1 << rho, -uy, -a, False))
+        else:
+            cuts.append((1 << rho, uy, a + 1, True))
+    return tuple(fixed), tuple(cuts)
+
+
+# P^2 and F_0..F_40, each also reflected
+_REFERENCE_FANS = [p2_fan(), *(hirzebruch_fan(e) for e in range(41))]
+_REFERENCE_FANS += [_reflected(fan) for fan in _REFERENCE_FANS]
+
+
+def test_shared_tables_certificates_and_ray_classes_match_references():
+    reference_tables = {}
+    rng = random.Random(5)
+    for fan in [*_REFERENCE_FANS, *_TABLE_FANS]:
+        key = (fan.max_cones, len(fan.rays))
+        if key not in reference_tables:
+            reference_tables[key] = _real_mask_table(fan)
+        assert fan.mask_cohomology == reference_tables[key], fan
+        assert fan.mask_cohomology is co._pattern_cohomology(*key)
+        assert fan.at_infinity == co._patterns_at_infinity(fan) \
+            == _reference_patterns_at_infinity(fan) == (), fan
+        for _ in range(20):
+            t = ToricDivisor(tuple(rng.randint(-50, 50) for _ in fan.rays))
+            assert co._classify_rays(fan, t) == _reference_classify_rays(fan, t), (fan, t)
+
+
+def _outcome(find, fan):
+    try:
+        return find(fan)
+    except TruncationError as err:
+        return str(err)
+
+
+def test_certificate_matches_reference_under_every_faked_mask():
+    # one mask at a time given cohomology: the same patterns are returned,
+    # or the same pattern is refused first, with the same message
+    fans = [p2_fan(), *(hirzebruch_fan(e) for e in range(9))]
+    refused = 0
+    for fan in [*fans, *map(_reflected, fans)]:
+        real = fan.mask_cohomology
+        for fake in range(len(real)):
+            faked = ToricFan(fan.rays, fan.max_cones)
+            vars(faked)["mask_cohomology"] = tuple(
+                (0, 1, 0) if mask == fake else hs for mask, hs in enumerate(real))
+            got = _outcome(co._patterns_at_infinity, faked)
+            assert got == _outcome(_reference_patterns_at_infinity, faked), (fan, bin(fake))
+            refused += isinstance(got, str)
+    assert refused > 0
+
+
+def test_graded_piece_reads_the_shared_table():
+    f1, f7 = fan_for(hirzebruch(1)), fan_for(hirzebruch(7))
+    assert f1.mask_cohomology is f7.mask_cohomology
+    assert hirzebruch_fan(3).mask_cohomology is _reflected(hirzebruch_fan(3)).mask_cohomology
+    # a fan whose table names each mask: graded_piece answers from it
+    fan = hirzebruch_fan(2)
+    vars(fan)["mask_cohomology"] = tuple((mask, 0, 0) for mask in range(16))
+    t = ToricDivisor((0, 0, 0, 0))
+    for m in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (5, -3)]:
+        mask = sum(1 << rho for rho, u in enumerate(fan.rays) if u[0] * m[0] + u[1] * m[1] >= 0)
+        assert graded_piece(fan, t, m).as_tuple() == (mask, 0, 0), m
+
+
+def test_fans_of_a_ranked_cone_structure_rank_nothing(monkeypatch):
+    # a deterministic guard on per-fan work: once one F_e fan has its
+    # table, no other F_e fan ranks a matrix, however new
+    fan_for(hirzebruch(0)).mask_cohomology
+    ranked = []
+    real = co._rank
+    monkeypatch.setattr(co, "_rank", lambda rows: ranked.append(rows) or real(rows))
+    fan_for.cache_clear()
+    for e in range(1, 41):
+        s = hirzebruch(e)
+        fan = fan_for(s)
+        assert fan.mask_cohomology and fan.at_infinity == ()
+        assert coh_oracle(s, s.divisor(1, -2)) == coh(s, s.divisor(1, -2))
+    assert ranked == []
+
+
+def test_import_builds_no_fan_and_no_table():
+    # the per-fan and per-cone-structure work stays out of every cold start
+    src = str(Path(co.__file__).resolve().parent.parent)
+    code = ("import k3carpets.cli\nfrom k3carpets import cech_oracle as co\n"
+            "print(co.fan_for.cache_info().currsize, co._pattern_cohomology.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_ray_check_once_per_fan_and_count_check_once_per_call(monkeypatch):
+    ray_checks, count_checks = [], []
+    real_classes, real_count = ToricFan.ray_classes.func, co._check_coeff_count
+
+    def classes(fan):
+        ray_checks.append(fan)
+        return real_classes(fan)
+
+    counted = cached_property(classes)
+    counted.__set_name__(ToricFan, "ray_classes")
+    monkeypatch.setattr(ToricFan, "ray_classes", counted)
+    monkeypatch.setattr(co, "_check_coeff_count",
+                        lambda fan, t: count_checks.append(t) or real_count(fan, t))
+    fan_for.cache_clear()
+    grid = list(battery.oracle_grid())
+    for s, d in grid:
+        coh_oracle(s, d)
+    assert len(count_checks) == len(grid)
+    assert len(ray_checks) == len({s for s, _ in grid}) == len(set(ray_checks))
+    fan_for.cache_clear()
+
+
+def test_fan_cache_is_bounded_and_an_evicted_fan_comes_back_equal():
+    fan_for.cache_clear()
+    f2 = hirzebruch(2)
+    first = fan_for(f2)
+    answer = coh_oracle(f2, f2.divisor(-3, 5))
+    for e in range(1000, 2000):
+        fan_for(hirzebruch(e))
+    size = fan_for.cache_info().maxsize
+    assert size is not None and fan_for.cache_info().currsize <= size
+    again = fan_for(f2)
+    assert again is not first and again == first
+    assert again.mask_cohomology is first.mask_cohomology
+    assert again.at_infinity == first.at_infinity and again.ray_pairs == first.ray_pairs
+    assert coh_oracle(f2, f2.divisor(-3, 5)) == answer
+    fan_for.cache_clear()

@@ -138,6 +138,68 @@ def test_oracle_box_is_derived_not_an_option(capsys):
         assert code == 0 and "verdict   : AGREE" in text, (surface, divisor)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # int() would read each of these as an integer
+    (["coh", "P2", "5_0"], "argument 2: divisor coefficient must be an integer, got '5_0'"),
+    (["coh", "P2", "\uff15"], "argument 2: divisor coefficient must be an integer, got '\uff15'"),
+    (["coh", "P2", " 5"], "argument 2: divisor coefficient must be an integer, got ' 5'"),
+    (["coh", "P2", "5\n"], "argument 2: divisor coefficient must be an integer, got '5\\n'"),
+    (["coh", "P2", "+5"], "argument 2: divisor coefficient must be an integer, got '+5'"),
+    (["coh", "F+3", "1,2"], "argument 1: Hirzebruch parameter must be an integer, got '+3'"),
+    (["sweep", "--e", "0..+3"], "argument 2: range end must be an integer, got '+3'"),
+    # F<e> names a surface only with e written as str(e) writes it
+    (["coh", "F03", "1,2"], "argument 1: surface must be P2 or F<e>, got 'F03'"),
+    (["coh", "F-0", "1,2"], "argument 1: surface must be P2 or F<e>, got 'F-0'"),
+    # short tokens are quoted whole, as before
+    (["coh", "Q9", "1"], "argument 1: surface must be P2 or F<e>, got 'Q9'"),
+    (["coh", "F-3", "1,2"], "argument 1: Hirzebruch parameter must be >= 0, got -3"),
+    (["coh", "P2", "x" * 32], f"argument 2: divisor coefficient must be an integer, got '{'x' * 32}'"),
+    (["coh", "P2", "x" * 33],
+     f"argument 2: divisor coefficient must be an integer, got '{'x' * 32}'... (33 characters)"),
+])
+def test_integers_are_ascii_digits_with_an_optional_minus(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_leading_zeros_and_minus_zero_are_integers():
+    for argv, same in [(("P2", "007"), ("P2", "7")), (("F3", "-0,01"), ("F3", "0,1"))]:
+        code, text = run("coh", *argv, "--oracle")
+        assert code == 0 and "verdict   : AGREE" in text
+        assert text == run("coh", *same, "--oracle")[1]
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["coh", "P2", _LONG],  # not an integer
+    ["coh", "P2", "\uff15" * 5000],  # full-width digits, three bytes each
+    ["coh", _LONG, "1"],  # no surface
+    ["coh", "F" + _LONG, "1,2"],  # no Hirzebruch parameter
+    ["coh", "F2", _LONG],  # wrong part count
+    ["coh", "F" + "9" * 600, _LONG],  # wrong part count on a long surface name
+    ["coh", "F2", "1," + _LONG],  # not a coefficient
+    ["coh", "F-" + "9" * 600, "1,2"],  # a negative Hirzebruch parameter
+    ["coh", "P2", "1", "--format", _LONG],  # no format
+    ["coh", "P2", "1", "--" + _LONG],  # unknown option
+    ["coh", "P2", "1", _LONG],  # unexpected argument
+    [_LONG],  # unknown command
+    ["sweep", "--e", _LONG],  # not a range
+    ["sweep", "--e", "-" + "9" * 600 + "..0"],  # a negative Hirzebruch parameter
+    ["sweep", "--e", "0..1", "--jobs", "-" + "9" * 600],  # too few workers
+])
+def test_long_tokens_are_echoed_by_a_bounded_prefix(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = captured.err.splitlines()[0]
+    assert len(line.encode()) < 200, line
+    assert "characters)" in line, line
+
+
 @pytest.mark.parametrize("argv", [
     ["coh", "P2", "3", "--timestamp", "--format", "csv"],
     ["sweep", "--e", "0..1", "--format", "csv", "--timestamp"],

@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "k3carpets"
 ALLOWED = {
     ("cech_oracle", "fan_for"),
     ("cech_oracle", "_pattern_cohomology"),
-    ("cech_oracle", "_patterns_at_infinity"),
 }
 
 _CACHES = {"lru_cache", "cache"}
