@@ -13,8 +13,8 @@ The data sit on three levels, one object each, built by the caller for
 one command run:
 - `SurfaceContext`, one per surface: K, the cohomology of K^-1 and K^-2,
   `ends`, the named line-bundle terms the sequences start from, h^*(T_S)
-  (`tangent`), and the surface's two facts, `abstract_carpet_dim` and
-  `double_cover_k3_check`.
+  (`tangent`), h^*(E) of the Atiyah extension (`atiyah`), and the
+  surface's two facts, `abstract_carpet_dim` and `double_cover_k3_check`.
 - `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S),
   whether L embeds S with minimal degree, and the Hilbert report, which
   every embedding by L shares.
@@ -36,15 +36,13 @@ report.  Each derived term is checked once, where it is read: `_forced`
 raises `InconsistencyError` unless the term is pinned and equal to its
 closed form.  The surface's tangent sequence runs once per surface, so the
 Hilbert report starts from a pinned T_S and chains the same seven
-sequences on P^2 and on F_e.  On F_e exactness alone leaves T_S an
-interval; one named bound on a single rank, that every vector field of
-P^1 lifts, pins it.
-
-One step is not derivable inside the calculus: on F_e the pushforward of
-N_{S/P^N} ⊗ K_S to P^1 sits in a short exact sequence over the pushforward
-of (O_S(1) ⊗ K_S)^(N+1) with quotient O_{P^1}, and that sequence is taken
-as a declared input.  The `assumed_splitting` flag marks the F_e reports,
-which all rest on it.
+sequences on P^2 and on F_e.  Two named rank bounds pin, once per
+surface, what exactness alone leaves open.  On F_e every vector field of
+P^1 lifts, which pins T_S.  On both surfaces the Atiyah extension
+0 -> K_S -> E -> T_S ⊗ K_S -> 0 of L (Atiyah, Trans. AMS 1957), the
+K_S-twisted Euler sequence pulled back along T_S, has a nonzero connecting
+map, the Serre pairing with c_1(L); that pins E, and N_{S/P^N} ⊗ K_S is
+(L + K_S)^(N+1) / E.
 """
 
 from __future__ import annotations
@@ -64,14 +62,23 @@ class InvalidGeometryError(ValueError):
 
 # The errors a computation can end in, which a sweep row reports as its own.
 COMPUTATION_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+ECHO_CHARS = 32
+
+
+def echo(token: str, quote: bool = True) -> str:
+    """`token` as a message shows it: quoted unless `quote` is false, and
+    past ECHO_CHARS characters cut to a quoted prefix and its length."""
+    if len(token) > ECHO_CHARS:
+        return f"{token[:ECHO_CHARS]!r}... ({len(token)} characters)"
+    return repr(token) if quote else token
 
 
 @dataclass(frozen=True, eq=False)  # held by identity, never compared
 class SurfaceContext:
     """What every polarization of one surface reads.  `of` computes K,
     h^*(K^-1), h^*(K^-2) and `ends`, the named line-bundle terms the
-    sequences start from: O, K^-1, K^-2, and L(-2)^3 on P^2.  T_S and the
-    surface's two facts are computed when first read."""
+    sequences start from: O, K^-1 and K^-2.  T_S, the Atiyah extension E
+    and the surface's two facts are computed when first read."""
 
     surface: surfaces.SurfaceModel
     canonical: surfaces.DivisorClass
@@ -86,8 +93,6 @@ class SurfaceContext:
         k2inv = lc.coh(surface, -2 * k)
         ends = {"O": _exact(lc.coh(surface, 0 * k)), "K_inv": _exact(kinv),
                 "K_inv2": _exact(k2inv)}
-        if surface.is_plane:
-            ends["L(-2)^3"] = _exact(lc.coh(surface, surface.divisor(-2)).scaled(3))
         return cls(surface, k, kinv, k2inv, ends)
 
     @cached_property
@@ -114,6 +119,17 @@ class SurfaceContext:
             }, _VECTOR_FIELD_LIFTING)).b
             expected = (max(surface.e + 5, 6), max(surface.e - 1, 0), 0)
         _forced(out, "tangent-bundle cohomology", expected)
+        return out
+
+    @cached_property
+    def atiyah(self) -> CohInterval:
+        """h^*(E) of the Atiyah extension, the same for every very ample L,
+        forced by r_6 = 1 (H^1(T_S ⊗ K) -> H^2(K) pairs with c_1(L) != 0);
+        on P^2 it must equal the twisted Euler sequence's O(-2)^3."""
+        twist = _tangent_twist(self.surface)
+        out = propagate(_sequence("atiyah-extension", ("K", "E", "T⊗K"), {
+            "K": _exact(lc.coh(self.surface, self.canonical)), **twist}, _ATIYAH_PAIRING)).b
+        _forced(out, "Atiyah extension", twist["L(-2)^3"].lo if self.surface.is_plane else None)
         return out
 
     # the facts look their functions up in the module when read, so a
@@ -182,7 +198,7 @@ class EmbeddingData:
             raise ValueError(f"ambient dimension N must be an integer, got {self.ambient_n!r}")
         if self.ambient_n + 1 < self.h0:
             raise InvalidGeometryError(
-                f"ambient dimension N = {self.ambient_n} too small: "
+                f"ambient dimension N = {echo(str(self.ambient_n), quote=False)} too small: "
                 f"N + 1 must be >= h0 = {self.h0}"
             )
 
@@ -214,7 +230,6 @@ class CarpetReport:
     embedded_moduli_dim: int  # = embedded_h0 - 1
     exists_embedded: bool
     minimal_degree_case: bool
-    assumed_splitting: bool
 
 
 @dataclass(frozen=True)
@@ -245,15 +260,13 @@ class HilbertReport:
     h0_normal_carpet: tuple[int, int]
     h1_normal_carpet: tuple[int, int]
     smooth: bool
-    assumed_splitting: bool
 
 
 _UNKNOWN = CohInterval.unknown()
 # on F_e every vector field of the base lifts: H^0(T_base) -> H^1(T_rel) is zero
 _VECTOR_FIELD_LIFTING = (RankBound(3, 0, 0, "vector-field lifting"),)
-# the fixed terms of the normal-twist pushforward sequence on F_e
-_PUSH_NORMAL_TWIST = CohInterval((0, 0, 0), (None, None, 0))
-_O_BASE = CohInterval.exact(1, 0, 0)
+# c_1(L) != 0 pairs perfectly with H^1(T_S ⊗ K): H^1(T_S ⊗ K) -> H^2(K) is onto
+_ATIYAH_PAIRING = (RankBound(6, 1, 1, "Atiyah pairing"),)
 _exact = CohInterval.from_vector
 
 
@@ -278,42 +291,34 @@ def _forced(
     return iv.lo
 
 
-def abstract_carpet_dim(surface: surfaces.SurfaceModel) -> int:
-    """Dimension h1(T_S ⊗ K_S) of the space classifying abstract carpets.
-
-    Derived by exact-sequence propagation with line-bundle endpoints: on
-    F_e from the fibration tangent sequence twisted by K, on P^2 from the
-    twisted Euler sequence.
-    """
+def _tangent_twist(surface: surfaces.SurfaceModel) -> dict[str, CohInterval]:
+    """The propagated terms, by name, of the twisted Euler sequence on P^2 or
+    the fibration tangent sequence on F_e, twisted by K_S; T⊗K is forced."""
     if surface.is_plane:
-        out = propagate(_sequence("euler-twist", ("K", "L(-2)^3", "T⊗K"), {
+        seq = propagate(_sequence("euler-twist", ("K", "L(-2)^3", "T⊗K"), {
             "K": _exact(lc.coh(surface, surface.divisor(-3))),
             "L(-2)^3": _exact(lc.coh(surface, surface.divisor(-2)).scaled(3)),
-        })).c
+        }))
     else:
-        out = propagate(_sequence("tangent-fibration-twist", ("T_rel⊗K", "T⊗K", "T_base⊗K"), {
+        seq = propagate(_sequence("tangent-fibration-twist", ("T_rel⊗K", "T⊗K", "T_base⊗K"), {
             "T_rel⊗K": _exact(lc.coh(surface, surface.divisor(0, -2))),
             "T_base⊗K": _exact(lc.coh(surface, surface.divisor(-2, -surface.e))),
-        })).b
-    return _forced(out, "tangent-twist cohomology")[1]
+        }))
+    terms = dict(zip(seq.names, (seq.a, seq.b, seq.c)))
+    _forced(terms["T⊗K"], "tangent-twist cohomology")
+    return terms
+
+
+def abstract_carpet_dim(surface: surfaces.SurfaceModel) -> int:
+    """Dimension h1(T_S ⊗ K_S) of the space classifying abstract carpets."""
+    return _tangent_twist(surface)["T⊗K"].lo[1]
 
 
 def _normal_twist_cohomology(line: PolarizationData, n_plus_1: int) -> CohVector:
-    """(h0, h1, h2) of N_{S/P^N} ⊗ K_S; on F_e it rests on the declared
-    splitting."""
-    adjoint = _exact(line.adjoint.scaled(n_plus_1))
-    if line.context.surface.is_plane:
-        out = propagate(_sequence("normal-bundle-twist", ("L(-2)^3", "L(d-3)^(N+1)", "N⊗K"), {
-            **line.context.ends, "L(d-3)^(N+1)": adjoint,
-        })).c
-    else:
-        out = propagate(_sequence(
-            "normal-twist-pushforward", ("push_adjoint^(N+1)", "push_N⊗K", "O_base"), {
-                "push_adjoint^(N+1)": adjoint,
-                "push_N⊗K": _PUSH_NORMAL_TWIST,
-                "O_base": _O_BASE,
-            },
-        )).b
+    """(h0, h1, h2) of N_{S/P^N} ⊗ K_S, the quotient of (L + K_S)^(N+1) by E."""
+    out = propagate(_sequence("normal-bundle-twist", ("E", "(L+K)^(N+1)", "N⊗K"), {
+        "E": line.context.atiyah, "(L+K)^(N+1)": _exact(line.adjoint.scaled(n_plus_1)),
+    })).c
     return CohVector(*_forced(out, "twisted normal-bundle cohomology", (out.lo[0], 0, 0)))
 
 
@@ -327,21 +332,18 @@ def carpet_report(embedding: EmbeddingData) -> CarpetReport:
     """The embedded carpets of one embedding."""
     line = embedding.line
     h0 = _normal_twist_cohomology(line, embedding.n_plus_1).h0
-    plane = embedding.surface.is_plane
-    report = CarpetReport(
+    if line.minimal_degree and h0 != (0 if embedding.surface.is_plane else 1):
+        raise InconsistencyError(
+            f"minimal-degree embedding should carry a unique carpet on F_e and "
+            f"none on P^2, got h0 = {h0}"
+        )
+    return CarpetReport(
         embedding=embedding,
         embedded_h0=h0,
         embedded_moduli_dim=h0 - 1,
         exists_embedded=h0 > 0,
         minimal_degree_case=line.minimal_degree,
-        assumed_splitting=not plane,
     )
-    if line.minimal_degree and h0 != (0 if plane else 1):
-        raise InconsistencyError(
-            f"minimal-degree embedding should carry a unique carpet on F_e and "
-            f"none on P^2, got h0 = {h0}"
-        )
-    return report
 
 
 def double_cover_k3_check(surface: surfaces.SurfaceModel) -> DoubleCoverReport:
@@ -462,5 +464,4 @@ def hilbert_report(line: PolarizationData) -> HilbertReport:
         h0_normal_carpet=(nc.lo[0], nc.hi[0]),
         h1_normal_carpet=(nc.lo[1], nc.hi[1]),
         smooth=smooth,
-        assumed_splitting=not context.surface.is_plane,
     )

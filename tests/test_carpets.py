@@ -1,4 +1,5 @@
 import gc
+import io
 import re
 import weakref
 from dataclasses import fields
@@ -65,6 +66,18 @@ def test_tangent_cohomology_is_forced_by_vector_field_lifting(e):
 def test_tangent_cohomology_of_f0_and_the_plane():
     assert SurfaceContext.of(hirzebruch(0)).tangent == CohInterval.exact(6, 0, 0)
     assert SurfaceContext.of(P2).tangent == CohInterval.exact(8, 0, 0)
+
+
+@pytest.mark.parametrize("e", [*range(8), 100, 10**6])
+def test_atiyah_extension_is_forced_by_the_pairing(e):
+    # 0 -> K -> E -> T_S ⊗ K -> 0 with H^1(T_S ⊗ K) -> H^2(K) of rank 1:
+    # h^*(E) = (0, h1(T_S ⊗ K) - 1, 0), so h0(N ⊗ K) = (N+1) h0(L+K) + 1
+    assert SurfaceContext.of(hirzebruch(e)).atiyah == CohInterval.exact(0, 1, 0)
+
+
+def test_atiyah_extension_of_the_plane_is_the_euler_sequence():
+    # on P^2 the rule's E must be the Euler sequence's O(-2)^3
+    assert SurfaceContext.of(P2).atiyah == CohInterval.exact(0, 0, 0)
 
 
 def test_minimal_degree_unique_carpet():
@@ -154,11 +167,9 @@ def test_carpet_report_fields():
     assert rep.embedded_h0 == 25
     assert rep.embedded_moduli_dim == 24
     assert rep.exists_embedded and not rep.minimal_degree_case
-    assert rep.assumed_splitting
     rep = carpet_report(complete(P2, 2))
     assert abstract_carpet_dim(P2) == 1
     assert not rep.exists_embedded and rep.embedded_h0 == 0
-    assert not rep.assumed_splitting
 
 
 @pytest.mark.parametrize("e", range(7))
@@ -230,7 +241,6 @@ def test_hilbert_plane_always_smooth():
         assert np1 == (d + 2) * (d + 1) // 2 + (d - 1) * (d - 2) // 2
         assert rep.smooth
         assert rep.chi_normal_carpet == np1 * np1 + 18
-        assert not rep.assumed_splitting
 
 
 def test_hilbert_surface_normal_bookkeeping():
@@ -348,8 +358,23 @@ def test_tangent_cohomology_checks(monkeypatch, surface, change):
         SurfaceContext.of(surface).tangent
 
 
+@pytest.mark.parametrize("name", ["E", "L(-2)^3"])
+@pytest.mark.parametrize("change", [_shifted, _with_h1])
+def test_atiyah_cross_check_on_the_plane(monkeypatch, name, change):
+    _perturb_propagate(monkeypatch, name, change)
+    with pytest.raises(InconsistencyError, match="^Atiyah extension is "):
+        SurfaceContext.of(P2).atiyah
+
+
+@pytest.mark.parametrize("surface", [P2, hirzebruch(3)])
+def test_unforced_atiyah_extension_is_an_inconsistency(monkeypatch, surface):
+    _perturb_propagate(monkeypatch, "E", _widened)
+    with pytest.raises(InconsistencyError, match="^Atiyah extension not forced"):
+        embedded_carpet_h0(complete(surface, *((4,) if surface.is_plane else (2, 8))))
+
+
 @pytest.mark.parametrize("emb, name", [
-    (complete(P2, 4), "N⊗K"), (complete(hirzebruch(2), 2, 5), "push_N⊗K"),
+    (complete(P2, 4), "N⊗K"), (complete(hirzebruch(2), 2, 5), "N⊗K"),
 ])
 def test_twisted_normal_bundle_checks(monkeypatch, emb, name):
     with monkeypatch.context() as m:
@@ -362,7 +387,7 @@ def test_twisted_normal_bundle_checks(monkeypatch, emb, name):
 
 
 def test_minimal_degree_check(monkeypatch):
-    _perturb_propagate(monkeypatch, "push_N⊗K", lambda iv: CohInterval.exact(2, 0, 0))
+    _perturb_propagate(monkeypatch, "N⊗K", lambda iv: CohInterval.exact(2, 0, 0))
     with pytest.raises(InconsistencyError, match="^minimal-degree embedding"):
         carpet_report(complete(hirzebruch(0), 1, 1))
 
@@ -438,6 +463,26 @@ def test_hilbert_undecided_h1_is_an_inconsistency(monkeypatch, line):
                    lambda iv: CohInterval((expected, 0, 0), (expected + 1, 1, 0), expected))
     with pytest.raises(InconsistencyError, match="^h1 of the carpet normal bundle decides no"):
         hilbert_report(line)
+
+
+def test_every_term_carpets_feeds_the_calculus_is_pinned_or_unknown(monkeypatch):
+    # no number may rest on a declared, half-known term: each input term of
+    # a sequence is either a known endpoint or a term left to the calculus
+    unknown = CohInterval.unknown()
+    inputs = []
+
+    def record(seqs):
+        for seq in seqs:
+            inputs.extend((seq.label, *term) for term in zip(seq.names, (seq.a, seq.b, seq.c)))
+
+    real_propagate, real_chain = carpets.propagate, carpets.chain
+    monkeypatch.setattr(carpets, "propagate", lambda seq: record([seq]) or real_propagate(seq))
+    monkeypatch.setattr(carpets, "chain", lambda seqs: record(seqs) or real_chain(seqs))
+    assert all(c.passed for c in battery.run_all())
+    tokens = "--e 0..3 --a 1..2 --db 0..2 --extra -1..1 --d 1..4".split()
+    assert cli.cmd_sweep(tokens, io.StringIO()) == 0
+    assert {"atiyah-extension", "normal-bundle-twist", "ambient-euler"} <= {i[0] for i in inputs}
+    assert [i for i in inputs if not (i[2].is_forced_all() or i[2] == unknown)] == []
 
 
 def _complete_series_reports():

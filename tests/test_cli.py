@@ -190,6 +190,8 @@ _LONG = "x" * 5000
     ["sweep", "--e", _LONG],  # not a range
     ["sweep", "--e", "-" + "9" * 600 + "..0"],  # a negative Hirzebruch parameter
     ["sweep", "--e", "0..1", "--jobs", "-" + "9" * 600],  # too few workers
+    ["sweep", "--e", "0..0", "--extra", "-" + "9" * 599 + "..0"],  # too many rows
+    ["carpet", "F3", "2,8", "--N", "-" + "9" * 599],  # too small an N
 ])
 def test_long_tokens_are_echoed_by_a_bounded_prefix(capsys, argv):
     assert cli.main(argv) == 1
@@ -198,6 +200,24 @@ def test_long_tokens_are_echoed_by_a_bounded_prefix(capsys, argv):
     line = captured.err.splitlines()[0]
     assert len(line.encode()) < 200, line
     assert "characters)" in line, line
+
+
+@pytest.mark.parametrize("extra, code", [("-" + "9" * 599 + "..0", 1), ("0..1000000", 1),
+                                         ("0..999999", 0)])
+def test_sweep_row_count_is_bounded_before_any_work(capsys, monkeypatch, extra, code):
+    # one polarization (P^2, d = 3) times the extra range: refused past
+    # MAX_SWEEP_ROWS rows before a surface or row is computed
+    monkeypatch.setattr(cli, "_sweep_rows", lambda task: [])
+    contexts = _counting(monkeypatch, carpets.SurfaceContext, "of")
+    start = time.perf_counter()
+    assert cli.main(["sweep", "--d", "3", "--extra", extra]) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and contexts == []
+        assert captured.err.endswith(f"rows: at most {cli.MAX_SWEEP_ROWS} are allowed\n")
+    else:
+        assert captured.out.endswith("\n0 rows\n") and len(contexts) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,26 +336,26 @@ def test_hilbert_interval_provenance():
 # format, with and without --N, a SINGULAR verdict (F3), an h1 interval (F5),
 # the plane, and each way a query is refused, in the order the checks run
 _QUERY_SHA256 = [
-    ("carpet F3 2,8", "552c42ca1e0532c855f4b060eff8b186a3b918f17b481f9b3348c26a6533cae0"),
+    ("carpet F3 2,8", "48d4e07a9524be08aa2c47be5c57e8d322556ab29c916f89237745a1f09eb85f"),
     ("carpet F3 2,8 --format json",
-     "38dd59d2c46161d50143619b7659588b83ca67b25962915f654f834a0c695603"),
+     "546f246ed5d233d8a6db83cfddd9bf23e116cb1bd1340266dc20ad1b69e0fd85"),
     ("carpet F3 2,8 --format csv",
-     "cc0c7b53788be585cccbe74ca10165811234d9df66b3eb3bc876d0a14e6d1b54"),
-    ("carpet F3 2,8 --N 20", "38f92dbbd264ce8dc54d45a1d519c59b41b5435b95cf1e8122d1227589d0f207"),
+     "2dc7f75f923c6bce6a1ecbe4de52e43a417b69f2a6b0fe33a0e3c17a827f4ac4"),
+    ("carpet F3 2,8 --N 20", "3168e84cbb73eb1dbec642c866280da345cbc2dc1c4a2d0727e0bef91d5c90f4"),
     ("carpet F5 2,11 --N 30 --format json",
-     "6b3cbcc21205c85c2880643ce868a7c5f9b45c3458b7f8dc73385b7e84d496b5"),
+     "1d77ac3afb214e2994227f98adf229a2b0fee53b9bf4e5bf7fe36e3c7430a965"),
     ("carpet P2 3", "6fdf489cdc510f15dccb0a9defb6e4c3d36950235314821db705058d7a9569fa"),
     ("carpet P2 3 --N 12 --format csv",
      "1ac9e9a4b71c19c8dba2bbb07631ad55fdd39c44ee6b635722d2fec0988992db"),
-    ("hilbert F3 2,8", "d306beeb2522bd6df41c1e0adfc15b4a83661e7e042caa83908c91fefbeddd4d"),
+    ("hilbert F3 2,8", "9ede562f76b2f230c850a2f63119e4fbcebfc4af561cd57af7b59dbdb82be097"),
     ("hilbert F3 2,8 --format json",
-     "3076a98aff1c93140669a8b08038d547906aa79106d3b440ee9f823d481540ed"),
+     "a2ecf0a0b987d6d384b37cd1ca01cc44388d33281d8aa22f08c2f8dc2247e4ef"),
     ("hilbert F3 2,8 --format csv",
-     "7e4c9de551a0006593e37ccfe0ac4290a15baec5f8da8a0d447fd549bdfec8da"),
-    ("hilbert F3 2,8 --N 20", "f94366bc960d121de797a78b630835af7ea260ba968946acd391f92fec3c818d"),
-    ("hilbert F5 2,11", "0d42725dd55faa6e669ce48b9343cc66225c92e6c516976bb8ad74bc46d649fe"),
+     "7f9e18ed14b681820d02c99a5b08267a0d9a9ce7dae2631c2c7651ba2bf11598"),
+    ("hilbert F3 2,8 --N 20", "10389bae9cb118fe12d7b05455c07be5fb9eec1f035582a53623087e18ebabd1"),
+    ("hilbert F5 2,11", "7ccf4fc7a57fe21d4028b05da7672cc8427ed6773a6b60c3be7e545a35cbd7f8"),
     ("hilbert F5 2,11 --N 30 --format csv",
-     "397f61cee26d7d317a9eeba2cb6a51c523db2cb067fb298bb2ca833d855d0afd"),
+     "967bed3dc2e664c3db4434aef5470faa94fe48fc54055c21688c0b625caff241"),
     ("hilbert P2 3", "be4884ed6236b1a6f1d3fd956c3331164c6dff02d8c11284ef82b1c84eb731e9"),
     ("hilbert P2 3 --N 12 --format json",
      "6ae6a3fd9f419db0d204f60deaf0c9804a1a609cf602bd83ac7824b0204cf315"),
@@ -772,8 +792,7 @@ def test_mutated_fiber_sums_fails(monkeypatch):
     assert _first_fail_ids() == [
         "fiber-tangent-twist", "base-tangent-twist", "canonical-cohomology",
         "very-ample-section-counts", "oracle-agreement", "riemann-roch",
-        "abstract-family-dim-hirzebruch", "embedded-family-linear-form",
-        "minimal-degree-unique-carpet", "hilbert-points-error", "double-cover-k3",
+        "carpet-families-error", "hilbert-points-error", "double-cover-k3",
         "les-honest-interval",
     ]
 

@@ -1334,7 +1334,7 @@ def sweep_inputs():
     11..12 on P^2."""
     tokens = "--e 0..6 --a 1..3 --db 1..3 --extra 0..2 --d 1..12".split()
     seen = _propagate_inputs(lambda: cli.cmd_sweep(tokens, io.StringIO()))
-    assert len(seen) == 537
+    assert len(seen) == 539
     return seen
 
 
