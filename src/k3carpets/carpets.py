@@ -199,7 +199,7 @@ class EmbeddingData:
         if self.ambient_n + 1 < self.h0:
             raise InvalidGeometryError(
                 f"ambient dimension N = {echo(str(self.ambient_n), quote=False)} too small: "
-                f"N + 1 must be >= h0 = {self.h0}"
+                f"N + 1 must be >= h0 = {echo(str(self.h0), quote=False)}"
             )
 
     @property

@@ -17,6 +17,10 @@ the latter.  Rows read the surface's facts on its context and the Hilbert
 report on its polarization, which compute each once, when first read; the
 report is about the carpet embedded by its own complete series, so it does
 not depend on `--extra`.  Nothing is cached between commands.
+`sweep --jobs n` forks at most n children with `os.fork`, each computing
+one interleaved share of the polarizations and answering once over a pipe
+(`_forked_map`); the rows keep their `--jobs 1` order.  No process-pool
+module is imported, so a single query does not pay for one at start-up.
 
 Exit codes: 0 success / all checks pass, 1 usage error or invalid
 geometry (no such embedding, no embedded carpet), 2 computation error,
@@ -31,10 +35,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import battery, carpets, cech_oracle, line_cohomology, surfaces
 from .carpets import EmbeddingData, InvalidGeometryError, echo as _echo
@@ -389,6 +392,70 @@ def _sweep_rows(task: tuple) -> list[dict]:
     return rows
 
 
+class WorkerDiedError(RuntimeError):
+    """A forked sweep worker ended without sending its rows."""
+
+
+def _forked_map(fn, tasks: list, workers: int) -> list:
+    """`[fn(task) for task in tasks]`, computed by `workers` forked children.
+
+    Child i computes `tasks[i::workers]` from the list it inherited, so no
+    task is pickled, and sends back one pickle of its results, or of the
+    exception it raised, over its own pipe.  It leaves by `os._exit`, which
+    neither flushes the parent's buffered output nor runs its exit
+    handlers.  The parent re-raises a child's exception, raises
+    `WorkerDiedError` for a child that ended without replying, and reaps
+    every child, killing the rest once one has failed.  With fewer than two
+    workers, or no `os.fork`, the results are computed in process.  The CLI
+    starts no threads, so a forked child holds no lock another thread took.
+    """
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    import pickle
+    import signal
+
+    children = []  # (pid, pipe) of each child not yet reaped
+    try:
+        for i in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        reply = pickle.dumps((True, [fn(task) for task in tasks[i::workers]]))
+                    except BaseException as err:
+                        reply = pickle.dumps((False, err))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(reply)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        results = [None] * len(tasks)
+        for i in range(workers):
+            pid, pipe = children[0]
+            with pipe:
+                reply = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0:
+                raise WorkerDiedError(f"sweep worker {i + 1} of {workers} ended without "
+                                      f"sending its results (exit status {status})")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results[i::workers] = value
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(tokens: list[str], out) -> int:
     args = _Args(
         tokens,
@@ -434,24 +501,11 @@ def cmd_sweep(tokens: list[str], out) -> int:
     contexts = {s: carpets.SurfaceContext.of(s) for s in dict.fromkeys(task[0] for task in tasks)}
     tasks = [(contexts[s], a, b, d, extra_range) for s, a, b, d in tasks]
 
-    if jobs > 1 and tasks:
-        # The pool starts all its workers at once, so never more than there
-        # are tasks.  Forked workers skip the import and see the modules as
-        # they are now.  A polarization is 1-2 ms of work; sent one at a
-        # time, its pickling and queue traffic would keep the parent busy on
-        # the workers' cores.  So each worker gets about four contiguous
-        # chunks: few round trips, yet a worker done early takes another.
-        # map keeps task order, so the rows do not depend on the pool.  A
-        # chunk arrives with its own copy of each context, which computes
-        # its facts once for that chunk.
-        workers = min(jobs, len(tasks))
-        fork = (multiprocessing.get_context("fork")
-                if "fork" in multiprocessing.get_all_start_methods() else None)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-            per_task = list(pool.map(_sweep_rows, tasks,
-                                     chunksize=-(-len(tasks) // (4 * workers))))
-    else:
-        per_task = [_sweep_rows(task) for task in tasks]
+    # Never more workers than polarizations.  A polarization is 1-2 ms of
+    # work, so each worker takes one interleaved share (every n-th task, which
+    # evens out the costlier large classes) and answers once; its forked copy
+    # of each context computes the surface's facts once for the whole share.
+    per_task = _forked_map(_sweep_rows, tasks, min(jobs, len(tasks)))
     rows = [row for task_rows in per_task for row in task_rows]
 
     doc = {"command": "sweep", "columns": SWEEP_COLUMNS, "rows": rows,

@@ -3,7 +3,7 @@
 The paper and sweep smoke runs are checked against their golden stdout
 digests: `verify-paper` must print byte-identical output, and the sweep
 digest covers the Hilbert chain's result on every row, at `--jobs 1` and,
-through the process pool, at `--jobs 2`.  The les-wide smoke run checks
+through forked workers, at `--jobs 2`.  The les-wide smoke run checks
 that each item's true rank chain lies inside the returned intervals.  The
 layer tracer is checked on its own, on two single queries, so that a
 renamed or re-signed traced function fails here and not only in a traced

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import resource
 import subprocess
@@ -192,6 +191,7 @@ _LONG = "x" * 5000
     ["sweep", "--e", "0..1", "--jobs", "-" + "9" * 600],  # too few workers
     ["sweep", "--e", "0..0", "--extra", "-" + "9" * 599 + "..0"],  # too many rows
     ["carpet", "F3", "2,8", "--N", "-" + "9" * 599],  # too small an N
+    ["carpet", "P2", "9" * 600, "--N", "1"],  # too small an N for a long h0
 ])
 def test_long_tokens_are_echoed_by_a_bounded_prefix(capsys, argv):
     assert cli.main(argv) == 1
@@ -599,7 +599,7 @@ def test_sweep_hilbert_error_is_the_error_of_rows_reaching_it(monkeypatch, jobs)
         "ambient dimension N = 8 too small: N + 1 must be >= h0 = 10",
         "broken on 3",
     ]
-    if jobs == "1":  # the pool's workers call it in their own processes
+    if jobs == "1":  # the forked workers call it in their own processes
         assert len(calls) == 3
 
 
@@ -618,66 +618,116 @@ def test_single_query_and_sweep_row_share_one_error_policy(monkeypatch, capsys):
     assert (row["b"], row["error"]) == ("8", "boom")
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square_or_fail(task):
+    if task == "fail":
+        raise InconsistencyError("task failed")
+    if task == "die":
+        os._exit(3)
+    return task * task
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 9])
+def test_forked_map_keeps_task_order(workers, count):
+    # fewer, as many and more tasks than workers
+    tasks = list(range(count))
+    assert cli._forked_map(_square_or_fail, tasks, workers) == [t * t for t in tasks]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_forked_map_reraises_a_child_exception(position):
+    tasks = [1, 2, 3, 4, 5, 6, 7]
+    tasks[position] = "fail"
+    with pytest.raises(InconsistencyError, match="^task failed$"):
+        cli._forked_map(_square_or_fail, tasks, 3)
+    _no_child_left()
+
+
+def test_forked_map_names_a_child_that_ended_without_replying():
+    with pytest.raises(cli.WorkerDiedError, match=r"worker 2 of 3 .* \(exit status 3\)$"):
+        cli._forked_map(_square_or_fail, [1, "die", 3, 4, 5, 6], 3)
+    _no_child_left()
+
+
+def test_sweep_worker_that_exits_abruptly_is_a_computation_error(monkeypatch, capsys):
+    parent = os.getpid()
+    real_report = carpets.carpet_report
+
+    def dying(embedding):
+        if os.getpid() != parent and embedding.polarization.coeffs == (4,):
+            os._exit(3)
+        return real_report(embedding)
+
+    monkeypatch.setattr(carpets, "carpet_report", dying)
+    assert cli.main(["sweep", "--d", "3..6", "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sweep worker 2 of 2 ended without sending its results "
+                            "(exit status 3)\n")
+    _no_child_left()
+
+
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """An in-process stand-in for ProcessPoolExecutor; returns the lists it
-    records into: (max_workers, mp_context) per pool, and (number of tasks,
-    chunksize) per map."""
-    made, sent = [], []
+def counted_forks(monkeypatch):
+    """Counts the children a sweep forks; the list holds one pid per fork."""
+    forked = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context=None):
-            made.append((max_workers, mp_context))
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            sent.append((len(tasks), chunksize))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    return made, sent
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
 
 
-def test_sweep_pool_size_is_bounded_by_the_polarizations(recording_pool):
-    made, _ = recording_pool
-    code, text = run("sweep", "--d", "3..4", "--extra", "0..2", "--jobs", "64")
-    assert code == 0 and text.strip().endswith("6 rows")
-    code, text = run("sweep", "--e", "0..1", "--a", "1..2", "--db", "1..1", "--jobs", "3")
-    assert code == 0 and text.strip().endswith("4 rows")
-    code, text = run("sweep", "--d", "3..4", "--extra", "1..0", "--jobs", "64")
-    assert code == 0 and text.strip().endswith("0 rows")
-    sizes = [workers for workers, _ in made]
-    assert sizes == [2, 3]
+@pytest.mark.parametrize("argv, workers, rows", [
+    (("--d", "3..4", "--extra", "0..2", "--jobs", "64"), 2, 6),
+    (("--e", "0..1", "--a", "1..2", "--db", "1..1", "--jobs", "3"), 3, 4),
+    (("--e", "0..2", "--a", "1..3", "--db", "1..4", "--d", "1..12", "--jobs", "3"), 3, 48),
+    (("--d", "3..3", "--extra", "0..2", "--jobs", "8"), 0, 3),  # one share: in process
+    (("--d", "3..4", "--extra", "1..0", "--jobs", "64"), 0, 0),
+    (("--d", "3..4", "--jobs", "1"), 0, 2),
+])
+def test_sweep_forks_one_worker_per_polarization_at_most(counted_forks, argv, workers, rows):
+    code, text = run("sweep", *argv)
+    assert code == 0 and text.strip().endswith(f"{rows} rows")
+    assert len(counted_forks) == workers
+    _no_child_left()
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_sweep_sends_a_few_chunks_per_worker(recording_pool, jobs):
-    made, sent = recording_pool
-    code, text = run("sweep", "--e", "0..2", "--a", "1..3", "--db", "1..4", "--d", "1..12",
-                     "--jobs", str(jobs))
-    assert code == 0 and text.strip().endswith("48 rows")
-    [(workers, _)] = made
-    [(tasks, chunksize)] = sent
-    chunks = -(-tasks // chunksize)
-    assert (workers, tasks) == (jobs, 48)
-    assert workers <= chunks <= 4 * workers  # not one round trip per polarization
+def test_sweep_without_fork_prints_the_same_bytes(monkeypatch):
+    args = ("sweep", "--e", "0..2", "--a", "1..2", "--db", "0..2", "--d", "1..4",
+            "--extra", "-1..1", "--format", "json")
+    forked = run(*args, "--jobs", "2")
+    monkeypatch.delattr(os, "fork")
+    assert run(*args, "--jobs", "2") == forked == run(*args)
 
 
-def test_sweep_pool_forks_its_workers(recording_pool):
-    # the workers skip the import and see the modules as the parent has them
-    made, _ = recording_pool
-    run("sweep", "--d", "3..4", "--jobs", "2")
-    [(_, context)] = made
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert context.get_start_method() == "fork"
-    else:
-        assert context is None
+def test_cli_imports_no_process_pool():
+    # `import k3carpets.cli` and `--help` start without the process-pool
+    # stack; a sweep imports what its workers need when it forks them
+    def imported(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+
+    bare = imported("-c", "pass")
+    for argv in (["-c", "import k3carpets.cli"], ["-m", "k3carpets", "--help"]):
+        added = imported(*argv) - bare
+        assert "k3carpets.cli" in added
+        for pool in ("concurrent.futures", "multiprocessing", "logging"):
+            assert pool not in added, (argv, pool)
 
 
 def test_sweep_parallel_matches_sequential():
