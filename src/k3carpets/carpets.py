@@ -12,37 +12,38 @@ chain's h^1 of the carpet normal bundle.
 The data sit on three levels, one object each, built by the caller for
 one command run:
 - `SurfaceContext`, one per surface: K, the cohomology of K^-1 and K^-2,
-  `ends`, the named line-bundle terms the sequences start from, h^*(T_S)
-  (`tangent`), h^*(E) of the Atiyah extension (`atiyah`), and the
-  surface's two facts, `abstract_carpet_dim` and `double_cover_k3_check`.
+  `ends`, the named line-bundle terms the sequences start from, `terms`,
+  the surface's own sequences chained once, which hold h^*(T_S)
+  (`tangent`), h^*(E) of the Atiyah extension (`atiyah`) and the abstract
+  carpet dimension (`abstract_dim`), and the double-cover K3 test.
 - `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S),
   whether L embeds S with minimal degree, and the Hilbert report, which
   every embedding by L shares.
 - `EmbeddingData`, one per embedding into P^N: a `PolarizationData` and N,
   with only N + 1 >= h^0(L) checked there.
-T_S, the two facts and everything on a `PolarizationData` are computed when
-first read and then held by their object (`functools.cached_property`):
-a query computes only what it reads, and a computation that raised is run
-again by the next reader, with the same message.  `carpet_report` takes
-an embedding and reads the other two levels through it; `hilbert_report`
-takes a `PolarizationData`, because the Hilbert point of the carpet
-embedded by the complete linear series depends on L alone.  No module
-keeps a cache, so every run sees the modules as they are.
+The surface's terms, its double-cover test and everything on a
+`PolarizationData` are computed when first read and then held by their
+object (`functools.cached_property`): a query computes only what it
+reads, and a computation that raised is run again by the next reader.
+`hilbert_report` takes a `PolarizationData`, because the Hilbert point of
+the carpet embedded by the complete linear series depends on L alone.
+No module keeps a cache, so every run sees the modules as they are.
 
-Each sequence is data: a label and three term names, with the known
-line-bundle endpoints looked up by name in the context's `ends` and the
-report's own terms, so every endpoint is written once per surface or per
-report.  Each derived term is checked once, where it is read: `_forced`
-raises `InconsistencyError` unless the term is pinned and equal to its
-closed form.  The surface's tangent sequence runs once per surface, so the
-Hilbert report starts from a pinned T_S and chains the same seven
-sequences on P^2 and on F_e.  Two named rank bounds pin, once per
-surface, what exactness alone leaves open.  On F_e every vector field of
-P^1 lifts, which pins T_S.  On both surfaces the Atiyah extension
-0 -> K_S -> E -> T_S ⊗ K_S -> 0 of L (Atiyah, Trans. AMS 1957), the
-K_S-twisted Euler sequence pulled back along T_S, has a nonzero connecting
-map, the Serre pairing with c_1(L); that pins E, and N_{S/P^N} ⊗ K_S is
-(L + K_S)^(N+1) / E.
+Each sequence is data: a label, three term names and its rank bounds;
+the known line-bundle endpoints are looked up by name, so each is written
+once per surface or per report.  Each derived term is checked once, where
+it is computed: `_forced` raises `InconsistencyError` unless the term is
+pinned and equal to its closed form.  Per surface one chain runs the
+tangent sequence (the Euler sequence on P^2, that of the ruling on F_e),
+its K_S-twist, and the Atiyah extension 0 -> K_S -> E -> T_S ⊗ K_S -> 0
+of L (Atiyah, Trans. AMS 1957).  Two named rank bounds pin what exactness
+leaves open.  On F_e every vector field of P^1 lifts, which pins T_S.  The
+Atiyah extension, the K_S-twisted Euler sequence pulled back along T_S,
+has a nonzero connecting map, the Serre pairing with c_1(L); that pins
+E, so N_{S/P^N} ⊗ K_S is (L + K_S)^(N+1) / E.  On P^2, E is the twisted
+Euler sequence's O(-2)^3, against which the chain checks the pairing.
+The Hilbert report starts from the pinned T_S and chains the same seven
+sequences on P^2 and F_e.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def echo(token: str, quote: bool = True) -> str:
 class SurfaceContext:
     """What every polarization of one surface reads.  `of` computes K,
     h^*(K^-1), h^*(K^-2) and `ends`, the named line-bundle terms the
-    sequences start from: O, K^-1 and K^-2.  T_S, the Atiyah extension E
-    and the surface's two facts are computed when first read."""
+    sequences start from: O, K, K^-1 and K^-2.  The surface's own sequences
+    (`terms`) and its double-cover test are computed when first read."""
 
     surface: surfaces.SurfaceModel
     canonical: surfaces.DivisorClass
@@ -91,56 +92,65 @@ class SurfaceContext:
         k = surfaces.canonical_class(surface)
         kinv = lc.coh(surface, -1 * k)
         k2inv = lc.coh(surface, -2 * k)
-        ends = {"O": _exact(lc.coh(surface, 0 * k)), "K_inv": _exact(kinv),
-                "K_inv2": _exact(k2inv)}
+        ends = {"O": _exact(lc.coh(surface, 0 * k)), "K": _exact(lc.coh(surface, k)),
+                "K_inv": _exact(kinv), "K_inv2": _exact(k2inv)}
         return cls(surface, k, kinv, k2inv, ends)
 
     @cached_property
+    def terms(self) -> dict[str, CohInterval]:
+        """Every term of the surface's sequences, by name, after one chain
+        of them; T_S, T⊗K and E must be pinned to their closed forms."""
+        surface, kind = self.surface, self.surface.kind
+        known = dict(self.ends)
+        for name, (divisor, copies) in _SURFACE_ENDS[kind](surface).items():
+            known[name] = _exact(lc.coh(surface, divisor).scaled(copies))
+        table = chain([_sequence(label, names, known, ranks)
+                       for label, names, ranks in _SURFACE_SEQUENCES[kind]])
+        for name, (what, expected) in _closed_forms(surface).items():
+            _forced(table[name], what, expected)
+        return table
+
+    @property
     def tangent(self) -> CohInterval:
-        """h^*(T_S), forced by the surface's tangent sequence: the Euler
-        sequence on P^2, and on F_e the sequence of the ruling
-        0 -> T_rel -> T_S -> T_base -> 0 with its connecting map
-        H^0(T_base) -> H^1(T_rel) zero, the rank bound r_3 = 0.  That map
-        vanishes because every vector field on P^1 lifts to F_e
-        (Aut(F_e) -> Aut(P^1) is onto; Kodaira and Spencer, Ann. of Math.
-        1958); without it the calculus leaves T_S the interval
-        [(6, 0, 0), (e + 5, e - 1, 0)] with chi = 6."""
-        surface = self.surface
-        if surface.is_plane:
-            out = propagate(_sequence("surface-euler", ("O", "L(1)^3", "T_S"), {
-                "O": self.ends["O"],
-                "L(1)^3": _exact(lc.coh(surface, surface.divisor(1)).scaled(3)),
-            })).c
-            expected = (8, 0, 0)
-        else:
-            out = propagate(_sequence("tangent-fibration", ("T_rel", "T_S", "T_base"), {
-                "T_rel": _exact(lc.coh(surface, surface.divisor(2, surface.e))),
-                "T_base": _exact(lc.coh(surface, surface.divisor(0, 2))),
-            }, _VECTOR_FIELD_LIFTING)).b
-            expected = (max(surface.e + 5, 6), max(surface.e - 1, 0), 0)
-        _forced(out, "tangent-bundle cohomology", expected)
-        return out
+        """h^*(T_S)."""
+        return self.terms["T_S"]
 
-    @cached_property
+    @property
     def atiyah(self) -> CohInterval:
-        """h^*(E) of the Atiyah extension, the same for every very ample L,
-        forced by r_6 = 1 (H^1(T_S ⊗ K) -> H^2(K) pairs with c_1(L) != 0);
-        on P^2 it must equal the twisted Euler sequence's O(-2)^3."""
-        twist = _tangent_twist(self.surface)
-        out = propagate(_sequence("atiyah-extension", ("K", "E", "T⊗K"), {
-            "K": _exact(lc.coh(self.surface, self.canonical)), **twist}, _ATIYAH_PAIRING)).b
-        _forced(out, "Atiyah extension", twist["L(-2)^3"].lo if self.surface.is_plane else None)
-        return out
+        """h^*(E) of the Atiyah extension, the same for every very ample L."""
+        return self.terms["E"]
 
-    # the facts look their functions up in the module when read, so a
-    # replaced function is the one run
-    @cached_property
+    @property
     def abstract_dim(self) -> int:
-        return abstract_carpet_dim(self.surface)
+        """Dimension h1(T_S ⊗ K_S) of the space classifying abstract carpets."""
+        return self.terms["T⊗K"].lo[1]
 
     @cached_property
     def double_cover(self) -> "DoubleCoverReport":
-        return double_cover_k3_check(self.surface)
+        """K3 test for the double cover branched along a smooth member of |-2K_S|.
+
+        The cover's invariants come from the trace decomposition of its
+        structure sheaf as O_S + K_S; triviality of its canonical bundle is
+        forced by the branch formula and recorded rather than computed.
+        """
+        surface, o, k = self.surface, self.ends["O"], self.ends["K"]
+        branch_bpf = surfaces.is_base_point_free(surface, -2 * self.canonical)
+        cover_chi, cover_h1 = o.chi + k.chi, o.lo[1] + k.lo[1]
+        restricted = propagate(_sequence(
+            "branch-curve-restriction", ("O", "K_inv2", "-2K|_C"), self.ends)).c
+        if not restricted.is_forced(1):
+            raise InconsistencyError(
+                f"h1 of the branch restriction not forced on {surface}: {restricted}"
+            )
+        return DoubleCoverReport(
+            surface=surface,
+            branch_bpf=branch_bpf,
+            cover_chi=cover_chi,
+            cover_h1=cover_h1,
+            cover_K_trivial=True,
+            h1_N_pi=restricted.lo[1],
+            is_k3_cover=branch_bpf and cover_h1 == 0 and cover_chi == 2,
+        )
 
 
 @dataclass(frozen=True, eq=False)  # held by identity, never compared
@@ -264,10 +274,45 @@ class HilbertReport:
 
 _UNKNOWN = CohInterval.unknown()
 # on F_e every vector field of the base lifts: H^0(T_base) -> H^1(T_rel) is zero
+# (Aut(F_e) -> Aut(P^1) is onto; Kodaira and Spencer, Ann. of Math. 1958);
+# without it the calculus leaves T_S the interval [(6, 0, 0), (e + 5, e - 1, 0)]
 _VECTOR_FIELD_LIFTING = (RankBound(3, 0, 0, "vector-field lifting"),)
 # c_1(L) != 0 pairs perfectly with H^1(T_S ⊗ K): H^1(T_S ⊗ K) -> H^2(K) is onto
 _ATIYAH_PAIRING = (RankBound(6, 1, 1, "Atiyah pairing"),)
 _exact = CohInterval.from_vector
+
+# The sequences each kind of surface derives T_S, T_S ⊗ K and E from.
+_SURFACE_SEQUENCES = {
+    surfaces.SurfaceKind.PROJECTIVE_PLANE: (
+        ("surface-euler", ("O", "L(1)^3", "T_S"), ()),
+        ("euler-twist", ("K", "E", "T⊗K"), ()),
+        ("atiyah-extension", ("K", "E", "T⊗K"), _ATIYAH_PAIRING),
+    ),
+    surfaces.SurfaceKind.HIRZEBRUCH: (
+        ("tangent-fibration", ("T_rel", "T_S", "T_base"), _VECTOR_FIELD_LIFTING),
+        ("tangent-fibration-twist", ("T_rel⊗K", "T⊗K", "T_base⊗K"), ()),
+        ("atiyah-extension", ("K", "E", "T⊗K"), _ATIYAH_PAIRING),
+    ),
+}
+# Their line-bundle terms beyond the context's `ends`: a divisor and a copy count.
+_SURFACE_ENDS = {
+    surfaces.SurfaceKind.PROJECTIVE_PLANE: lambda s: {
+        "L(1)^3": (s.divisor(1), 3), "E": (s.divisor(-2), 3)},
+    surfaces.SurfaceKind.HIRZEBRUCH: lambda s: {
+        "T_rel": (s.divisor(2, s.e), 1), "T_base": (s.divisor(0, 2), 1),
+        "T_rel⊗K": (s.divisor(0, -2), 1), "T_base⊗K": (s.divisor(-2, -s.e), 1)},
+}
+
+
+def _closed_forms(surface: surfaces.SurfaceModel) -> dict[str, tuple[str, tuple[int, int, int]]]:
+    """What each term the surface chain derives is called in messages and
+    must equal: h^*(T_S) with h^0 = dim Aut(S); h^*(T_S ⊗ K) = (0, rho, 0)
+    by Serre duality, rho the Picard rank; and E, one less in h^1."""
+    rho, e = surface.picard_rank, surface.e
+    tangent = (8, 0, 0) if surface.is_plane else (max(e + 5, 6), max(e - 1, 0), 0)
+    return {"T_S": ("tangent-bundle cohomology", tangent),
+            "T⊗K": ("tangent-twist cohomology", (0, rho, 0)),
+            "E": ("Atiyah extension", (0, rho - 1, 0))}
 
 
 def _sequence(
@@ -279,39 +324,19 @@ def _sequence(
     return LesInstance(*(known.get(n, _UNKNOWN) for n in names), names, label, ranks)
 
 
-def _forced(
-    iv: CohInterval, what: str, expected: tuple[int, int, int] | None = None
-) -> tuple[int, int, int]:
+def _forced(iv: CohInterval, what: str, expected: tuple[int, int, int]) -> tuple[int, int, int]:
     """The pinned (h0, h1, h2) of a derived term, which must equal its closed
-    form `expected` if one is given; anything else means a broken endpoint."""
+    form `expected`; anything else means a broken endpoint."""
     if not iv.is_forced_all():
         raise InconsistencyError(f"{what} not forced: {iv}")
-    if expected is not None and iv.lo != expected:
+    if iv.lo != expected:
         raise InconsistencyError(f"{what} is {iv.lo}, expected {expected}")
     return iv.lo
 
 
-def _tangent_twist(surface: surfaces.SurfaceModel) -> dict[str, CohInterval]:
-    """The propagated terms, by name, of the twisted Euler sequence on P^2 or
-    the fibration tangent sequence on F_e, twisted by K_S; T⊗K is forced."""
-    if surface.is_plane:
-        seq = propagate(_sequence("euler-twist", ("K", "L(-2)^3", "T⊗K"), {
-            "K": _exact(lc.coh(surface, surface.divisor(-3))),
-            "L(-2)^3": _exact(lc.coh(surface, surface.divisor(-2)).scaled(3)),
-        }))
-    else:
-        seq = propagate(_sequence("tangent-fibration-twist", ("T_rel⊗K", "T⊗K", "T_base⊗K"), {
-            "T_rel⊗K": _exact(lc.coh(surface, surface.divisor(0, -2))),
-            "T_base⊗K": _exact(lc.coh(surface, surface.divisor(-2, -surface.e))),
-        }))
-    terms = dict(zip(seq.names, (seq.a, seq.b, seq.c)))
-    _forced(terms["T⊗K"], "tangent-twist cohomology")
-    return terms
-
-
 def abstract_carpet_dim(surface: surfaces.SurfaceModel) -> int:
     """Dimension h1(T_S ⊗ K_S) of the space classifying abstract carpets."""
-    return _tangent_twist(surface)["T⊗K"].lo[1]
+    return SurfaceContext.of(surface).abstract_dim
 
 
 def _normal_twist_cohomology(line: PolarizationData, n_plus_1: int) -> CohVector:
@@ -347,37 +372,8 @@ def carpet_report(embedding: EmbeddingData) -> CarpetReport:
 
 
 def double_cover_k3_check(surface: surfaces.SurfaceModel) -> DoubleCoverReport:
-    """K3 test for the double cover branched along a smooth member of |-2K_S|.
-
-    The cover's invariants come from the trace decomposition of its
-    structure sheaf as O_S + K_S; triviality of its canonical bundle is
-    forced by the branch formula and recorded rather than computed.
-    """
-    k = surfaces.canonical_class(surface)
-    minus_2k = -2 * k
-    branch_bpf = surfaces.is_base_point_free(surface, minus_2k)
-    o_coh = lc.coh(surface, 0 * k)
-    k_coh = lc.coh(surface, k)
-    cover_chi = o_coh.chi + k_coh.chi
-    cover_h1 = o_coh.h1 + k_coh.h1
-
-    restricted = propagate(_sequence("branch-curve-restriction", ("O", "-2K", "-2K|_C"), {
-        "O": _exact(o_coh), "-2K": _exact(lc.coh(surface, minus_2k)),
-    })).c
-    if not restricted.is_forced(1):
-        raise InconsistencyError(
-            f"h1 of the branch restriction not forced on {surface}: {restricted}"
-        )
-
-    return DoubleCoverReport(
-        surface=surface,
-        branch_bpf=branch_bpf,
-        cover_chi=cover_chi,
-        cover_h1=cover_h1,
-        cover_K_trivial=True,
-        h1_N_pi=restricted.lo[1],
-        is_k3_cover=branch_bpf and cover_h1 == 0 and cover_chi == 2,
-    )
+    """K3 test for the double cover branched along a smooth member of |-2K_S|."""
+    return SurfaceContext.of(surface).double_cover
 
 
 # The sequences tying the carpet normal bundle to line-bundle endpoints and

@@ -17,7 +17,7 @@ from k3carpets.carpets import (
     embedded_carpet_h0,
     hilbert_report,
 )
-from k3carpets.exact_seq import CohInterval, InconsistencyError, LesInstance
+from k3carpets.exact_seq import CohInterval, InconsistencyError, LesInstance, RankBound
 from k3carpets.line_cohomology import coh
 from k3carpets.surfaces import canonical_class, hirzebruch, projective_plane
 
@@ -306,7 +306,7 @@ def test_embedding_rejects_a_non_integer_ambient_dimension():
 
 # Every consistency check of `carpets`, each hit by perturbing one derived
 # term: `carpets.propagate` feeds the single-sequence reads, `carpets.chain`
-# the Hilbert table.
+# the surface's terms and the Hilbert table.
 
 def _widened(iv):
     return CohInterval(iv.lo, tuple(h + 1 for h in iv.hi))
@@ -337,38 +337,54 @@ def _perturb_chain(monkeypatch, name, change):
 
     def perturbed(seqs):
         table = real(seqs)
-        table[name] = change(table[name])
+        if name in table:
+            table[name] = change(table[name])
         return table
 
     monkeypatch.setattr(carpets, "chain", perturbed)
 
 
-@pytest.mark.parametrize("surface, name", [(P2, "T⊗K"), (hirzebruch(3), "T⊗K")])
-def test_unforced_tangent_twist_is_an_inconsistency(monkeypatch, surface, name):
-    _perturb_propagate(monkeypatch, name, _widened)
-    with pytest.raises(InconsistencyError, match="^tangent-twist cohomology"):
-        abstract_carpet_dim(surface)
-
-
 @pytest.mark.parametrize("surface", [P2, hirzebruch(0), hirzebruch(3)])
-@pytest.mark.parametrize("change", [_widened, _shifted])
-def test_tangent_cohomology_checks(monkeypatch, surface, change):
-    _perturb_propagate(monkeypatch, "T_S", change)
-    with pytest.raises(InconsistencyError, match="^tangent-bundle cohomology"):
-        SurfaceContext.of(surface).tangent
+@pytest.mark.parametrize("name, phrase", [("T_S", "tangent-bundle cohomology"),
+                                          ("T⊗K", "tangent-twist cohomology"),
+                                          ("E", "Atiyah extension")])
+@pytest.mark.parametrize("change, verb", [(_widened, "not forced"), (_shifted, r"is \(")])
+def test_surface_term_checks(monkeypatch, surface, name, phrase, change, verb):
+    # each term the surface chain derives is pinned to its closed form
+    _perturb_chain(monkeypatch, name, change)
+    with pytest.raises(InconsistencyError, match=f"^{phrase} {verb}"):
+        SurfaceContext.of(surface).terms
 
 
-@pytest.mark.parametrize("name", ["E", "L(-2)^3"])
-@pytest.mark.parametrize("change", [_shifted, _with_h1])
-def test_atiyah_cross_check_on_the_plane(monkeypatch, name, change):
-    _perturb_propagate(monkeypatch, name, change)
-    with pytest.raises(InconsistencyError, match="^Atiyah extension is "):
+def _with_pairing(monkeypatch, surface, rank):
+    """The surface's sequences with the Atiyah pairing bound r_6 = `rank`."""
+    bound = (RankBound(6, rank, rank, "Atiyah pairing"),)
+    rows = carpets._SURFACE_SEQUENCES[surface.kind]
+    monkeypatch.setitem(carpets._SURFACE_SEQUENCES, surface.kind, tuple(
+        (label, names, bound if label == "atiyah-extension" else ranks)
+        for label, names, ranks in rows))
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+def test_wrong_atiyah_pairing_on_the_plane_is_an_inconsistency(monkeypatch, rank):
+    # on P^2, E is the twisted Euler sequence's O(-2)^3, which leaves the
+    # Atiyah extension no connecting rank r_6 but 1
+    _with_pairing(monkeypatch, P2, rank)
+    with pytest.raises(InconsistencyError, match="^sequence 'atiyah-extension': "):
         SurfaceContext.of(P2).atiyah
+
+
+def test_wrong_atiyah_pairing_on_f_e_fails_the_closed_form(monkeypatch):
+    # without the pairing E keeps h^1(T_S ⊗ K) = 2 and gains h^2(K) = 1
+    _with_pairing(monkeypatch, hirzebruch(3), 0)
+    with pytest.raises(InconsistencyError,
+                       match=re.escape("Atiyah extension is (0, 2, 1), expected (0, 1, 0)")):
+        SurfaceContext.of(hirzebruch(3)).atiyah
 
 
 @pytest.mark.parametrize("surface", [P2, hirzebruch(3)])
 def test_unforced_atiyah_extension_is_an_inconsistency(monkeypatch, surface):
-    _perturb_propagate(monkeypatch, "E", _widened)
+    _perturb_chain(monkeypatch, "E", _widened)
     with pytest.raises(InconsistencyError, match="^Atiyah extension not forced"):
         embedded_carpet_h0(complete(surface, *((4,) if surface.is_plane else (2, 8))))
 
@@ -481,7 +497,11 @@ def test_every_term_carpets_feeds_the_calculus_is_pinned_or_unknown(monkeypatch)
     assert all(c.passed for c in battery.run_all())
     tokens = "--e 0..3 --a 1..2 --db 0..2 --extra -1..1 --d 1..4".split()
     assert cli.cmd_sweep(tokens, io.StringIO()) == 0
-    assert {"atiyah-extension", "normal-bundle-twist", "ambient-euler"} <= {i[0] for i in inputs}
+    # every sequence carpets propagates is a row of its two tables or one of
+    # its two single-sequence reads, and each of them runs here
+    tables = {label for rows in carpets._SURFACE_SEQUENCES.values() for label, _, _ in rows}
+    tables |= {label for label, _ in carpets._HILBERT_SEQUENCES}
+    assert {i[0] for i in inputs} == tables | {"normal-bundle-twist", "branch-curve-restriction"}
     assert [i for i in inputs if not (i[2].is_forced_all() or i[2] == unknown)] == []
 
 

@@ -449,26 +449,47 @@ def test_sweep_records_row_errors_and_continues():
     assert lines[-1] == "2 rows"
 
 
+_SURFACE_LABELS = {label for rows in carpets._SURFACE_SEQUENCES.values() for label, _, _ in rows}
+
+
+def _surface_work(monkeypatch):
+    """The surface chains and the branch restrictions that run from now on,
+    each as the input it was given."""
+    chains, branches = [], []
+    real_chain, real_propagate = carpets.chain, carpets.propagate
+
+    def chain(seqs):
+        if {seq.label for seq in seqs} <= _SURFACE_LABELS:
+            chains.append(tuple(seqs))
+        return real_chain(seqs)
+
+    def propagate(seq):
+        if seq.label == "branch-curve-restriction":
+            branches.append(seq)
+        return real_propagate(seq)
+
+    monkeypatch.setattr(carpets, "chain", chain)
+    monkeypatch.setattr(carpets, "propagate", propagate)
+    return chains, branches
+
+
 def test_sweep_computes_per_surface_results_once(monkeypatch):
-    calls = []
-    original = carpets.abstract_carpet_dim
-
-    def counted(surface):
-        calls.append(str(surface))
-        return original(surface)
-
-    monkeypatch.setattr(carpets, "abstract_carpet_dim", counted)
+    chains, branches = _surface_work(monkeypatch)
+    contexts = _counting(monkeypatch, carpets.SurfaceContext, "of")
     code, text = run("sweep", "--e", "1..2", "--a", "1..2", "--db", "1..3", "--d", "3..4")
     assert code == 0 and text.strip().endswith("14 rows")
-    assert sorted(calls) == ["F1", "F2", "P2"]
+    # F1, F2 and P2: one context, surface chain and branch restriction each
+    assert sorted(str(surface) for surface, in contexts) == ["F1", "F2", "P2"]
+    assert sorted(seqs[0].label for seqs in chains) == ["surface-euler", *["tangent-fibration"] * 2]
+    assert len(branches) == 3
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_per_surface_error_is_the_row_error(monkeypatch, jobs):
-    def broken(surface):
-        raise InconsistencyError(f"broken on {surface}")
+    def broken(context):
+        raise InconsistencyError(f"broken on {context.surface}")
 
-    monkeypatch.setattr(carpets, "abstract_carpet_dim", broken)
+    monkeypatch.setattr(carpets.SurfaceContext, "terms", property(broken))
     code, text = run("sweep", "--e", "2..2", "--a", "1..2", "--db", "0..1",
                      "--format", "json", "--jobs", jobs)
     assert code == 0
@@ -527,35 +548,31 @@ def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):
     assert len(calls) == 260
 
 
-def _fact_calls(monkeypatch):
-    return (_counting(monkeypatch, carpets, "abstract_carpet_dim"),
-            _counting(monkeypatch, carpets, "double_cover_k3_check"))
-
-
-def test_hilbert_query_computes_no_surface_fact(monkeypatch):
-    abstract, cover = _fact_calls(monkeypatch)
+def test_hilbert_query_runs_one_surface_chain_and_no_branch_restriction(monkeypatch):
+    chains, branches = _surface_work(monkeypatch)
     code, text = run("hilbert", "F3", "2,8")
     assert code == 0 and "SINGULAR" in text
-    assert (abstract, cover) == ([], [])
+    assert [seqs[0].label for seqs in chains] == ["tangent-fibration"] and branches == []
 
 
 def test_carpet_query_computes_only_the_fact_it_prints(monkeypatch):
-    abstract, cover = _fact_calls(monkeypatch)
+    # the abstract dimension is read off the surface chain; the double
+    # cover's branch restriction is not run
+    chains, branches = _surface_work(monkeypatch)
     code, text = run("carpet", "F3", "2,8")
     assert code == 0 and "abstract_family_dim" in text
-    assert (abstract, cover) == ([(surfaces.hirzebruch(3),)], [])
+    assert [seqs[0].label for seqs in chains] == ["tangent-fibration"] and branches == []
 
 
 def test_battery_computes_each_surface_fact_once_per_surface(monkeypatch):
     # F_0..F_6 and P^2, each asked once by its own claim on the run's one
     # grid, which builds one context per surface and one polarization per
     # class: 252 on F_e and 10 on P^2
-    abstract, cover = _fact_calls(monkeypatch)
+    chains, branches = _surface_work(monkeypatch)
     contexts = _counting(monkeypatch, carpets.SurfaceContext, "of")
     lines = _counting(monkeypatch, carpets.PolarizationData, "__post_init__")
     assert all(c.passed for c in battery.run_all())
-    assert len(abstract) == len(cover) == 8
-    assert len(set(abstract)) == len(set(cover)) == 8
+    assert len(chains) == len(branches) == len(set(contexts)) == 8
     assert (len(contexts), len(lines)) == (8, 262)
 
 

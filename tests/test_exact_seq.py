@@ -555,7 +555,7 @@ def test_chain_is_an_order_independent_fixed_point(seqs):
     if isinstance(outcome, dict):
         for seq in seqs:
             terms = tuple(outcome[n] for n in seq.names)
-            again = propagate(LesInstance(*terms, seq.names, seq.label))
+            again = propagate(LesInstance(*terms, seq.names, seq.label, seq.ranks))
             assert (again.a, again.b, again.c) == terms
 
 
@@ -581,7 +581,7 @@ def _rescanning_chain(seqs):
     while ran:
         ran = False
         for i, seq in enumerate(seqs):
-            current = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label)
+            current = LesInstance(*(table[n] for n in seq.names), seq.names, seq.label, seq.ranks)
             if (current.a, current.b, current.c) == last.get(i):
                 continue
             ran = True
@@ -628,6 +628,24 @@ def test_chain_matches_rescanning_chain(seqs):
         assert _traced(chain, seqs, monkeypatch, limit=len(reference[1])) == reference
 
 
+_HILBERT_LABELS = [label for label, _ in carpets._HILBERT_SEQUENCES]
+
+
+def _hilbert_chains(chains):
+    """The Hilbert chains among captured chains, told by their labels."""
+    return [seqs for seqs in chains if [seq.label for seq in seqs] == _HILBERT_LABELS]
+
+
+def _surface_chain(surface, monkeypatch):
+    """The sequences `carpets` chains to derive the surface's T_S, T_S ⊗ K and E."""
+    chains = []
+    monkeypatch.setattr(carpets, "chain", lambda seqs: chains.append(seqs) or chain(seqs))
+    assert carpets.SurfaceContext.of(surface).tangent.is_forced_all()
+    monkeypatch.undo()
+    (seqs,) = chains
+    return seqs
+
+
 def test_chain_matches_rescanning_chain_on_hilbert_chains(monkeypatch):
     chains = []
 
@@ -638,10 +656,22 @@ def test_chain_matches_rescanning_chain_on_hilbert_chains(monkeypatch):
     monkeypatch.setattr(carpets, "chain", capture)
     battery.hilbert_claims(battery.CarpetGrid())
     monkeypatch.undo()
-    assert len(chains) > 200
+    assert len(_hilbert_chains(chains)) == 260 and len(chains) == 268
     for seqs in chains:
         assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
                                                             monkeypatch)
+
+
+@pytest.mark.parametrize("surface", [hirzebruch(0), hirzebruch(3), P2])
+def test_chain_matches_both_references_on_surface_chains(surface, monkeypatch):
+    # the surface chains carry rank bounds, which each reference must keep:
+    # without "vector-field lifting" T_S of F_3 stays an interval
+    seqs = _surface_chain(surface, monkeypatch)
+    assert any(seq.ranks for seq in seqs)
+    table, _ = _traced(chain, seqs, monkeypatch)
+    assert table["T_S"].is_forced_all()
+    assert _traced(_rescanning_chain, seqs, monkeypatch) == _traced(chain, seqs, monkeypatch)
+    assert _round_robin_chain(seqs) == table
 
 
 def test_chain_matches_rescanning_chain_on_wide_sweep_chains(monkeypatch):
@@ -651,7 +681,7 @@ def test_chain_matches_rescanning_chain_on_wide_sweep_chains(monkeypatch):
     assert cli.main(["sweep", "--e", "7..8", "--a", "1..3", "--db", "1..3",
                      "--d", "11..30"]) == 0
     monkeypatch.undo()
-    assert len(chains) == 38
+    assert len(_hilbert_chains(chains)) == 38 and len(chains) == 41
     for seqs in chains:
         assert _traced(chain, seqs, monkeypatch) == _traced(_rescanning_chain, seqs,
                                                             monkeypatch)
@@ -698,7 +728,8 @@ def _round_robin_chain(seqs):
         changed, stuck = False, None
         for seq in seqs:
             try:
-                out = propagate(LesInstance(*(table[n] for n in seq.names), seq.names))
+                out = propagate(LesInstance(*(table[n] for n in seq.names), seq.names,
+                                            seq.label, seq.ranks))
             except UnboundedRankError as err:
                 stuck = err
                 continue
@@ -730,7 +761,7 @@ def test_chain_matches_round_robin_fixed_point_on_hilbert_chains(monkeypatch):
     monkeypatch.setattr(carpets, "chain", lambda seqs: chains.append(seqs) or chain(seqs))
     battery.hilbert_claims(battery.CarpetGrid())
     monkeypatch.undo()
-    assert len(chains) == 260
+    assert len(_hilbert_chains(chains)) == 260 and len(chains) == 268
     for seqs in chains:
         assert _outcome(seqs) == _reference_outcome(seqs)
 
@@ -780,9 +811,9 @@ def test_chain_reruns_narrowed_sequences_in_the_next_pass(monkeypatch):
 
 
 def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
-    # the Hilbert chains reach their fixed point in one pass, each sequence
-    # run once in index order: a chain that re-propagated a sequence whose
-    # terms did not change would show here
+    # the surface and Hilbert chains reach their fixed point in one pass,
+    # each sequence run once in index order: a chain that re-propagated a
+    # sequence whose terms did not change would show here
     calls, chains = [], []
     monkeypatch.setattr(exact_seq, "propagate",
                         lambda seq: calls.append(seq.label) or propagate(seq))
@@ -790,14 +821,16 @@ def test_hilbert_chain_propagates_each_sequence_once(monkeypatch):
     f3 = hirzebruch(3)
     line = carpets.PolarizationData(carpets.SurfaceContext.of(f3), f3.divisor(2, 8))
     carpets.hilbert_report(line)
-    assert len(calls) == 7
-    assert calls == [seq.label for seq in chains[0]]
+    assert [len(seqs) for seqs in chains] == [3, 7]
+    assert len(_hilbert_chains(chains)) == 1
+    assert calls == [seq.label for seqs in chains for seq in seqs]
 
     calls.clear()
     chains.clear()
     battery.hilbert_claims(battery.CarpetGrid())
-    assert len(chains) == 260
-    assert {len(seqs) for seqs in chains} == {7}
+    hilbert = _hilbert_chains(chains)
+    assert len(hilbert) == 260 and len(chains) == 268
+    assert {len(seqs) for seqs in hilbert} == {7}
     assert calls == [seq.label for seqs in chains for seq in seqs]
 
 
