@@ -8,9 +8,16 @@ looked up through their modules so that deliberately corrupting a single
 constant (canonical class, intersection form, the fiber sums of
 `line_cohomology`) makes the affected claims fail.
 
-`run_all` hands one `CarpetGrid` to every group, so a run computes each
-surface fact and Hilbert report once.  `cohomology_claims` keeps its own
-loop: reading the grid there would keep it alive through the oracle group.
+`run_part` hands one `CarpetGrid` to every group it runs, so a run
+computes each surface fact and Hilbert report once.  `PARTS` splits the
+groups into two independent parts: the six that share the grid, and the
+oracle agreement group, which reads nothing of it and is read by none of
+them.  `verify-paper` runs the two parts at the same time, the oracle
+part in one forked child (`cli._forked_map`), and puts the claims back in
+`GROUPS` order, so its output is the same as that of `run_all`, which
+runs every group serially and in process.  `cohomology_claims` keeps its
+own loop: under `run_all`, reading the grid there would keep it alive
+through the oracle group.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ def fe_polarizations():
 class CarpetGrid:
     """A context per surface, F_0..F_6 then P^2, and a `PolarizationData` per
     class, F_e then P^2, each built when first read: a failed build fails
-    the group that reads it.  `run_all` drops the grid when it returns."""
+    the group that reads it.  `run_part` drops the grid when it returns."""
 
     @cached_property
     def contexts(self) -> dict[surfaces.SurfaceModel, carpets.SurfaceContext]:
@@ -392,20 +399,46 @@ GROUPS = (
     ("sequence calculus", exact_seq_claims),
 )
 
+# Two independent parts of the battery, by group name: the groups that share
+# one `CarpetGrid`, then the oracle group, which reads nothing the others
+# compute.  `verify-paper` runs them at the same time.
+PARTS = (
+    ("intersection theory", "line-bundle cohomology", "carpet families",
+     "hilbert points", "double covers", "sequence calculus"),
+    ("oracle agreement",),
+)
 
-def run_all() -> list[Claim]:
-    claims: list[Claim] = []
+
+def run_part(names) -> dict[str, list[Claim]]:
+    """The claims of each named group, in `GROUPS` order, keyed by group
+    name.  The groups share one `CarpetGrid`, dropped when this returns; a
+    group that raises yields one FAIL claim, and the others still run."""
+    claims: dict[str, list[Claim]] = {}
     grid = CarpetGrid()
     for name, group in GROUPS:
+        if name not in names:
+            continue
         try:
-            claims.extend(group(grid))
+            claims[name] = group(grid)
         except Exception as err:  # a corrupted computation must surface as FAIL
-            claims.append(
+            claims[name] = [
                 _claim(
                     f"{name.replace(' ', '-')}-error",
                     f"{name} checks ran to completion",
                     f"{type(err).__name__}: {err}",
                     "completed",
                 )
-            )
+            ]
     return claims
+
+
+def in_group_order(parts) -> list[Claim]:
+    """The claims of `run_part` results, one per part of `PARTS`, in
+    `GROUPS` order."""
+    by_name = {name: claims for part in parts for name, claims in part.items()}
+    return [claim for name, _ in GROUPS for claim in by_name[name]]
+
+
+def run_all() -> list[Claim]:
+    """Every group's claims, serially and in process."""
+    return in_group_order([run_part([name for name, _ in GROUPS])])

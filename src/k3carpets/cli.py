@@ -17,10 +17,21 @@ the latter.  Rows read the surface's facts on its context and the Hilbert
 report on its polarization, which compute each once, when first read; the
 report is about the carpet embedded by its own complete series, so it does
 not depend on `--extra`.  Nothing is cached between commands.
-`sweep --jobs n` forks at most n children with `os.fork`, each computing
-one interleaved share of the polarizations and answering once over a pipe
-(`_forked_map`); the rows keep their `--jobs 1` order.  No process-pool
-module is imported, so a single query does not pay for one at start-up.
+`sweep --jobs n` runs at most n workers, the parent being one of them: it
+forks at most n - 1 children with `os.fork`, and each worker computes one
+interleaved share of the polarizations, a child answering once over a
+pipe (`_forked_map`); the rows keep their `--jobs 1` order.
+`verify-paper` runs the battery's two independent parts (`battery.PARTS`)
+at the same time through `_forked_map`: the parent the groups that share
+the carpet grid, and one forked child the oracle agreement group.  It
+forks only where `os.fork` exists and the process may run on at least two
+CPUs (its affinity mask, else `os.cpu_count()`), so `taskset -c 0` runs
+the battery in process.  The claims are put back in the battery's group
+order, so the output is byte-identical either way.  A child that ends
+without answering is a computation error (exit 2) naming its command.
+No process-pool module is imported, and json and csv only by the output
+formats that use them, so a single query does not pay for them at
+start-up.
 
 Exit codes: 0 success / all checks pass, 1 usage error or invalid
 geometry (no such embedding, no embedded carpet), 2 computation error,
@@ -32,9 +43,7 @@ infeasible constraints),
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 import sys
 import time
@@ -199,11 +208,17 @@ def _cell(value) -> str:
 
 
 def render(doc: dict, fmt: str) -> str:
+    # json and csv load with the first command that prints them, so that
+    # `--help` and the text format do not pay for them at start-up
     if fmt == "json":
+        import json
+
         return json.dumps(_stringify(doc), indent=2) + "\n"
     rows = doc.get("rows")
     header = doc.get("columns")
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         if rows is not None:
@@ -393,21 +408,24 @@ def _sweep_rows(task: tuple) -> list[dict]:
 
 
 class WorkerDiedError(RuntimeError):
-    """A forked sweep worker ended without sending its rows."""
+    """A forked worker ended without sending its results."""
 
 
-def _forked_map(fn, tasks: list, workers: int) -> list:
-    """`[fn(task) for task in tasks]`, computed by `workers` forked children.
+def _forked_map(fn, tasks: list, workers: int, command: str = "sweep") -> list:
+    """`[fn(task) for task in tasks]`, computed by `workers` processes.
 
-    Child i computes `tasks[i::workers]` from the list it inherited, so no
-    task is pickled, and sends back one pickle of its results, or of the
-    exception it raised, over its own pipe.  It leaves by `os._exit`, which
-    neither flushes the parent's buffered output nor runs its exit
-    handlers.  The parent re-raises a child's exception, raises
-    `WorkerDiedError` for a child that ended without replying, and reaps
-    every child, killing the rest once one has failed.  With fewer than two
-    workers, or no `os.fork`, the results are computed in process.  The CLI
-    starts no threads, so a forked child holds no lock another thread took.
+    The parent is worker 0: it forks `workers - 1` children, then computes
+    `tasks[0::workers]` itself while child i computes `tasks[i::workers]`
+    from the list it inherited, so no task is pickled.  A child sends back
+    one pickle of its results, or of the exception it raised, over its own
+    pipe, and leaves by `os._exit`, which neither flushes the parent's
+    buffered output nor runs its exit handlers.  The parent raises its own
+    share's exception first, then re-raises a child's, raises
+    `WorkerDiedError`, naming `command`, for a child that ended without
+    replying, and reaps every child, killing the rest once one has failed.
+    With fewer than two workers, or no `os.fork`, the results are computed
+    in process.  The CLI starts no threads, so a forked child holds no lock
+    another thread took.
     """
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
@@ -416,7 +434,7 @@ def _forked_map(fn, tasks: list, workers: int) -> list:
 
     children = []  # (pid, pipe) of each child not yet reaped
     try:
-        for i in range(workers):
+        for i in range(1, workers):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -435,14 +453,15 @@ def _forked_map(fn, tasks: list, workers: int) -> list:
             os.close(write_end)
             children.append((pid, os.fdopen(read_end, "rb")))
         results = [None] * len(tasks)
-        for i in range(workers):
+        results[0::workers] = [fn(task) for task in tasks[0::workers]]
+        for i in range(1, workers):
             pid, pipe = children[0]
             with pipe:
                 reply = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             if status != 0:
-                raise WorkerDiedError(f"sweep worker {i + 1} of {workers} ended without "
+                raise WorkerDiedError(f"{command} worker {i + 1} of {workers} ended without "
                                       f"sending its results (exit status {status})")
             ok, value = pickle.loads(reply)
             if not ok:
@@ -454,6 +473,13 @@ def _forked_map(fn, tasks: list, workers: int) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_sweep(tokens: list[str], out) -> int:
@@ -520,7 +546,10 @@ VERIFY_COLUMNS = ["claim", "subject", "computed", "expected", "status"]
 def cmd_verify(tokens: list[str], out) -> int:
     args = _Args(tokens, flags={"--timestamp"}, options={"--format"})
     args.done()
-    claims = battery.run_all()
+    # the parent runs the grid part, and one child, given a second CPU, the oracle part
+    parts = _forked_map(battery.run_part, battery.PARTS, min(len(battery.PARTS), _usable_cpus()),
+                        "verify-paper")
+    claims = battery.in_group_order(parts)
     rows = [
         {
             "claim": c.claim_id,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from k3carpets import battery, carpets, cli, line_cohomology, surfaces
+from k3carpets import battery, carpets, cech_oracle, cli, line_cohomology, surfaces
 from k3carpets.exact_seq import InconsistencyError
 
 
@@ -666,6 +666,28 @@ def test_forked_map_reraises_a_child_exception(position):
     _no_child_left()
 
 
+@pytest.mark.parametrize("position", [1, 2, 5])
+def test_forked_map_reraises_the_exception_of_a_forked_share(position):
+    tasks = [1, 2, 3, 4, 5, 6, 7]
+    tasks[position] = "fail"
+    with pytest.raises(InconsistencyError, match="^task failed$"):
+        cli._forked_map(_square_or_fail, tasks, 3)
+    _no_child_left()
+
+
+def _pid(task):
+    return os.getpid()
+
+
+def test_forked_map_parent_is_worker_0():
+    # the parent computes tasks[0::3], and each of two children one other share
+    pids = cli._forked_map(_pid, list(range(8)), 3)
+    shares = [set(pids[i::3]) for i in range(3)]
+    assert shares[0] == {os.getpid()}
+    assert all(len(share) == 1 for share in shares) and len(set.union(*shares)) == 3
+    _no_child_left()
+
+
 def test_forked_map_names_a_child_that_ended_without_replying():
     with pytest.raises(cli.WorkerDiedError, match=r"worker 2 of 3 .* \(exit status 3\)$"):
         cli._forked_map(_square_or_fail, [1, "die", 3, 4, 5, 6], 3)
@@ -692,7 +714,7 @@ def test_sweep_worker_that_exits_abruptly_is_a_computation_error(monkeypatch, ca
 
 @pytest.fixture
 def counted_forks(monkeypatch):
-    """Counts the children a sweep forks; the list holds one pid per fork."""
+    """Counts the children a command forks; the list holds one pid per fork."""
     forked = []
     real_fork = os.fork
 
@@ -706,10 +728,11 @@ def counted_forks(monkeypatch):
     return forked
 
 
+# the parent is one of the workers, so n workers are n - 1 forked children
 @pytest.mark.parametrize("argv, workers, rows", [
-    (("--d", "3..4", "--extra", "0..2", "--jobs", "64"), 2, 6),
-    (("--e", "0..1", "--a", "1..2", "--db", "1..1", "--jobs", "3"), 3, 4),
-    (("--e", "0..2", "--a", "1..3", "--db", "1..4", "--d", "1..12", "--jobs", "3"), 3, 48),
+    (("--d", "3..4", "--extra", "0..2", "--jobs", "64"), 1, 6),
+    (("--e", "0..1", "--a", "1..2", "--db", "1..1", "--jobs", "3"), 2, 4),
+    (("--e", "0..2", "--a", "1..3", "--db", "1..4", "--d", "1..12", "--jobs", "3"), 2, 48),
     (("--d", "3..3", "--extra", "0..2", "--jobs", "8"), 0, 3),  # one share: in process
     (("--d", "3..4", "--extra", "1..0", "--jobs", "64"), 0, 0),
     (("--d", "3..4", "--jobs", "1"), 0, 2),
@@ -731,7 +754,9 @@ def test_sweep_without_fork_prints_the_same_bytes(monkeypatch):
 
 def test_cli_imports_no_process_pool():
     # `import k3carpets.cli` and `--help` start without the process-pool
-    # stack; a sweep imports what its workers need when it forks them
+    # stack, and without json and csv; a sweep imports what its workers need
+    # when it forks them, and a command its output format's module when it
+    # prints
     def imported(*argv):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         result = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
@@ -743,8 +768,8 @@ def test_cli_imports_no_process_pool():
     for argv in (["-c", "import k3carpets.cli"], ["-m", "k3carpets", "--help"]):
         added = imported(*argv) - bare
         assert "k3carpets.cli" in added
-        for pool in ("concurrent.futures", "multiprocessing", "logging"):
-            assert pool not in added, (argv, pool)
+        for module in ("concurrent.futures", "multiprocessing", "logging", "json", "csv"):
+            assert module not in added, (argv, module)
 
 
 def test_sweep_parallel_matches_sequential():
@@ -784,11 +809,71 @@ def test_verify_paper_csv():
     assert all(row[4] == "PASS" for row in rows[1:])
 
 
-def _first_fail_ids():
-    return [c.claim_id for c in battery.run_all() if not c.passed]
+def test_battery_parts_split_the_groups():
+    # the grid part first, then the oracle group alone; each group in one part
+    grid_part, oracle_part = battery.PARTS
+    assert oracle_part == ("oracle agreement",)
+    assert grid_part == tuple(name for name, _ in battery.GROUPS if name not in oracle_part)
 
 
-def test_mutated_canonical_class_fails(monkeypatch):
+def _cpus(monkeypatch, count):
+    """Let the CLI see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_paper_prints_the_same_bytes_forked_and_in_process(monkeypatch, counted_forks, fmt):
+    _cpus(monkeypatch, 2)
+    forked = run("verify-paper", "--format", fmt)
+    assert forked[0] == 0 and len(counted_forks) == 1
+    if fmt == "json":  # the claims are back in the battery's group order
+        rows = json.loads(forked[1])["rows"]
+        assert [row["claim"] for row in rows] == [c.claim_id for c in battery.run_all()]
+    _cpus(monkeypatch, 1)
+    assert run("verify-paper", "--format", fmt) == forked
+    _cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert run("verify-paper", "--format", fmt) == forked
+    assert len(counted_forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("affinity, cpu_count, children", [
+    (1, 8, 0), (2, 1, 1), (64, 1, 1),  # the affinity mask, not the machine, decides
+    (None, 1, 0), (None, None, 0), (None, 4, 1),  # no affinity call: os.cpu_count()
+])
+def test_verify_paper_forks_one_child_given_two_cpus(monkeypatch, counted_forks,
+                                                     affinity, cpu_count, children):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        _cpus(monkeypatch, affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert run("verify-paper")[0] == 0
+    assert len(counted_forks) == children
+    _no_child_left()
+
+
+def test_verify_paper_child_that_exits_abruptly_is_a_computation_error(monkeypatch, capsys):
+    parent = os.getpid()
+    real_oracle = cech_oracle.coh_oracle
+
+    def dying(surface, divisor):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_oracle(surface, divisor)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cech_oracle, "coh_oracle", dying)
+    assert cli.main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: verify-paper worker 2 of 2 ended without sending its "
+                            "results (exit status 3)\n")
+    _no_child_left()
+
+
+def _skew_canonical_class(monkeypatch):
     original = surfaces.canonical_class
 
     def skewed(surface):
@@ -796,6 +881,36 @@ def test_mutated_canonical_class_fails(monkeypatch):
         return surfaces.DivisorClass(surface, d.coeffs[:-1] + (d.coeffs[-1] - 1,))
 
     monkeypatch.setattr(surfaces, "canonical_class", skewed)
+
+
+def _skew_fiber_sums(monkeypatch):
+    # Every summand O_{P^1}(b - k*e) of the pushforward one degree too high.
+    original = line_cohomology._fiber_sums
+
+    def skewed(e, a, b):
+        return original(e, a, b + 1)
+
+    monkeypatch.setattr(line_cohomology, "_fiber_sums", skewed)
+
+
+@pytest.mark.parametrize("mutate", [_skew_canonical_class, _skew_fiber_sums])
+def test_mutants_fail_the_same_claims_forked_as_in_process(monkeypatch, counted_forks, mutate):
+    _cpus(monkeypatch, 2)
+    mutate(monkeypatch)
+    code, text = run("verify-paper", "--format", "json")
+    assert code == 3 and len(counted_forks) == 1
+    failed = [row["claim"] for row in json.loads(text)["rows"] if row["status"] == "FAIL"]
+    assert "oracle-agreement" in failed or "oracle-agreement-error" in failed
+    assert failed == _first_fail_ids()
+    _no_child_left()
+
+
+def _first_fail_ids():
+    return [c.claim_id for c in battery.run_all() if not c.passed]
+
+
+def test_mutated_canonical_class_fails(monkeypatch):
+    _skew_canonical_class(monkeypatch)
     assert _first_fail_ids() == [
         *(f"canonical-square-F{e}" for e in range(7)), "canonical-square-P2",
         "canonical-class-F0", "canonical-class-F3", "canonical-class-P2",
@@ -816,13 +931,7 @@ def test_nothing_computed_under_a_mutation_outlives_its_command(monkeypatch):
     # verify-paper builds the contexts of F_0..F_6 and P^2 with a skewed K;
     # the next command, in the same process and in forked workers, must see
     # K as it is again
-    original = surfaces.canonical_class
-
-    def skewed(surface):
-        d = original(surface)
-        return surfaces.DivisorClass(surface, d.coeffs[:-1] + (d.coeffs[-1] - 1,))
-
-    monkeypatch.setattr(surfaces, "canonical_class", skewed)
+    _skew_canonical_class(monkeypatch)
     assert run("verify-paper")[0] == 3
     monkeypatch.undo()
     for jobs in ("1", "2"):
@@ -849,13 +958,7 @@ def test_mutated_intersection_form_fails(monkeypatch):
 
 
 def test_mutated_fiber_sums_fails(monkeypatch):
-    # Every summand O_{P^1}(b - k*e) of the pushforward one degree too high.
-    original = line_cohomology._fiber_sums
-
-    def skewed(e, a, b):
-        return original(e, a, b + 1)
-
-    monkeypatch.setattr(line_cohomology, "_fiber_sums", skewed)
+    _skew_fiber_sums(monkeypatch)
     assert _first_fail_ids() == [
         "fiber-tangent-twist", "base-tangent-twist", "canonical-cohomology",
         "very-ample-section-counts", "oracle-agreement", "riemann-roch",
