@@ -11,9 +11,10 @@ chain's h^1 of the carpet normal bundle.
 
 The data sit on three levels, one object each, built by the caller for
 one command run:
-- `SurfaceContext`, one per surface: K, the cohomology of K^-1 and K^-2,
-  `ends`, the named line-bundle terms the sequences start from, `terms`,
-  the surface's own sequences chained once, which hold h^*(T_S)
+- `SurfaceContext`, one per surface: K, `ends`, the cohomology of each
+  named line-bundle term the sequences start from (O, K, K^-1, K^-2 and
+  the kind's own), computed once when the context is built, `terms`, the
+  surface's own sequences chained once off `ends`, which hold h^*(T_S)
   (`tangent`), h^*(E) of the Atiyah extension (`atiyah`) and the abstract
   carpet dimension (`abstract_dim`), and the double-cover K3 test.
 - `PolarizationData`, one per very ample class L: coh(L), coh(L + K_S),
@@ -76,37 +77,31 @@ def echo(token: str, quote: bool = True) -> str:
 
 @dataclass(frozen=True, eq=False)  # held by identity, never compared
 class SurfaceContext:
-    """What every polarization of one surface reads.  `of` computes K,
-    h^*(K^-1), h^*(K^-2) and `ends`, the named line-bundle terms the
-    sequences start from: O, K, K^-1 and K^-2.  The surface's own sequences
-    (`terms`) and its double-cover test are computed when first read."""
+    """What every polarization of one surface reads.  `of` computes K and
+    `ends`, the cohomology of each named line-bundle term the sequences
+    start from: O, K, K^-1, K^-2 and those of `_SURFACE_ENDS`.  The
+    surface's own sequences (`terms`) and its double-cover test are
+    computed when first read."""
 
     surface: surfaces.SurfaceModel
     canonical: surfaces.DivisorClass
-    kinv: CohVector
-    k2inv: CohVector
     ends: dict[str, CohInterval]
 
     @classmethod
     def of(cls, surface: surfaces.SurfaceModel) -> "SurfaceContext":
         k = surfaces.canonical_class(surface)
-        kinv = lc.coh(surface, -1 * k)
-        k2inv = lc.coh(surface, -2 * k)
-        ends = {"O": _exact(lc.coh(surface, 0 * k)), "K": _exact(lc.coh(surface, k)),
-                "K_inv": _exact(kinv), "K_inv2": _exact(k2inv)}
-        return cls(surface, k, kinv, k2inv, ends)
+        named = {"O": (0 * k, 1), "K": (k, 1), "K_inv": (-1 * k, 1), "K_inv2": (-2 * k, 1),
+                 **_SURFACE_ENDS[surface.kind](surface)}
+        return cls(surface, k, {name: _exact(lc.coh(surface, divisor).scaled(copies))
+                                for name, (divisor, copies) in named.items()})
 
     @cached_property
     def terms(self) -> dict[str, CohInterval]:
         """Every term of the surface's sequences, by name, after one chain
         of them; T_S, T⊗K and E must be pinned to their closed forms."""
-        surface, kind = self.surface, self.surface.kind
-        known = dict(self.ends)
-        for name, (divisor, copies) in _SURFACE_ENDS[kind](surface).items():
-            known[name] = _exact(lc.coh(surface, divisor).scaled(copies))
-        table = chain([_sequence(label, names, known, ranks)
-                       for label, names, ranks in _SURFACE_SEQUENCES[kind]])
-        for name, (what, expected) in _closed_forms(surface).items():
+        table = chain([_sequence(label, names, self.ends, ranks)
+                       for label, names, ranks in _SURFACE_SEQUENCES[self.surface.kind]])
+        for name, (what, expected) in _closed_forms(self.surface).items():
             _forced(table[name], what, expected)
         return table
 
@@ -167,9 +162,8 @@ class PolarizationData:
         surface = self.context.surface
         surfaces._check_on(surface, self.divisor)
         if not surfaces.is_very_ample(surface, self.divisor):
-            raise InvalidGeometryError(
-                f"polarization {self.divisor} on {surface} is not very ample"
-            )
+            raise InvalidGeometryError(f"polarization {echo(str(self.divisor), quote=False)} on "
+                                       f"{echo(str(surface), quote=False)} is not very ample")
 
     @cached_property
     def coh(self) -> CohVector:
@@ -294,7 +288,8 @@ _SURFACE_SEQUENCES = {
         ("atiyah-extension", ("K", "E", "T⊗K"), _ATIYAH_PAIRING),
     ),
 }
-# Their line-bundle terms beyond the context's `ends`: a divisor and a copy count.
+# Their line-bundle terms beyond O, K, K^-1 and K^-2, each a divisor and a copy
+# count; `SurfaceContext.of` computes the cohomology of all of them once.
 _SURFACE_ENDS = {
     surfaces.SurfaceKind.PROJECTIVE_PLANE: lambda s: {
         "L(1)^3": (s.divisor(1), 3), "E": (s.divisor(-2), 3)},
@@ -356,7 +351,7 @@ def embedded_carpet_h0(embedding: EmbeddingData) -> int:
 def carpet_report(embedding: EmbeddingData) -> CarpetReport:
     """The embedded carpets of one embedding."""
     line = embedding.line
-    h0 = _normal_twist_cohomology(line, embedding.n_plus_1).h0
+    h0 = embedded_carpet_h0(embedding)
     if line.minimal_degree and h0 != (0 if embedding.surface.is_plane else 1):
         raise InconsistencyError(
             f"minimal-degree embedding should carry a unique carpet on F_e and "
@@ -411,7 +406,8 @@ def hilbert_report(line: PolarizationData) -> HilbertReport:
             "(the twisted normal bundle has no sections)"
         )
 
-    kinv, k2inv = context.kinv, context.k2inv
+    h0_kinv, h1_kinv, _ = context.ends["K_inv"].lo
+    h0_k2inv, h1_k2inv, _ = context.ends["K_inv2"].lo
     known = {**context.ends, "T_S": context.tangent,
              "L^(N+1)": _exact(line.coh.scaled(n_plus_1)), "N⊗K": _exact(normal_twist)}
     table = chain([_sequence(label, names, known) for label, names in _HILBERT_SEQUENCES])
@@ -419,12 +415,12 @@ def hilbert_report(line: PolarizationData) -> HilbertReport:
     # every forced intermediate is checked against its closed form
     n_s = table["N_S"]
     h0_n_s = _forced(n_s, "surface normal-bundle cohomology", (n_s.lo[0], 0, 0))[0]
-    h0_hom = h0_n_s - kinv.h0 + kinv.h1
+    h0_hom = h0_n_s - h0_kinv + h1_kinv
     _forced(table["H"], "Hom-sheaf cohomology", (h0_hom, 0, 0))
     _forced(table["H⊗K"], "twisted Hom-sheaf cohomology", (normal_twist.h0 - 1, 0, 0))
-    _forced(table["Nc_O"], "carpet-normal restriction", (h0_hom + k2inv.h0, k2inv.h1, 0))
+    _forced(table["Nc_O"], "carpet-normal restriction", (h0_hom + h0_k2inv, h1_k2inv, 0))
     _forced(table["Nc_K"], "twisted carpet-normal restriction",
-            (normal_twist.h0 - 1 + kinv.h0, kinv.h1, 0))
+            (normal_twist.h0 - 1 + h0_kinv, h1_kinv, 0))
 
     nc = table["Nc"]
     expected = n_plus_1 * n_plus_1 + 18
@@ -440,10 +436,10 @@ def hilbert_report(line: PolarizationData) -> HilbertReport:
     smooth = nc.hi[1] == 0
     if not smooth and nc.lo[1] == 0:
         raise InconsistencyError(f"h1 of the carpet normal bundle decides no verdict: {nc}")
-    if smooth != (kinv.h1 == 0 and k2inv.h1 == 0):
+    if smooth != (h1_kinv == 0 and h1_k2inv == 0):
         raise InconsistencyError(
             f"chain verdict {'smooth' if smooth else 'singular'} disagrees with "
-            f"h1(K^-1) = {kinv.h1}, h1(K^-2) = {k2inv.h1}"
+            f"h1(K^-1) = {h1_kinv}, h1(K^-2) = {h1_k2inv}"
         )
     if smooth and (nc.lo[0], nc.hi[0]) != (expected, expected):
         raise InconsistencyError(
@@ -455,8 +451,8 @@ def hilbert_report(line: PolarizationData) -> HilbertReport:
         h0_normal_surface=h0_n_s,
         chi_normal_carpet=nc.chi,
         expected_smooth_dim=expected,
-        h1_Kinv=kinv.h1,
-        h1_K2inv=k2inv.h1,
+        h1_Kinv=h1_kinv,
+        h1_K2inv=h1_k2inv,
         h0_normal_carpet=(nc.lo[0], nc.hi[0]),
         h1_normal_carpet=(nc.lo[1], nc.hi[1]),
         smooth=smooth,

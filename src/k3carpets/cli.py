@@ -11,12 +11,15 @@ carry and CSV refuses as a usage error.
 An integer argument has at most `MAX_DIGITS` digits, so that every exact
 answer can be printed, and an option may be given once.
 
-A sweep builds one `carpets.SurfaceContext` per surface and one
-`carpets.PolarizationData` per polarization, and each row's embedding from
-the latter.  Rows read the surface's facts on its context and the Hilbert
-report on its polarization, which compute each once, when first read; the
-report is about the carpet embedded by its own complete series, so it does
-not depend on `--extra`.  Nothing is cached between commands.
+A sweep builds one `carpets.SurfaceContext` per surface with rows, and
+each polarization's task with it in one pass; it walks the F_e ranges only
+when `--a`, `--db` and `--extra` are all non-empty, and `--d` only when
+`--extra` is.  A task builds one `carpets.PolarizationData`, and each
+row's embedding from it.  Rows read the surface's facts on its context
+and the Hilbert report on its polarization, which compute each once, when
+first read; the report is about the carpet embedded by its own complete
+series, so it does not depend on `--extra`.  Nothing is cached between
+commands.
 `sweep --jobs n` runs at most n workers, the parent being one of them: it
 forks at most n - 1 children with `os.fork`, and each worker computes one
 interleaved share of the polarizations, a child answering once over a
@@ -513,19 +516,17 @@ def cmd_sweep(tokens: list[str], out) -> int:
         raise UsageError(f"sweep of {_echo(str(row_count), quote=False)} rows: "
                          f"at most {MAX_SWEEP_ROWS} are allowed")
 
-    tasks = []  # one per polarization; each yields a row per extra dimension
-    for e in e_range:
-        s = surfaces.hirzebruch(e)
-        for a in a_range:
-            for db in db_range:
-                tasks.append((s, a, a * e + db, None))
-    for d in d_range:
-        tasks.append((surfaces.projective_plane(), None, None, d))
-    if not extra_range:
-        tasks = []  # no rows, so no surface contexts and no workers
-    # once per sweep, not cached in a module: each sweep sees the modules as they are
-    contexts = {s: carpets.SurfaceContext.of(s) for s in dict.fromkeys(task[0] for task in tasks)}
-    tasks = [(contexts[s], a, b, d, extra_range) for s, a, b, d in tasks]
+    # a task per polarization, a row per extra dimension; a context per surface
+    # with rows, not cached in a module, so each sweep sees the modules as they are
+    tasks = []
+    if a_range and db_range and extra_range:
+        for e in e_range:
+            context = carpets.SurfaceContext.of(surfaces.hirzebruch(e))
+            tasks += [(context, a, a * e + db, None, extra_range)
+                      for a in a_range for db in db_range]
+    if d_range and extra_range:
+        context = carpets.SurfaceContext.of(surfaces.projective_plane())
+        tasks += [(context, None, None, d, extra_range) for d in d_range]
 
     # Never more workers than polarizations.  A polarization is 1-2 ms of
     # work, so each worker takes one interleaved share (every n-th task, which

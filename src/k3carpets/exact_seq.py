@@ -67,6 +67,11 @@ class UnboundedRankError(RuntimeError):
     """Two consecutive unbounded terms leave a connecting rank unbounded."""
 
 
+def _integer(value) -> bool:
+    """The one integer rule of bounds and ranks: an int or int subclass, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CohInterval:
     """Per-degree bounds lo_i <= h^i <= hi_i (hi None = unbounded) plus an
@@ -83,11 +88,10 @@ class CohInterval:
                              f" and {len(hi)} upper")
         # each check lets a plain int through at its first test
         for lo_i, hi_i in zip(lo, hi):
-            if (type(lo_i) is not int and (not isinstance(lo_i, int) or isinstance(lo_i, bool))
-                    or lo_i < 0):
+            if type(lo_i) is not int and not _integer(lo_i) or lo_i < 0:
                 raise ValueError(f"lower bounds must be integers >= 0, got {lo_i!r}")
             if hi_i is not None:
-                if type(hi_i) is not int and (not isinstance(hi_i, int) or isinstance(hi_i, bool)):
+                if type(hi_i) is not int and not _integer(hi_i):
                     raise ValueError(f"upper bounds must be integers or None, got {hi_i!r}")
                 if hi_i < lo_i:
                     raise ValueError(f"empty bound [{lo_i}, {hi_i}]")
@@ -97,7 +101,7 @@ class CohInterval:
             object.__setattr__(self, "hi", tuple(hi))
         if chi is None:
             return
-        if type(chi) is not int and (not isinstance(chi, int) or isinstance(chi, bool)):
+        if type(chi) is not int and not _integer(chi):
             raise ValueError(f"chi must be an integer or None, got {chi!r}")
         if self.is_forced_all() and lo[0] - lo[1] + lo[2] != chi:
             raise ValueError(f"chi = {chi} contradicts pinned dimensions {lo}")
@@ -174,11 +178,11 @@ class RankBound:
 
     def __post_init__(self):
         k, lo, hi = self.k, self.lo, self.hi
-        if type(k) is not int or not 1 <= k <= 8:
+        if not _integer(k) or not 1 <= k <= 8:
             raise ValueError(f"a rank bound is on one of r_1..r_8, got r_{k!r}")
-        if type(lo) is not int or lo < 0:
+        if not _integer(lo) or lo < 0:
             raise ValueError(f"rank lower bounds must be integers >= 0, got {lo!r}")
-        if hi is not None and (type(hi) is not int or hi < lo):
+        if hi is not None and (not _integer(hi) or hi < lo):
             raise ValueError(f"rank upper bounds must be integers >= {lo} or None, got {hi!r}")
 
     def __str__(self) -> str:

@@ -402,6 +402,29 @@ def test_twisted_normal_bundle_checks(monkeypatch, emb, name):
         embedded_carpet_h0(emb)
 
 
+def test_carpet_report_reads_h0_from_embedded_carpet_h0(monkeypatch):
+    # one function derives h0(N ⊗ K) per embedding; the report reads it
+    # through the module, so a patched count is what the report holds
+    monkeypatch.setattr(carpets, "embedded_carpet_h0", lambda emb: 7)
+    rep = carpet_report(complete(hirzebruch(3), 2, 8))
+    assert (rep.embedded_h0, rep.embedded_moduli_dim, rep.exists_embedded) == (7, 6, True)
+    with pytest.raises(InconsistencyError, match="^minimal-degree embedding"):
+        carpet_report(complete(hirzebruch(0), 1, 1))
+
+
+@pytest.mark.parametrize("surface, calls", [(hirzebruch(0), 8), (hirzebruch(5), 8), (P2, 6)])
+def test_surface_context_computes_each_named_term_once(monkeypatch, surface, calls):
+    # O, K, K^-1, K^-2 and the kind's own line-bundle terms, each once, in
+    # `of`; the surface chain reads them there and computes none
+    divisors = []
+    real = carpets.lc.coh
+    monkeypatch.setattr(carpets.lc, "coh", lambda s, d: divisors.append(d) or real(s, d))
+    context = SurfaceContext.of(surface)
+    assert len(divisors) == len(set(divisors)) == len(context.ends) == calls
+    context.terms
+    assert context.abstract_dim == surface.picard_rank and len(divisors) == calls
+
+
 def test_minimal_degree_check(monkeypatch):
     _perturb_propagate(monkeypatch, "N⊗K", lambda iv: CohInterval.exact(2, 0, 0))
     with pytest.raises(InconsistencyError, match="^minimal-degree embedding"):

@@ -192,6 +192,8 @@ _LONG = "x" * 5000
     ["sweep", "--e", "0..0", "--extra", "-" + "9" * 599 + "..0"],  # too many rows
     ["carpet", "F3", "2,8", "--N", "-" + "9" * 599],  # too small an N
     ["carpet", "P2", "9" * 600, "--N", "1"],  # too small an N for a long h0
+    ["hilbert", "F2", "9" * 600 + "," + "9" * 600],  # a long class that is not very ample
+    ["carpet", "F" + "9" * 600, "1,1"],  # not very ample on a long surface name
 ])
 def test_long_tokens_are_echoed_by_a_bounded_prefix(capsys, argv):
     assert cli.main(argv) == 1
@@ -218,6 +220,20 @@ def test_sweep_row_count_is_bounded_before_any_work(capsys, monkeypatch, extra, 
         assert captured.err.endswith(f"rows: at most {cli.MAX_SWEEP_ROWS} are allowed\n")
     else:
         assert captured.out.endswith("\n0 rows\n") and len(contexts) == 1
+
+
+@pytest.mark.parametrize("ranges, rows", [(["--a", "2..1", "--d", "1"], 1),
+                                         (["--db", "2..1"], 0),
+                                         (["--d", "1", "--extra", "2..1"], 0)])
+def test_sweep_walks_no_range_that_prints_no_row(capsys, monkeypatch, ranges, rows):
+    # 10^15 Hirzebruch parameters, each without a row: F_e is walked only
+    # when --a, --db and --extra are all non-empty, and --d only with --extra
+    contexts = _counting(monkeypatch, carpets.SurfaceContext, "of")
+    start = time.perf_counter()
+    assert cli.main(["sweep", "--e", "0..1000000000000000", *ranges]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.endswith(f"\n{rows} rows\n")
+    assert len(contexts) == rows
 
 
 @pytest.mark.parametrize("argv", [
@@ -546,6 +562,17 @@ def test_battery_computes_one_hilbert_report_per_polarization(monkeypatch):
     # one per grid polarization with an embedded carpet; the F_3 (2, 8)
     # claim reads the report of its grid entry
     assert len(calls) == 260
+
+
+def test_battery_builds_each_embedding_and_its_carpet_count_once(monkeypatch):
+    # both embedded-family claims read one walk of the grid's 524 embeddings;
+    # the minimal-degree claim builds the 525th
+    embeddings = _counting(monkeypatch, carpets.EmbeddingData, "__post_init__")
+    counts = _counting(monkeypatch, carpets, "embedded_carpet_h0")
+    claims = battery.carpet_claims(battery.CarpetGrid())
+    assert all(c.passed for c in claims)
+    assert [c.computed for c in claims[2:4]] == ["756/756 agree", "20/20 agree"]
+    assert len(embeddings) == len(counts) == 525
 
 
 def test_hilbert_query_runs_one_surface_chain_and_no_branch_restriction(monkeypatch):

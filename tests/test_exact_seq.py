@@ -175,9 +175,12 @@ def test_rank_bound_inconsistency_names_the_rank_and_the_bound():
 def test_rank_bound_validation():
     for bad, message in [((0,), "one of r_1..r_8"), ((9,), "one of r_1..r_8"),
                          ((True,), "one of r_1..r_8"), ((2, -1), "integers >= 0"),
-                         ((2, 3, 2), "integers >= 3 or None"), ((2, 0, 1.0), "or None")]:
+                         ((2, 3, 2), "integers >= 3 or None"), ((2, 0, 1.0), "or None"),
+                         ((2, True), "integers >= 0"), ((2, 0, True), "or None")]:
         with pytest.raises(ValueError, match=message):
             RankBound(*bad)
+    # int subclasses pass, as in `CohInterval`
+    assert str(RankBound(_Int(3), _Int(1), _Int(2))) == "1 <= r_3 <= 2"
     assert str(RankBound(4, 1, 3)) == "1 <= r_4 <= 3"
 
 
